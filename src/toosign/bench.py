@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import chameleon, encoding
 from .chameleon import ChameleonKind, DLInstance
 from .oracle import production_oracle
-from .registry import SchemeDescriptor, scheme_keygen
+from .registry import SchemeDescriptor
 from .rng import Rng
 from .transform import g_prime, s_prime
 
@@ -23,8 +23,8 @@ def overhead_report(
     seed: bytes,
 ) -> dict:
     rng = Rng(seed)
-    base_kp = scheme_keygen(base_descriptor, rng.fork(b"base-keygen"))
     kp = g_prime(base_descriptor, ch_kind, ch_params, rng)
+    base_kp = kp.base
     inst = kp.ch_inst
 
     oracle = production_oracle(inst)

@@ -9,11 +9,24 @@ randomness mapping the message to that target.  Two instantiations:
 
 Range values are sampled as hash-of-random-preimage with the trace
 (message, randomness) retained, so DL inversion never needs a discrete log.
+
+DL exponentiation.  A signer holding the trapdoor x samples C = g^m y^r as
+g^((m + x r) mod q): one exponentiation instead of two.  The folded exponent
+reveals x together with the trace, so it is never kept.  Exponentiations
+with exponents of 256 bits or more use a Lim-Lee fixed-base comb of 8 rows:
+a table of 256 products per base, and one squaring per column shared by all
+bases of a hash.  The first exponentiation of a base in a process uses
+builtin pow, so a one-shot process never builds a table; the second builds
+it.  At most 8 tables (about 75 kB each for a 2048-bit group) are kept,
+least recently used evicted first.  Neither builtin pow nor the comb runs in
+constant time; this code makes no side-channel claim.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -192,6 +205,95 @@ def hg(
 
 
 # ---------------------------------------------------------------------------
+# fixed-base exponentiation
+
+_COMB_ROWS = 8  # a base's table holds the 2^8 products of its row powers
+_COMB_MIN_BITS = 256  # below this, a comb column is too short to beat pow
+_COMB_CACHE_SIZE = 8  # bases; a 2048-bit table is about 75 kB
+# (base, p, bits) -> comb table, or None after the base's first use
+_comb_cache: OrderedDict[tuple[int, int, int], list[int] | None] = OrderedDict()
+_comb_lock = threading.Lock()
+
+
+def _comb_table(b: int, p: int, a: int) -> list[int]:
+    """Entry j is the product of b^(2^(a*i)) over the rows i set in j."""
+    row_powers = [b]
+    for _ in range(_COMB_ROWS - 1):
+        x = row_powers[-1]
+        for _ in range(a):
+            x = x * x % p
+        row_powers.append(x)
+    table = [1] * (1 << _COMB_ROWS)
+    for j in range(1, 1 << _COMB_ROWS):
+        low = j & -j
+        table[j] = table[j ^ low] * row_powers[low.bit_length() - 1] % p
+    return table
+
+
+def _comb_columns(e: int, a: int) -> bytes:
+    """The table index of each column of e, most significant column first.
+
+    e is split into rows e = sum_i e_i 2^(a*i) of a bits each; bit i of
+    index k is bit a-1-k of e_i.  Each row's binary digits are read as ASCII
+    bytes and shifted into bit i of every byte; the ASCII zeros come off at
+    the end.
+    """
+    mask = (1 << a) - 1
+    spread = 0
+    for i in range(_COMB_ROWS):
+        digits = format((e >> (a * i)) & mask, f"0{a}b").encode()
+        spread += int.from_bytes(digits, "big") << i
+    zeros = int.from_bytes(b"0" * a, "big") * ((1 << _COMB_ROWS) - 1)
+    return (spread - zeros).to_bytes(a, "big")
+
+
+def _comb_lookup(b: int, p: int, bits: int) -> list[int] | None:
+    """The comb table of b, built on the second call for b; None on the first."""
+    key = (b, p, bits)
+    with _comb_lock:
+        seen = key in _comb_cache
+        table = _comb_cache.pop(key, None)
+        _comb_cache[key] = table  # least recently used first
+        if len(_comb_cache) > _COMB_CACHE_SIZE:
+            _comb_cache.popitem(last=False)
+    if seen and table is None:
+        table = _comb_table(b, p, -(-bits // _COMB_ROWS))
+        with _comb_lock:
+            if key in _comb_cache:
+                _comb_cache[key] = table
+    return table
+
+
+def _multi_pow(pairs, p: int, bits: int) -> int:
+    """prod b^e mod p over the (b, e) in pairs, every e in [0, 2^bits).
+
+    A base used before gets a Lim-Lee comb with _COMB_ROWS rows and
+    a = ceil(bits / rows) columns: a squarings, shared by all bases of the
+    call, and at most a multiplications per base.  The first use of a base,
+    and every base when bits < _COMB_MIN_BITS, take builtin pow.
+    """
+    a = -(-bits // _COMB_ROWS)
+    out = 1
+    combs = []
+    for b, e in pairs:
+        table = _comb_lookup(b, p, bits) if bits >= _COMB_MIN_BITS else None
+        if table is None:
+            out = out * pow(b, e, p) % p
+        else:
+            combs.append((_comb_columns(e, a), table))
+    if combs:
+        acc = 1
+        for k in range(a):
+            acc = acc * acc % p
+            for columns, table in combs:
+                j = columns[k]
+                if j:
+                    acc = acc * table[j] % p
+        out = out * acc % p
+    return out
+
+
+# ---------------------------------------------------------------------------
 # hashing, sampling, inversion
 
 
@@ -226,7 +328,7 @@ def ch_hash(inst: ChameleonInstance, m, r):
     if isinstance(inst, DLInstance):
         mi = _check_dl_scalar(inst, m, "message")
         ri = _check_dl_scalar(inst, r, "randomness")
-        return pow(inst.g, mi, inst.p) * pow(inst.y, ri, inst.p) % inst.p
+        return _multi_pow(((inst.g, mi), (inst.y, ri)), inst.p, inst.q_grp.bit_length())
     marr = _as_bits(inst, m)
     rarr = _as_randomness(inst, r)
     return (inst.A @ marr + inst.B @ rarr) % inst.params.q
@@ -250,10 +352,25 @@ def sample_randomness(inst: ChameleonInstance, rng: Rng):
     raise SamplerError("randomness sampler exceeded retry budget")
 
 
-def sample_range(inst: ChameleonInstance, rng: Rng) -> RangeSample:
+def sample_range(
+    inst: ChameleonInstance, rng: Rng, td: ChameleonTrapdoor | None = None
+) -> RangeSample:
+    """A range value C = ch_hash(inst, m, r) for a random trace (m, r).
+
+    Given the DL trapdoor x, C is computed with one exponentiation as
+    g^((m + x r) mod q), the same value because y = g^x and g has order q.
+    The draws from rng and the trace are the same with or without td.
+    """
     m = sample_message(inst, rng)
     r = sample_randomness(inst, rng)
-    return RangeSample(element=ch_hash(inst, m, r), trace_message=m, trace_randomness=r)
+    if isinstance(inst, DLInstance) and td is not None:
+        # the folded exponent reveals x together with the trace: never keep it
+        elem = _multi_pow(
+            ((inst.g, (m + td.x * r) % inst.q_grp),), inst.p, inst.q_grp.bit_length()
+        )
+    else:
+        elem = ch_hash(inst, m, r)
+    return RangeSample(element=elem, trace_message=m, trace_randomness=r)
 
 
 def ch_invert(

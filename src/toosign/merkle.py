@@ -45,12 +45,12 @@ def _leaf_preimages(seed: bytes, leaf: int) -> bytes:
     return xof.digest(2 * DIGEST_BITS * 32)
 
 
-def _leaf_public(preimages: bytes) -> tuple[bytes, bytes]:
-    """(leaf public key hash, concatenated per-preimage hashes)."""
+def _leaf_public(preimages: bytes) -> bytes:
+    """Leaf public key: the hash of the concatenated per-preimage hashes."""
     hashes = b"".join(
         HASH(preimages[i * 32 : (i + 1) * 32]).digest() for i in range(2 * DIGEST_BITS)
     )
-    return HASH(hashes).digest(), hashes
+    return HASH(hashes).digest()
 
 
 def _build_tree(leaf_pubs: list[bytes]) -> list[list[bytes]]:
@@ -71,10 +71,7 @@ def _digest_bits(digest: bytes) -> list[int]:
 def merkle_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     height = descriptor.param_blob[0]
     seed = rng.random_bytes(32)
-    leaf_pubs = []
-    for leaf in range(1 << height):
-        pub, _ = _leaf_public(_leaf_preimages(seed, leaf))
-        leaf_pubs.append(pub)
+    leaf_pubs = [_leaf_public(_leaf_preimages(seed, leaf)) for leaf in range(1 << height)]
     levels = _build_tree(leaf_pubs)
     root = levels[-1][0]
     nodes = b"".join(b"".join(level) for level in levels)
@@ -90,39 +87,27 @@ def merkle_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     )
 
 
-def _parse_secret(secret_key: bytes) -> tuple[int, bytes, list[list[bytes]]]:
-    _, fields = encoding.decode_record(secret_key, encoding.TAG_MERKLE_SK)
-    height = fields[0][0]
-    seed = fields[1]
-    nodes = fields[2]
-    levels = []
-    pos = 0
-    width = 1 << height
-    while width >= 1:
-        levels.append([nodes[pos + 32 * i : pos + 32 * (i + 1)] for i in range(width)])
-        pos += 32 * width
-        width //= 2
-    return height, seed, levels
-
-
 def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]:
     if len(digest) != 32:
         raise DomainError("merkle scheme signs 32-byte digests")
-    height, seed, levels = _parse_secret(kp.secret_key)
+    _, fields = encoding.decode_record(kp.secret_key, encoding.TAG_MERKLE_SK)
+    height, seed, nodes = fields[0][0], fields[1], fields[2]
     next_leaf = int.from_bytes(kp.state or b"\x00" * 8, "big")
     if next_leaf >= (1 << height):
         raise CapacityError(f"all {1 << height} leaves consumed")
     preimages = _leaf_preimages(seed, next_leaf)
-    _, hashes = _leaf_public(preimages)
     revealed = bytearray()
     complement = bytearray()
     for j, bit in enumerate(_digest_bits(digest)):
         revealed += preimages[(2 * j + bit) * 32 : (2 * j + bit + 1) * 32]
-        complement += hashes[(2 * j + 1 - bit) * 32 : (2 * j + 2 - bit) * 32]
+        other = (2 * j + 1 - bit) * 32
+        complement += HASH(preimages[other : other + 32]).digest()
+    # nodes packs the levels bottom-up; level L starts at node 2^(h+1) - 2^(h+1-L)
     path = bytearray()
     idx = next_leaf
     for level in range(height):
-        path += levels[level][idx ^ 1]
+        pos = 32 * ((2 << height) - (2 << (height - level)) + (idx ^ 1))
+        path += nodes[pos : pos + 32]
         idx //= 2
     sig_bytes = encoding.encode_record(
         encoding.TAG_MERKLE_SIG,

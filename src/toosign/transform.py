@@ -147,7 +147,7 @@ def s_prime(
 
     Atomic: on any failure the base-scheme state is not advanced.
     """
-    c_sample = chameleon.sample_range(kp.ch_inst, rng)
+    c_sample = chameleon.sample_range(kp.ch_inst, rng, kp.ch_td)
     base_msg = encode_range_value(kp.ch_inst, c_sample.element, kp.base.descriptor)
     base_sig, new_state = scheme_sign(kp.base, base_msg, rng)
     m = oracle.eval(frame(message, base_sig.bytes))

@@ -115,3 +115,96 @@ def test_instance_serialization_round_trip():
     assert inst2 == inst
     td2 = chameleon.deserialize_trapdoor(chameleon.serialize_trapdoor(inst, td), inst2)
     assert td2.x == td.x
+
+
+# ---------------------------------------------------------------------------
+# fixed-base exponentiation on dl-2048
+
+P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
+BITS = Q2048.bit_length()  # 2047: the comb's last row is one bit short
+COLUMNS = -(-BITS // chameleon._COMB_ROWS)
+Y2048 = pow(G2048, 0x5EED << 1000, P2048)
+EXPONENTS = sorted(
+    {0, 1, 2, Q2048 - 1, (1 << BITS) - 1, 1 << (BITS - 1)}
+    | {
+        (1 << (COLUMNS * i)) + d
+        for i in range(1, chameleon._COMB_ROWS)
+        for d in (-1, 0, 1)
+    }
+)
+
+
+def pow_reference(pairs):
+    out = 1
+    for b, e in pairs:
+        out = out * pow(b, e, P2048) % P2048
+    return out
+
+
+def multi_pow(pairs):
+    return chameleon._multi_pow(pairs, P2048, BITS)
+
+
+def cached(base):
+    return chameleon._comb_cache[(base, P2048, BITS)]
+
+
+def test_multi_pow_uses_pow_first_then_a_table():
+    chameleon._comb_cache.clear()
+    pairs = ((G2048, Q2048 - 1), (Y2048, 1 << COLUMNS))
+    assert multi_pow(pairs) == pow_reference(pairs)
+    assert cached(G2048) is None and cached(Y2048) is None
+    assert multi_pow(pairs) == pow_reference(pairs)
+    assert len(cached(G2048)) == len(cached(Y2048)) == 1 << chameleon._COMB_ROWS
+    # a joint call may mix a base with a table and one seen for the first time
+    z = pow(G2048, 12345, P2048)
+    mixed = ((G2048, 5), (z, Q2048 - 2))
+    assert multi_pow(mixed) == pow_reference(mixed)
+    assert cached(z) is None
+
+
+def check_against_pow(e, f):
+    ge, yf = pow(G2048, e, P2048), pow(Y2048, f, P2048)
+    assert multi_pow(((G2048, e),)) == ge
+    assert multi_pow(((G2048, e), (Y2048, f))) == ge * yf % P2048
+    assert multi_pow(((Y2048, f), (G2048, e))) == ge * yf % P2048
+
+
+def test_multi_pow_row_boundaries():
+    for e in EXPONENTS:
+        check_against_pow(e, (e * 7 + 3) % Q2048)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, (1 << BITS) - 1), st.integers(0, Q2048 - 1))
+def test_multi_pow_matches_pow_property(e, f):
+    check_against_pow(e, f)
+
+
+def test_comb_cache_stays_bounded():
+    chameleon._comb_cache.clear()
+    bases = [pow(G2048, 1000 + i, P2048) for i in range(chameleon._COMB_CACHE_SIZE + 3)]
+    for b in bases:
+        for _ in range(2):
+            assert multi_pow(((b, Q2048 - 2),)) == pow(b, Q2048 - 2, P2048)
+    assert list(chameleon._comb_cache) == [
+        (b, P2048, BITS) for b in bases[-chameleon._COMB_CACHE_SIZE :]
+    ]
+    # short exponents never build a table
+    inst, _ = fixed_instance()
+    chameleon.ch_hash(inst, 3, 4)
+    chameleon.ch_hash(inst, 3, 4)
+    assert len(chameleon._comb_cache) == chameleon._COMB_CACHE_SIZE
+    assert all((b, P, Q.bit_length()) not in chameleon._comb_cache for b in (G, 18))
+
+
+@pytest.mark.parametrize("name, seeds", [("dl-demo", 40), ("dl-2048", 4)])
+def test_sample_range_with_trapdoor_matches_without(name, seeds):
+    inst, td = chameleon.hg(ChameleonKind.DL, {"name": name}, rng_from_int(8))
+    for seed in range(seeds):
+        plain_rng, folded_rng = rng_from_int(seed), rng_from_int(seed)
+        plain = chameleon.sample_range(inst, plain_rng)
+        folded = chameleon.sample_range(inst, folded_rng, td)
+        assert folded == plain
+        assert folded_rng.counter == plain_rng.counter
+        assert folded_rng.random_bytes(40) == plain_rng.random_bytes(40)
