@@ -25,6 +25,7 @@ constant time; this code makes no side-channel claim.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ import numpy as np
 from . import encoding
 from .errors import (
     DegenerateTrapdoorError,
+    DimensionError,
     DomainError,
     FormatError,
     SamplerError,
@@ -340,6 +342,20 @@ def sample_message(inst: ChameleonInstance, rng: Rng):
     return np.array(rng.random_bits(inst.params.k), dtype=np.int64)
 
 
+def message_from_xof(inst: ChameleonInstance, xof):
+    """Message-space element read from a SHAKE object.
+
+    DL reads 128 bits more than q has and reduces, so the bias is below
+    2^-128; SIS reads the first k bits, most significant bit first.
+    """
+    if isinstance(inst, DLInstance):
+        nbytes = (inst.q_grp.bit_length() + 128 + 7) // 8
+        return int.from_bytes(xof.digest(nbytes), "big") % inst.q_grp
+    k = inst.params.k
+    bits = np.unpackbits(np.frombuffer(xof.digest((k + 7) // 8), dtype=np.uint8))
+    return bits[:k].astype(np.int64)
+
+
 def sample_randomness(inst: ChameleonInstance, rng: Rng):
     if isinstance(inst, DLInstance):
         return rng.randbelow(inst.q_grp)
@@ -408,18 +424,14 @@ def ch_invert(
 # collisions
 
 
-def _pairs_equal(inst: ChameleonInstance, pair1, pair2) -> bool:
-    if isinstance(inst, DLInstance):
-        return pair1[0] == pair2[0] and pair1[1] == pair2[1]
-    return np.array_equal(
-        np.asarray(pair1[0]), np.asarray(pair2[0])
-    ) and np.array_equal(np.asarray(pair1[1]), np.asarray(pair2[1]))
-
-
 def elements_equal(inst: ChameleonInstance, a, b) -> bool:
     if isinstance(inst, DLInstance):
         return int(a) == int(b)
     return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def _pairs_equal(inst: ChameleonInstance, pair1, pair2) -> bool:
+    return all(elements_equal(inst, a, b) for a, b in zip(pair1, pair2))
 
 
 def check_collision(inst: ChameleonInstance, pair1, pair2) -> CollisionVerdict:
@@ -469,22 +481,32 @@ def _entry_width(q: int) -> int:
     return ((q - 1).bit_length() + 7) // 8 or 1
 
 
+def _pack_ints(values: np.ndarray, width: int, signed: bool = False) -> bytes:
+    return b"".join([v.to_bytes(width, "big", signed=signed) for v in values.tolist()])
+
+
+def _unpack_ints(
+    blob: bytes, count: int, width: int, what: str, signed: bool = False
+) -> np.ndarray:
+    if len(blob) != count * width:
+        raise FormatError(f"{what} has wrong length")
+    ints = [
+        int.from_bytes(blob[i * width : (i + 1) * width], "big", signed=signed)
+        for i in range(count)
+    ]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError as e:
+        raise FormatError(f"{what} has an entry outside int64") from e
+
+
 def pack_matrix(M: np.ndarray, q: int) -> bytes:
-    w = _entry_width(q)
-    out = bytearray()
-    for v in np.asarray(M, dtype=np.int64).reshape(-1) % q:
-        out += int(v).to_bytes(w, "big")
-    return bytes(out)
+    return _pack_ints(np.asarray(M, dtype=np.int64).reshape(-1) % q, _entry_width(q))
 
 
 def unpack_matrix(blob: bytes, rows: int, cols: int, q: int) -> np.ndarray:
-    w = _entry_width(q)
-    if len(blob) != rows * cols * w:
-        raise FormatError("matrix blob has wrong length")
-    flat = [
-        int.from_bytes(blob[i * w : (i + 1) * w], "big") for i in range(rows * cols)
-    ]
-    return np.array(flat, dtype=np.int64).reshape(rows, cols)
+    flat = _unpack_ints(blob, rows * cols, _entry_width(q), "matrix blob")
+    return flat.reshape(rows, cols)
 
 
 def _randomness_width(params: SISParams) -> int:
@@ -509,17 +531,25 @@ def serialize_instance(inst: ChameleonInstance) -> bytes:
 
 def deserialize_instance(blob: bytes) -> ChameleonInstance:
     tag, fields = encoding.decode_record(blob)
-    if tag == encoding.TAG_DL_INSTANCE:
+    if tag == encoding.TAG_DL_INSTANCE and len(fields) == 4:
         p, q_grp, g, y = (encoding.decode_int(f) for f in fields)
         return DLInstance(p=p, q_grp=q_grp, g=g, y=y)
-    if tag == encoding.TAG_SIS_INSTANCE:
+    if tag == encoding.TAG_SIS_INSTANCE and len(fields) == 7:
         n, q, m, k = (encoding.decode_int(f) for f in fields[:4])
-        s = float(fields[4].decode())
-        params = derive_params(n, q, m, k, s)
+        # the matrix lengths bound n, m, k and q before any parameter work
         A = unpack_matrix(fields[5], n, k, q)
         B = unpack_matrix(fields[6], n, m, q)
+        try:
+            s = float(fields[4].decode())
+            params = derive_params(n, q, m, k, s)
+        except (ValueError, DimensionError) as e:  # UnicodeDecodeError included
+            raise FormatError(f"bad SIS parameters: {e}") from e
+        if not 0 < s < math.inf:
+            raise FormatError("Gaussian width must be positive and finite")
         return SISInstance(params=params, A=A, B=B)
-    raise FormatError(f"not a chameleon instance record (tag {tag})")
+    raise FormatError(
+        f"not a chameleon instance record (tag {tag}, {len(fields)} fields)"
+    )
 
 
 def serialize_trapdoor(inst: ChameleonInstance, td: ChameleonTrapdoor) -> bytes:
@@ -537,17 +567,19 @@ def serialize_trapdoor(inst: ChameleonInstance, td: ChameleonTrapdoor) -> bytes:
 
 
 def deserialize_trapdoor(blob: bytes, inst: ChameleonInstance) -> ChameleonTrapdoor:
-    tag, fields = encoding.decode_record(blob)
-    if tag == encoding.TAG_DL_TRAPDOOR:
+    dl = isinstance(inst, DLInstance)
+    tag = encoding.TAG_DL_TRAPDOOR if dl else encoding.TAG_SIS_TRAPDOOR
+    _, fields = encoding.decode_record(blob, tag)
+    if len(fields) != 1:
+        raise FormatError("trapdoor record needs exactly one field")
+    if dl:
         return DLTrapdoor(x=encoding.decode_int(fields[0]))
-    if tag == encoding.TAG_SIS_TRAPDOOR:
-        p = inst.params
-        T = unpack_matrix(fields[0], p.m, p.m, p.q)
-        R = T[: p.m_bar, p.m_bar :]
-        # entries were reduced into [0, q); map back to signed +-1
-        R = np.where(R > p.q // 2, R - p.q, R)
-        return SISTrapdoor(R=R)
-    raise FormatError(f"not a chameleon trapdoor record (tag {tag})")
+    p = inst.params
+    T = unpack_matrix(fields[0], p.m, p.m, p.q)
+    R = T[: p.m_bar, p.m_bar :]
+    # entries were reduced into [0, q); map back to signed +-1
+    R = np.where(R > p.q // 2, R - p.q, R)
+    return SISTrapdoor(R=R)
 
 
 def serialize_range_element(inst: ChameleonInstance, elem) -> bytes:
@@ -571,41 +603,22 @@ def serialize_randomness(inst: ChameleonInstance, r) -> bytes:
         return encoding.encode_record(
             encoding.TAG_RANDOMNESS, [encoding.encode_int(int(r))]
         )
-    p = inst.params
-    w = _randomness_width(p)
-    body = b"".join(
-        int(v).to_bytes(w, "big", signed=True) for v in np.asarray(r, dtype=np.int64)
+    body = _pack_ints(
+        np.asarray(r, dtype=np.int64), _randomness_width(inst.params), signed=True
     )
     return encoding.encode_record(encoding.TAG_RANDOMNESS, [body])
 
 
 def deserialize_randomness(inst: ChameleonInstance, blob: bytes):
     _, fields = encoding.decode_record(blob, encoding.TAG_RANDOMNESS)
+    if len(fields) != 1:
+        raise FormatError("randomness record needs exactly one field")
     if isinstance(inst, DLInstance):
         r = encoding.decode_int(fields[0])
         if r >= inst.q_grp:
             raise FormatError("randomness outside Z_q")
         return r
     p = inst.params
-    w = _randomness_width(p)
-    body = fields[0]
-    if len(body) != p.m * w:
-        raise FormatError("randomness vector has wrong length")
-    return np.array(
-        [int.from_bytes(body[i * w : (i + 1) * w], "big", signed=True) for i in range(p.m)],
-        dtype=np.int64,
+    return _unpack_ints(
+        fields[0], p.m, _randomness_width(p), "randomness vector", signed=True
     )
-
-
-def randomness_element_count(inst: ChameleonInstance) -> int:
-    return 1 if isinstance(inst, DLInstance) else inst.params.m
-
-
-def instance_element_count(inst: ChameleonInstance) -> int:
-    if isinstance(inst, DLInstance):
-        return 2  # g and y; p, q are shared parameters
-    return inst.A.size + inst.B.size
-
-
-def trapdoor_element_count(inst: ChameleonInstance) -> int:
-    return 1 if isinstance(inst, DLInstance) else inst.params.m**2

@@ -11,7 +11,7 @@ falls out) -- and each case has an extractor whose output is re-checked.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Callable, Optional
 
@@ -39,6 +39,7 @@ from .transform import (
     g_prime,
     public_key_of,
     s_prime,
+    sign_range,
     v_prime,
 )
 
@@ -66,22 +67,11 @@ def _inner_descriptor(descriptor: SchemeDescriptor) -> SchemeDescriptor:
 
 def _malleable_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     inner = scheme_keygen(_inner_descriptor(descriptor), rng)
-    return KeyPair(
-        public_key=inner.public_key,
-        secret_key=inner.secret_key,
-        descriptor=descriptor,
-        state=inner.state,
-    )
+    return replace(inner, descriptor=descriptor)
 
 
 def _malleable_sign(kp: KeyPair, message: bytes, rng: Rng):
-    inner_desc = _inner_descriptor(kp.descriptor)
-    inner_kp = KeyPair(
-        public_key=kp.public_key,
-        secret_key=kp.secret_key,
-        descriptor=inner_desc,
-        state=kp.state,
-    )
+    inner_kp = replace(kp, descriptor=_inner_descriptor(kp.descriptor))
     inner_sig, new_state = scheme_sign(inner_kp, message, rng)
     # the appended byte is ignored by verification: flipping it yields a
     # second valid signature on the same message
@@ -209,51 +199,35 @@ class TransformedChallenger:
 
     def sign(self, message: bytes) -> tuple[bytes, QueryRecord]:
         inst, td = self.kp.ch_inst, self.kp.ch_td
-        if self.variant is ChallengerVariant.HYD0:
-            sig, self.kp = s_prime(self.kp, message, self.oracle, self.rng)
-            self.trapdoor_touched = True
-            c_sample = None
-            m_i = self.oracle.eval(frame(message, sig.base_sig.bytes))
-            c_elem = chameleon.ch_hash(inst, m_i, sig.randomness)
-        elif self.variant is ChallengerVariant.HYD1:
-            c_sample = chameleon.sample_range(inst, self.rng)
-            base_msg = encode_range_value(inst, c_sample.element, self.kp.base.descriptor)
-            base_sig, new_state = scheme_sign(self.kp.base, base_msg, self.rng)
-            m_i = self.oracle.fresh_value()
-            self.oracle.program(frame(message, base_sig.bytes), m_i)
-            r_i = chameleon.ch_invert(inst, td, m_i, c_sample, self.rng)
-            self.trapdoor_touched = True
-            sig = TransformedSignature(base_sig=base_sig, randomness=r_i)
-            self.kp = self.kp.__class__(
-                base=self.kp.base.with_state(new_state), ch_inst=inst, ch_td=td
-            )
-            c_elem = c_sample.element
-        else:  # HYD2: no trapdoor use on this path
+        # C: sampled for inversion (HYD0, HYD1) or hashed forward (HYD2)
+        if self.variant is ChallengerVariant.HYD2:
             m_i = self.oracle.fresh_value()
             r_i = chameleon.sample_randomness(inst, self.rng)
-            c_elem = chameleon.ch_hash(inst, m_i, r_i)
-            base_msg = encode_range_value(inst, c_elem, self.kp.base.descriptor)
-            base_sig, new_state = scheme_sign(self.kp.base, base_msg, self.rng)
-            self.oracle.program(frame(message, base_sig.bytes), m_i)
-            sig = TransformedSignature(base_sig=base_sig, randomness=r_i)
-            self.kp = self.kp.__class__(
-                base=self.kp.base.with_state(new_state), ch_inst=inst, ch_td=td
-            )
-            c_sample = RangeSample(
-                element=c_elem, trace_message=m_i, trace_randomness=r_i
-            )
+            c_sample = RangeSample(chameleon.ch_hash(inst, m_i, r_i), m_i, r_i)
+        else:
+            c_sample = chameleon.sample_range(inst, self.rng, td)
+        base_sig, self.kp = sign_range(self.kp, c_sample.element, self.rng)
+        # m: the oracle's own value (HYD0) or a fresh value programmed in
+        point = frame(message, base_sig.bytes)
+        if self.variant is ChallengerVariant.HYD0:
+            m_i = self.oracle.eval(point)
+        else:
+            if self.variant is ChallengerVariant.HYD1:
+                m_i = self.oracle.fresh_value()
+            self.oracle.program(point, m_i)
+        if self.variant is not ChallengerVariant.HYD2:  # HYD2 never uses the trapdoor
+            r_i = chameleon.ch_invert(inst, td, m_i, c_sample, self.rng)
+            self.trapdoor_touched = True
+        sig = TransformedSignature(base_sig=base_sig, randomness=r_i)
         sig_bytes = sig.serialize(inst)
         record = QueryRecord(
             message=message,
             sig_bytes=sig_bytes,
-            c_serial=chameleon.serialize_range_element(inst, c_elem),
+            c_serial=chameleon.serialize_range_element(inst, c_sample.element),
             m_value=m_i,
-            randomness=sig.randomness,
-            base_sig_bytes=sig.base_sig.bytes,
-            c_sample=c_sample
-            or RangeSample(
-                element=c_elem, trace_message=m_i, trace_randomness=sig.randomness
-            ),
+            randomness=r_i,
+            base_sig_bytes=base_sig.bytes,
+            c_sample=c_sample,
         )
         self.last_record = record
         return sig_bytes, record
@@ -283,11 +257,7 @@ def make_transformed_challenger(
         keypair = g_prime(base_descriptor, ch_kind, ch_params, master.fork(b"keygen"))
     else:
         # shared keypair across seeded runs: reset the stateful base scheme
-        keypair = keypair.__class__(
-            base=keypair.base.with_state((0).to_bytes(8, "big")),
-            ch_inst=keypair.ch_inst,
-            ch_td=keypair.ch_td,
-        )
+        keypair = replace(keypair, base=keypair.base.with_state((0).to_bytes(8, "big")))
     oracle = programmable_oracle(keypair.ch_inst, master.fork(b"oracle").seed)
     return TransformedChallenger(variant, keypair, oracle, master)
 
@@ -311,12 +281,6 @@ class Adversary:
 
     def on_ro_answer(self, x: bytes, value) -> None:
         pass
-
-
-def _serialize_oracle_value(challenger, value) -> bytes:
-    if isinstance(challenger, TransformedChallenger):
-        return chameleon.serialize_message(challenger.kp.ch_inst, value)
-    return repr(value).encode()
 
 
 def run_game(
@@ -355,9 +319,8 @@ def run_game(
             if challenger.oracle is None:
                 raise GameError("raw game has no oracle")
             value = challenger.oracle.eval(action[1])
-            transcript.visible.append(
-                b"ro:" + action[1] + b":" + _serialize_oracle_value(challenger, value)
-            )
+            value_bytes = chameleon.serialize_message(challenger.kp.ch_inst, value)
+            transcript.visible.append(b"ro:" + action[1] + b":" + value_bytes)
             adversary.on_ro_answer(action[1], value)
         elif action[0] == "finish":
             _, m_star, sig_star = action

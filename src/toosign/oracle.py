@@ -13,9 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
-import numpy as np
-
-from .chameleon import ChameleonInstance, DLInstance
+from .chameleon import ChameleonInstance, message_from_xof, sample_message
 from .errors import FormatError, UnsupportedOperationError
 from .rng import Rng
 
@@ -51,34 +49,18 @@ class OracleContext:
                 raise ValueError("programmable oracle needs a seed")
             self._stream = Rng(self.seed)
 
-    # -- value construction ------------------------------------------------
-
-    def _production_value(self, data: bytes):
-        inst = self.range_instance
-        if isinstance(inst, DLInstance):
-            nbits = inst.q_grp.bit_length() + 128
-            digest = hashlib.shake_256(self.domain_tag + data).digest((nbits + 7) // 8)
-            return int.from_bytes(digest, "big") % inst.q_grp
-        k = inst.params.k
-        digest = hashlib.shake_256(self.domain_tag + data).digest((k + 7) // 8)
-        return np.array(
-            [(digest[j // 8] >> (7 - j % 8)) & 1 for j in range(k)], dtype=np.int64
-        )
-
     def fresh_value(self):
         """Next uniform message-space element from the seed-derived stream."""
         if self.mode is not OracleMode.PROGRAMMABLE:
             raise UnsupportedOperationError("fresh_value needs the programmable oracle")
-        inst = self.range_instance
-        if isinstance(inst, DLInstance):
-            return self._stream.randbelow(inst.q_grp)
-        return np.array(self._stream.random_bits(inst.params.k), dtype=np.int64)
+        return sample_message(self.range_instance, self._stream)
 
     # -- the oracle interface ----------------------------------------------
 
     def eval(self, data: bytes):
         if self.mode is OracleMode.PRODUCTION:
-            return self._production_value(data)
+            xof = hashlib.shake_256(self.domain_tag + data)
+            return message_from_xof(self.range_instance, xof)
         self._query_log.append(data)
         self._events.append(("eval", data))
         if data not in self._table:

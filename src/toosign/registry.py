@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Callable, Optional
 
 from . import encoding
-from .errors import RegistryError
+from .errors import FormatError, RegistryError
 from .rng import Rng
 
 
@@ -42,10 +42,14 @@ class SchemeDescriptor:
     @staticmethod
     def deserialize(blob: bytes) -> "SchemeDescriptor":
         _, fields = encoding.decode_record(blob, encoding.TAG_DESCRIPTOR)
+        if len(fields) != 3 or len(fields[0]) != 1:
+            raise FormatError("descriptor needs a one-byte scheme id and two fields")
+        try:
+            kind = MessageSpaceKind(fields[2].decode())
+        except ValueError as e:  # UnicodeDecodeError included
+            raise FormatError("unknown message space kind") from e
         return SchemeDescriptor(
-            scheme_id=fields[0][0],
-            param_blob=fields[1],
-            message_space_kind=MessageSpaceKind(fields[2].decode()),
+            scheme_id=fields[0][0], param_blob=fields[1], message_space_kind=kind
         )
 
 

@@ -50,10 +50,14 @@ def derive_params(n: int, q: int, m: int, k: int, s: float | None = None) -> SIS
             f"on top of an n-column random block"
         )
     t = (m - n) // n
-    # smallest base whose t digits cover [0, q)
-    b = 2
-    while b**t < q:
-        b += 1
+    # smallest base whose t digits cover [0, q), by bisection over [2, q]
+    lo, b = 2, q
+    while lo < b:
+        mid = (lo + b) // 2
+        if mid**t < q:
+            lo = mid + 1
+        else:
+            b = mid
     w = n * t
     m_bar = m - w
     if s is None:

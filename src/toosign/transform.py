@@ -11,15 +11,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, replace
-from typing import Optional
 
 from . import chameleon, encoding
-from .chameleon import (
-    ChameleonInstance,
-    ChameleonKind,
-    ChameleonTrapdoor,
-    RangeSample,
-)
+from .chameleon import ChameleonInstance, ChameleonKind, ChameleonTrapdoor
 from .errors import FormatError, ToosignError
 from .oracle import OracleContext, frame
 from .registry import (
@@ -71,6 +65,8 @@ class TransformedPublicKey:
     @staticmethod
     def deserialize(blob: bytes) -> "TransformedPublicKey":
         _, fields = encoding.decode_record(blob, encoding.TAG_TRANSFORMED_PK)
+        if len(fields) != 3:
+            raise FormatError("transformed public key needs exactly three fields")
         return TransformedPublicKey(
             base_descriptor=SchemeDescriptor.deserialize(fields[0]),
             base_pk=fields[1],
@@ -81,6 +77,8 @@ class TransformedPublicKey:
 def keypair_from_secret(blob: bytes, public_blob: bytes) -> TransformedKeyPair:
     pub = TransformedPublicKey.deserialize(public_blob)
     _, fields = encoding.decode_record(blob, encoding.TAG_TRANSFORMED_SK)
+    if len(fields) != 4:
+        raise FormatError("transformed secret key needs exactly four fields")
     descriptor = SchemeDescriptor.deserialize(fields[0])
     td = chameleon.deserialize_trapdoor(fields[2], pub.ch_inst)
     base = KeyPair(
@@ -140,6 +138,15 @@ def g_prime(
     return TransformedKeyPair(base=base, ch_inst=inst, ch_td=td)
 
 
+def sign_range(
+    kp: TransformedKeyPair, elem, rng: Rng
+) -> tuple[Signature, TransformedKeyPair]:
+    """Base-sign the range value C, returning the key pair with advanced state."""
+    base_msg = encode_range_value(kp.ch_inst, elem, kp.base.descriptor)
+    base_sig, new_state = scheme_sign(kp.base, base_msg, rng)
+    return base_sig, replace(kp, base=kp.base.with_state(new_state))
+
+
 def s_prime(
     kp: TransformedKeyPair, message: bytes, oracle: OracleContext, rng: Rng
 ) -> tuple[TransformedSignature, TransformedKeyPair]:
@@ -148,12 +155,10 @@ def s_prime(
     Atomic: on any failure the base-scheme state is not advanced.
     """
     c_sample = chameleon.sample_range(kp.ch_inst, rng, kp.ch_td)
-    base_msg = encode_range_value(kp.ch_inst, c_sample.element, kp.base.descriptor)
-    base_sig, new_state = scheme_sign(kp.base, base_msg, rng)
+    base_sig, new_kp = sign_range(kp, c_sample.element, rng)
     m = oracle.eval(frame(message, base_sig.bytes))
     r = chameleon.ch_invert(kp.ch_inst, kp.ch_td, m, c_sample, rng)
-    sig = TransformedSignature(base_sig=base_sig, randomness=r)
-    return sig, replace(kp, base=kp.base.with_state(new_state))
+    return TransformedSignature(base_sig=base_sig, randomness=r), new_kp
 
 
 def v_prime(

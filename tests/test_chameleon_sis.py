@@ -3,9 +3,14 @@
 import numpy as np
 import pytest
 
-from toosign import chameleon
+from toosign import chameleon, encoding
 from toosign.chameleon import ChameleonKind, CollisionVerdict, RangeSample
-from toosign.errors import DimensionError, SamplerError, TrivialCollisionError
+from toosign.errors import (
+    DimensionError,
+    FormatError,
+    SamplerError,
+    TrivialCollisionError,
+)
 from toosign.gaussian import DiscreteGaussian
 from toosign.rng import rng_from_int
 from toosign.sis import (
@@ -34,6 +39,35 @@ def test_derive_params_desk():
 def test_derive_params_tiny():
     p = derive_params(**TINY)
     assert (p.t, p.b) == (3, 2)
+
+
+def test_gadget_base_for_one_digit_is_q():
+    # one digit per coordinate: the base is q itself, found without a q-step scan
+    assert derive_params(n=1, q=2**40, m=2, k=1).b == 2**40
+
+
+@pytest.mark.parametrize("width", [b"inf", b"nan", b"-1.0", b"0", b"\xff"])
+def test_bad_gaussian_width_raises_format_error(width):
+    inst, _ = make_instance()
+    tag, fields = encoding.decode_record(chameleon.serialize_instance(inst))
+    fields[4] = width
+    with pytest.raises(FormatError):
+        chameleon.deserialize_instance(encoding.encode_record(tag, fields))
+
+
+@pytest.mark.parametrize(
+    "q, A, B",
+    [
+        (b"\x01", b"\x00", b"\x00\x00"),  # q < 2
+        (b"\x01" + bytes(8), b"\xff" * 9, b"\xff" * 18),  # entries beyond int64
+    ],
+)
+def test_bad_instance_parameters_raise_format_error(q, A, B):
+    fields = [b"\x01", q, b"\x02", b"\x01", b"1.0", A, B]  # n, q, m, k, s, A, B
+    with pytest.raises(FormatError):
+        chameleon.deserialize_instance(
+            encoding.encode_record(encoding.TAG_SIS_INSTANCE, fields)
+        )
 
 
 def test_too_small_m_rejected():

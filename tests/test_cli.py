@@ -64,6 +64,21 @@ def test_verify_flags_malformed_signature(workspace):
     assert r.returncode == 2
 
 
+def test_truncated_public_key_is_malformed(workspace):
+    """A 5-byte public key is malformed input (exit 2) for verify and sign."""
+    assert too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",
+                    "--in", "msg.txt", "--out", "msg.toosig", "--seed", SEED_B,
+                    cwd=workspace).returncode == 0
+    (workspace / "cut.toopub").write_bytes((workspace / "key.toopub").read_bytes()[:5])
+    r = too_sign("verify", "--pub", "cut.toopub", "--in", "msg.txt",
+                 "--sig", "msg.toosig", cwd=workspace)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+    r = too_sign("sign", "--key", "key.tookey", "--pub", "cut.toopub",
+                 "--in", "msg.txt", "--out", "cut.toosig", "--seed", SEED_B,
+                 cwd=workspace)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+
+
 def test_signing_advances_persisted_state(workspace):
     for i in range(2):
         r = too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",

@@ -217,3 +217,33 @@ def test_shared_keypair_resets_state():
         )
         sig_bytes, _ = chal.sign(b"one per game")
         assert chal.verify(b"one per game", sig_bytes)
+
+
+@pytest.mark.parametrize("ch, params", [(ChameleonKind.DL, DL_DEMO),
+                                        (ChameleonKind.SIS, SIS_PARAMS)])
+def test_first_hybrid_signs_as_s_prime(ch, params):
+    """HYD0 is s' itself: same key, oracle seed and rng give the same bytes."""
+    from toosign.oracle import programmable_oracle
+    from toosign.transform import s_prime
+
+    master = rng_from_int(11)
+    chal = make_transformed_challenger(
+        ChallengerVariant.HYD0, merkle_descriptor(2), ch, params, master
+    )
+    kp = chal.kp
+    oracle = programmable_oracle(kp.ch_inst, master.fork(b"oracle").seed)
+    rng = master.fork(b"challenger")
+    for message in (b"first", b"second"):
+        sig_bytes, _ = chal.sign(message)
+        sig, kp = s_prime(kp, message, oracle, rng)
+        assert sig_bytes == sig.serialize(kp.ch_inst)
+        assert chal.kp.secret_bytes() == kp.secret_bytes()
+
+
+def test_first_hybrid_queries_the_signing_frame_once():
+    from toosign.oracle import frame
+
+    chal, _ = transformed(12, ch=ChameleonKind.DL, params=DL_DEMO)
+    _, record = chal.sign(b"one query")
+    point = frame(b"one query", record.base_sig_bytes)
+    assert chal.oracle.query_log().count(point) == 1
