@@ -20,19 +20,29 @@ builtin pow, so a one-shot process never builds a table; the second builds
 it.  At most 8 tables (about 75 kB each for a 2048-bit group) are kept,
 least recently used evicted first.  Neither builtin pow nor the comb runs in
 constant time; this code makes no side-channel claim.
+
+DL groups.  The named sets in DL_PARAM_SETS are constants proven once by the
+test suite, so key generation and decoding accept them by comparing
+(p, q, g).  Every other group gets the full checks (Miller-Rabin on p and q,
+p = 2q + 1, g of order q) once per process.  A decoded public key's y must
+also lie in the order-q subgroup.
+
+Lazy numpy.  Only the SIS branches use numpy, `.sis` and `.gaussian`; they
+reach them through module globals bound on first use, so a process that
+hashes only over DL never imports numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
+import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-
-import numpy as np
 
 from . import encoding
 from .errors import (
@@ -43,15 +53,30 @@ from .errors import (
     SamplerError,
     TrivialCollisionError,
 )
-from .gaussian import DiscreteGaussian
 from .rng import Rng
-from .sis import (
-    SISParams,
-    derive_params,
-    sample_preimage,
-    sample_trapdoor,
-    trapdoor_relation_holds,
-)
+
+
+class _ImportOnFirstUse:
+    """Stands in for a module global until the first attribute access.
+
+    That access imports the module and rebinds the global to it, so later
+    lookups reach the module itself.
+    """
+
+    def __init__(self, global_name: str, module: str):
+        self._global_name = global_name
+        self._module = module
+
+    def __getattr__(self, attr: str):
+        module = importlib.import_module(self._module)
+        globals()[self._global_name] = module
+        return getattr(module, attr)
+
+
+# only SIS code uses numpy; a process that hashes only over DL never loads it
+np = _ImportOnFirstUse("np", "numpy")
+gaussian = _ImportOnFirstUse("gaussian", "toosign.gaussian")
+sis = _ImportOnFirstUse("sis", "toosign.sis")
 
 
 class ChameleonKind(Enum):
@@ -86,7 +111,7 @@ class DLTrapdoor:
 
 @dataclass(frozen=True)
 class SISInstance:
-    params: SISParams
+    params: sis.SISParams
     A: np.ndarray  # n x k
     B: np.ndarray  # n x m
 
@@ -168,13 +193,47 @@ def _miller_rabin(n: int, rounds: int = 16) -> bool:
 # key generation
 
 
-def hg_dl(p: int, q_grp: int, g: int, rng: Rng) -> tuple[DLInstance, DLTrapdoor]:
-    if not _miller_rabin(p) or not _miller_rabin(q_grp):
-        raise DomainError("p and the subgroup order must both be prime")
+_NAMED_DL_GROUPS = frozenset(DL_PARAM_SETS.values())
+
+
+def _check_dl_group(p: int, q_grp: int, g: int) -> None:
+    """Raises DomainError unless p = 2q + 1 with p and q prime and g of order q.
+
+    The named sets are constants whose checks run in the test suite, so they
+    pass by comparison; any other group is checked in full once per process.
+    """
+    if (p, q_grp, g) not in _NAMED_DL_GROUPS:
+        _check_dl_group_full(p, q_grp, g)
+
+
+@lru_cache(maxsize=64)
+def _check_dl_group_full(p: int, q_grp: int, g: int) -> None:
+    # cheapest first; Miller-Rabin on a 2048-bit p and q takes about a second
     if p != 2 * q_grp + 1:
         raise DomainError("need a safe prime: p = 2*q + 1")
     if g <= 1 or g >= p or pow(g, q_grp, p) != 1:
         raise DomainError("g must generate the order-q subgroup")
+    if not _miller_rabin(q_grp) or not _miller_rabin(p):
+        raise DomainError("p and the subgroup order must both be prime")
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a | n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and n % 8 in (3, 5):
+            result = -result
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a, n = n % a, a
+    return result if n == 1 else 0
+
+
+def hg_dl(p: int, q_grp: int, g: int, rng: Rng) -> tuple[DLInstance, DLTrapdoor]:
+    _check_dl_group(p, q_grp, g)
     x = 1 + rng.randbelow(q_grp - 1)
     return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), DLTrapdoor(x=x)
 
@@ -182,13 +241,13 @@ def hg_dl(p: int, q_grp: int, g: int, rng: Rng) -> tuple[DLInstance, DLTrapdoor]
 def hg_sis(
     n: int, q: int, m: int, k: int, rng: Rng, s: float | None = None
 ) -> tuple[SISInstance, SISTrapdoor]:
-    params = derive_params(n, q, m, k, s)
+    params = sis.derive_params(n, q, m, k, s)
     A = np.array(
         [[rng.randbelow(q) for _ in range(k)] for _ in range(n)], dtype=np.int64
     )
-    B, R = sample_trapdoor(params, rng)
+    B, R = sis.sample_trapdoor(params, rng)
     inst = SISInstance(params=params, A=A, B=B)
-    assert trapdoor_relation_holds(params, B, R)
+    assert sis.trapdoor_relation_holds(params, B, R)
     return inst, SISTrapdoor(R=R)
 
 
@@ -300,12 +359,12 @@ def _multi_pow(pairs, p: int, bits: int) -> int:
 
 
 @lru_cache(maxsize=32)
-def _gaussian(s: float) -> DiscreteGaussian:
-    return DiscreteGaussian(s)
+def _gaussian(s: float) -> gaussian.DiscreteGaussian:
+    return gaussian.DiscreteGaussian(s)
 
 
 def _check_dl_scalar(inst: DLInstance, v, what: str) -> int:
-    if not isinstance(v, (int, np.integer)) or not 0 <= v < inst.q_grp:
+    if not isinstance(v, numbers.Integral) or not 0 <= v < inst.q_grp:
         raise DomainError(f"{what} must be an integer in [0, {inst.q_grp})")
     return int(v)
 
@@ -415,7 +474,7 @@ def ch_invert(
     params = inst.params
     target_vec = np.asarray(target.element, dtype=np.int64)
     syndrome = (target_vec - inst.A @ marr) % params.q
-    return sample_preimage(
+    return sis.sample_preimage(
         params, inst.B, td.R, syndrome, rng, _gaussian(params.s / 2)
     )
 
@@ -509,7 +568,7 @@ def unpack_matrix(blob: bytes, rows: int, cols: int, q: int) -> np.ndarray:
     return flat.reshape(rows, cols)
 
 
-def _randomness_width(params: SISParams) -> int:
+def _randomness_width(params: sis.SISParams) -> int:
     bound = int(params.norm_bound) + 1
     return (bound.bit_length() + 1 + 7) // 8
 
@@ -533,6 +592,13 @@ def deserialize_instance(blob: bytes) -> ChameleonInstance:
     tag, fields = encoding.decode_record(blob)
     if tag == encoding.TAG_DL_INSTANCE and len(fields) == 4:
         p, q_grp, g, y = (encoding.decode_int(f) for f in fields)
+        try:
+            _check_dl_group(p, q_grp, g)
+        except DomainError as e:
+            raise FormatError(f"bad DL group: {e}") from e
+        # for a safe prime the order-q subgroup is the quadratic residues
+        if not 1 < y < p or _jacobi(y, p) != 1:
+            raise FormatError("y is not in the order-q subgroup")
         return DLInstance(p=p, q_grp=q_grp, g=g, y=y)
     if tag == encoding.TAG_SIS_INSTANCE and len(fields) == 7:
         n, q, m, k = (encoding.decode_int(f) for f in fields[:4])
@@ -541,7 +607,7 @@ def deserialize_instance(blob: bytes) -> ChameleonInstance:
         B = unpack_matrix(fields[6], n, m, q)
         try:
             s = float(fields[4].decode())
-            params = derive_params(n, q, m, k, s)
+            params = sis.derive_params(n, q, m, k, s)
         except (ValueError, DimensionError) as e:  # UnicodeDecodeError included
             raise FormatError(f"bad SIS parameters: {e}") from e
         if not 0 < s < math.inf:

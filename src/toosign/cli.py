@@ -43,12 +43,29 @@ EXIT_CAPACITY = 4
 
 
 def _write(path: str, blob: bytes, armored: bool) -> None:
-    if armored:
-        with open(path, "w") as f:
-            f.write(to_armor(blob) + "\n")
-    else:
-        with open(path, "wb") as f:
-            f.write(blob)
+    """Replaces path atomically: a crash leaves the old file or the new one.
+
+    The bytes go to a fresh file in the same directory, which is synced and
+    renamed over path; syncing the directory makes the rename durable.
+    """
+    data = (to_armor(blob) + "\n").encode() if armored else blob
+    directory = os.path.dirname(os.path.abspath(path))
+    tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+    dir_fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def _read(path: str, armored: bool) -> bytes:
@@ -154,8 +171,11 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
             click.echo(f"capacity exhausted: {e}", err=True)
             sys.exit(EXIT_CAPACITY)
         # write-ahead: state on disk before the signature is released
-        _write(key, new_kp.secret_bytes(), armor)
-        _write(out, sig.serialize(kp.ch_inst), armor)
+        try:
+            _write(key, new_kp.secret_bytes(), armor)
+            _write(out, sig.serialize(kp.ch_inst), armor)
+        except OSError as e:
+            raise click.ClickException(f"cannot write: {e}")
         click.echo(f"wrote {out}")
     finally:
         os.close(lock_fd)

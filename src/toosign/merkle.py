@@ -48,7 +48,7 @@ def _leaf_preimages(seed: bytes, leaf: int) -> bytes:
 def _leaf_public(preimages: bytes) -> bytes:
     """Leaf public key: the hash of the concatenated per-preimage hashes."""
     hashes = b"".join(
-        HASH(preimages[i * 32 : (i + 1) * 32]).digest() for i in range(2 * DIGEST_BITS)
+        [HASH(preimages[i : i + 32]).digest() for i in range(0, len(preimages), 32)]
     )
     return HASH(hashes).digest()
 
@@ -96,12 +96,12 @@ def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]
     if next_leaf >= (1 << height):
         raise CapacityError(f"all {1 << height} leaves consumed")
     preimages = _leaf_preimages(seed, next_leaf)
-    revealed = bytearray()
-    complement = bytearray()
-    for j, bit in enumerate(_digest_bits(digest)):
-        revealed += preimages[(2 * j + bit) * 32 : (2 * j + bit + 1) * 32]
-        other = (2 * j + 1 - bit) * 32
-        complement += HASH(preimages[other : other + 32]).digest()
+    # bit j reveals the preimage at offset o and hashes its pair partner at o ^ 32
+    offsets = [64 * j + 32 * bit for j, bit in enumerate(_digest_bits(digest))]
+    revealed = b"".join([preimages[o : o + 32] for o in offsets])
+    complement = b"".join(
+        [HASH(preimages[o ^ 32 : (o ^ 32) + 32]).digest() for o in offsets]
+    )
     # nodes packs the levels bottom-up; level L starts at node 2^(h+1) - 2^(h+1-L)
     path = bytearray()
     idx = next_leaf
@@ -111,7 +111,7 @@ def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]
         idx //= 2
     sig_bytes = encoding.encode_record(
         encoding.TAG_MERKLE_SIG,
-        [next_leaf.to_bytes(4, "big"), bytes(revealed), bytes(complement), bytes(path)],
+        [next_leaf.to_bytes(4, "big"), revealed, complement, bytes(path)],
     )
     new_state = (next_leaf + 1).to_bytes(8, "big")
     return Signature(bytes=sig_bytes, descriptor=kp.descriptor), new_state

@@ -4,6 +4,7 @@ The small instance is p = 23 = 2*11 + 1, g = 4 generating the order-11
 subgroup {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +16,7 @@ from toosign.chameleon import (
     DLTrapdoor,
     RangeSample,
 )
-from toosign.errors import DomainError
+from toosign.errors import DomainError, FormatError
 from toosign.rng import rng_from_int
 
 P, Q, G = 23, 11, 4
@@ -98,6 +99,15 @@ def test_rejects_bad_group_parameters():
         chameleon.hg_dl(p=15, q_grp=7, g=2, rng=rng_from_int(0))  # p not prime
     with pytest.raises(DomainError):
         chameleon.hg_dl(p=23, q_grp=7, g=4, rng=rng_from_int(0))  # p != 2q+1
+
+
+def test_numpy_integer_scalars_are_accepted():
+    inst, td = fixed_instance()
+    assert chameleon.ch_hash(inst, np.int64(2), np.uint8(5)) == 2
+    sample = RangeSample(element=2, trace_message=np.int32(2), trace_randomness=np.int8(5))
+    assert chameleon.ch_invert(inst, td, np.int64(7), sample) == 7
+    with pytest.raises(DomainError):
+        chameleon.ch_hash(inst, np.float64(2), 5)
 
 
 def test_large_group_round_trip():
@@ -208,3 +218,82 @@ def test_sample_range_with_trapdoor_matches_without(name, seeds):
         assert folded == plain
         assert folded_rng.counter == plain_rng.counter
         assert folded_rng.random_bytes(40) == plain_rng.random_bytes(40)
+
+
+# ---------------------------------------------------------------------------
+# group checks: the named sets are proven here instead of at every keygen
+
+
+@pytest.mark.parametrize("name", sorted(chameleon.DL_PARAM_SETS))
+def test_named_groups_pass_the_full_checks(name):
+    p, q, g = chameleon.DL_PARAM_SETS[name]
+    assert chameleon._miller_rabin(p) and chameleon._miller_rabin(q)
+    assert p == 2 * q + 1
+    assert 1 < g < p and pow(g, q, p) == 1
+
+
+def test_only_named_groups_skip_the_full_checks(monkeypatch):
+    tested = []
+    miller_rabin = chameleon._miller_rabin
+
+    def spy(n, rounds=16):
+        tested.append(n)
+        return miller_rabin(n, rounds)
+
+    monkeypatch.setattr(chameleon, "_miller_rabin", spy)
+    chameleon._check_dl_group_full.cache_clear()
+    for name in chameleon.DL_PARAM_SETS:
+        chameleon.hg(ChameleonKind.DL, {"name": name}, rng_from_int(0))
+    assert tested == []
+    # a valid group that is not named is checked in full, once per process
+    chameleon.hg_dl(47, 23, 2, rng_from_int(0))
+    chameleon.hg_dl(47, 23, 2, rng_from_int(1))
+    assert tested == [23, 47]
+    # groups that differ from a named set in p, q or g
+    for p, q, g in [
+        (23, 11, 5),  # 5 is a non-residue mod 23: its order is 22
+        (19, 9, 4),  # 4 has order 9 mod 19, but 9 is not prime
+        (P2048 + 2, Q2048 + 1, G2048),
+        (P2048, Q2048 - 1, G2048),
+        (P2048, Q2048, P2048 - 1),  # order 2
+    ]:
+        with pytest.raises(DomainError):
+            chameleon.hg_dl(p, q, g, rng_from_int(0))
+    assert tested == [23, 47, 9]
+
+
+def test_explicit_named_group_gives_the_same_key():
+    by_name = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(8))
+    explicit = chameleon.hg(
+        ChameleonKind.DL, {"p": P2048, "q_grp": Q2048, "g": G2048}, rng_from_int(8)
+    )
+    assert chameleon.serialize_instance(explicit[0]) == chameleon.serialize_instance(
+        by_name[0]
+    )
+    assert chameleon.serialize_trapdoor(*explicit) == chameleon.serialize_trapdoor(
+        *by_name
+    )
+
+
+def test_decoding_checks_the_group_and_y():
+    good = [
+        DLInstance(P, Q, G, 18),
+        DLInstance(47, 23, 2, 4),
+        DLInstance(P2048, Q2048, G2048, 4),
+    ]
+    for inst in good:
+        assert chameleon.deserialize_instance(chameleon.serialize_instance(inst)) == inst
+    bad = [
+        DLInstance(P, 10, G, 18),  # p != 2q + 1
+        DLInstance(P, Q, 5, 18),  # g outside the subgroup
+        DLInstance(19, 9, 4, 5),  # q not prime
+        DLInstance(P, Q, G, 0),
+        DLInstance(P, Q, G, 1),
+        DLInstance(P, Q, G, 5),  # a non-residue
+        DLInstance(P, Q, G, P - 1),
+        DLInstance(P, Q, G, P + 18),
+        DLInstance(P2048, Q2048, G2048, P2048 - 1),
+    ]
+    for inst in bad:
+        with pytest.raises(FormatError):
+            chameleon.deserialize_instance(chameleon.serialize_instance(inst))

@@ -7,6 +7,9 @@ import subprocess
 import sys
 
 import pytest
+from click.testing import CliRunner
+
+from toosign import cli, encoding
 
 SEED_A = "11" * 32
 SEED_B = "22" * 32
@@ -77,6 +80,56 @@ def test_truncated_public_key_is_malformed(workspace):
                  "--in", "msg.txt", "--out", "cut.toosig", "--seed", SEED_B,
                  cwd=workspace)
     assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+
+
+def test_altered_dl_group_is_malformed(workspace):
+    """sign with a public key whose DL q was altered exits 2, not with a crash.
+
+    q = 2x shares a factor with the trapdoor x, which an unchecked group
+    turns into a failed inversion mod q while signing.
+    """
+    pk = (workspace / "key.toopub").read_bytes()
+    _, pk_fields = encoding.decode_record(pk, encoding.TAG_TRANSFORMED_PK)
+    _, inst = encoding.decode_record(pk_fields[2], encoding.TAG_DL_INSTANCE)
+    sk = (workspace / "key.tookey").read_bytes()
+    _, sk_fields = encoding.decode_record(sk, encoding.TAG_TRANSFORMED_SK)
+    _, td = encoding.decode_record(sk_fields[2], encoding.TAG_DL_TRAPDOOR)
+    inst[1] = encoding.encode_int(2 * encoding.decode_int(td[0]))
+    pk_fields[2] = encoding.encode_record(encoding.TAG_DL_INSTANCE, inst)
+    (workspace / "bad.toopub").write_bytes(
+        encoding.encode_record(encoding.TAG_TRANSFORMED_PK, pk_fields)
+    )
+    r = too_sign("sign", "--key", "key.tookey", "--pub", "bad.toopub",
+                 "--in", "msg.txt", "--out", "bad.toosig", "--seed", SEED_B,
+                 cwd=workspace)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+    assert not (workspace / "bad.toosig").exists()
+
+
+def test_failed_key_write_keeps_the_key(workspace, monkeypatch):
+    """A sign whose key write fails keeps the old key and releases nothing;
+    a sign that succeeds leaves no temporary file behind."""
+    args = ["sign", "--key", str(workspace / "key.tookey"),
+            "--pub", str(workspace / "key.toopub"),
+            "--in", str(workspace / "msg.txt"),
+            "--out", str(workspace / "msg.toosig"), "--seed", SEED_B]
+    key_before = (workspace / "key.tookey").read_bytes()
+    files_before = set(os.listdir(workspace))
+
+    def fail(src, dst):
+        raise OSError("injected rename failure")
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", fail)
+        result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code != 0
+    assert (workspace / "key.tookey").read_bytes() == key_before
+    assert set(os.listdir(workspace)) == files_before | {"key.tookey.lock"}
+
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exit_code == 0, result.output
+    assert (workspace / "key.tookey").read_bytes() != key_before
+    assert set(os.listdir(workspace)) == files_before | {"key.tookey.lock", "msg.toosig"}
 
 
 def test_signing_advances_persisted_state(workspace):

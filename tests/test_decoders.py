@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from toosign import encoding
 from toosign.chameleon import ChameleonKind
-from toosign.errors import FormatError
+from toosign.errors import FormatError, ToosignError
 from toosign.merkle import merkle_descriptor
 from toosign.oracle import production_oracle
 from toosign.rng import rng_from_int
@@ -67,6 +67,36 @@ def test_damaged_blob_decodes_or_raises_format_error(case):
     try:
         decode(*case)
     except FormatError:
+        pass
+
+
+@st.composite
+def damaged_dl_public_key(draw):
+    """A dl-demo public key with one byte overwritten, or with one number of
+    its chameleon instance (p, q, g or y) replaced."""
+    pk = VALID["dl-demo"][1]["pk"]
+    if draw(st.booleans()):
+        blob = bytearray(pk)
+        blob[draw(st.integers(0, len(blob) - 1))] = draw(st.integers(0, 255))
+        return bytes(blob)
+    _, fields = encoding.decode_record(pk, encoding.TAG_TRANSFORMED_PK)
+    _, numbers = encoding.decode_record(fields[2], encoding.TAG_DL_INSTANCE)
+    numbers[draw(st.integers(0, 3))] = encoding.encode_int(draw(st.integers(0, 1000)))
+    fields[2] = encoding.encode_record(encoding.TAG_DL_INSTANCE, numbers)
+    return encoding.encode_record(encoding.TAG_TRANSFORMED_PK, fields)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_dl_public_key())
+def test_damaged_dl_public_key_signs_or_raises_toosign_error(pk):
+    """A damaged public key that still decodes is safe to sign with."""
+    try:
+        kp = keypair_from_secret(VALID["dl-demo"][1]["sk"], pk)
+    except FormatError:
+        return
+    try:
+        s_prime(kp, b"sign me", production_oracle(kp.ch_inst), rng_from_int(79))
+    except ToosignError:
         pass
 
 

@@ -1,7 +1,11 @@
-"""Every name a toosign module imports is used in it (`__init__` re-exports)."""
+"""Every name a toosign module imports is used in it (`__init__` re-exports),
+and a process that uses only the DL chameleon hash never loads numpy."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -46,3 +50,48 @@ def test_no_unused_imports(module):
     used = used_names(tree)
     unused = {n: line for n, line in imported_names(tree).items() if n not in used}
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+DL_ONLY = """
+import sys
+import toosign, toosign.cli
+from toosign import chameleon, games, merkle, oracle, rng, transform
+
+for name in ("dl-demo", "dl-2048"):
+    kp = transform.g_prime(merkle.merkle_descriptor(2), chameleon.ChameleonKind.DL,
+                           {"name": name}, rng.rng_from_int(1))
+    ro = oracle.production_oracle(kp.ch_inst)
+    sig, kp = transform.s_prime(kp, b"message", ro, rng.rng_from_int(2))
+    kp = transform.keypair_from_secret(kp.secret_bytes(), kp.public_bytes())
+    pk = transform.TransformedPublicKey.deserialize(kp.public_bytes())
+    decoded = transform.deserialize_signature(
+        sig.serialize(pk.ch_inst), pk.ch_inst, pk.base_descriptor)
+    assert transform.v_prime(pk, b"message", decoded, oracle.production_oracle(pk.ch_inst))
+report = games.game_report(
+    games.GameKind.SU, games.ChallengerVariant.HYD0,
+    lambda master: games.make_transformed_challenger(
+        games.ChallengerVariant.HYD0, games.wrap_malleable(merkle.merkle_descriptor(2)),
+        chameleon.ChameleonKind.DL, {"name": "dl-demo"}, master),
+    lambda ch: games.MaulingAdversary(), range(1), budget=2)
+assert report["win_rate"] == 0.0, report
+assert "numpy" not in sys.modules, "DL-only work loaded numpy"
+
+kp = transform.g_prime(merkle.merkle_descriptor(1), chameleon.ChameleonKind.SIS,
+                       {"n": 4, "q": 257, "m": 12, "k": 8}, rng.rng_from_int(3))
+sig, _ = transform.s_prime(kp, b"message", oracle.production_oracle(kp.ch_inst),
+                           rng.rng_from_int(4))
+assert transform.v_prime(transform.public_key_of(kp), b"message", sig,
+                         oracle.production_oracle(kp.ch_inst))
+assert "numpy" in sys.modules
+"""
+
+
+def test_dl_only_process_never_loads_numpy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    )
+    r = subprocess.run(
+        [sys.executable, "-c", DL_ONLY], capture_output=True, text=True, env=env
+    )
+    assert r.returncode == 0, r.stderr
