@@ -12,13 +12,21 @@ Range values are sampled as hash-of-random-preimage with the trace
 
 DL exponentiation.  A signer holding the trapdoor x samples C = g^m y^r as
 g^((m + x r) mod q): one exponentiation instead of two.  The folded exponent
-reveals x together with the trace, so it is never kept.  Exponentiations
-with exponents of 256 bits or more use a Lim-Lee fixed-base comb of 8 rows:
-a table of 256 products per base, and one squaring per column shared by all
-bases of a hash.  The first exponentiation of a base in a process uses
-builtin pow, so a one-shot process never builds a table; the second builds
-it.  At most 8 tables (about 75 kB each for a 2048-bit group) are kept,
-least recently used evicted first.  Neither builtin pow nor the comb runs in
+reveals x together with the trace, so it is never kept.  x^-1 mod q, which
+every inversion needs, is computed once per trapdoor, where the trapdoor is
+made or decoded, and is never serialized.
+
+Exponentiations with exponents of 256 bits or more use a Lim-Lee comb.  The
+exponent splits into 4 limbs of 8 rows each; each limb has its own table of
+the 256 products of its row powers, so a base holds 1024 products, about
+307 kB for a 2048-bit group.  One column loop serves every limb of every base
+of a hash: 64 squarings on the 2048-bit group and at most 256 products per
+base.  The first exponentiation of a base in a process does not build its
+table, so a one-shot process never pays for one; the second builds it.  Two
+or more bases seen for the first time in one call share one interleaved
+sliding-window pass and so its squarings; a lone one takes builtin pow.  At
+most 8 bases keep tables (about 2.5 MB on the 2048-bit group), least
+recently used evicted first.  Neither builtin pow nor these passes run in
 constant time; this code makes no side-channel claim.
 
 DL groups.  The named sets in DL_PARAM_SETS are constants proven once by the
@@ -40,7 +48,7 @@ import math
 import numbers
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -107,6 +115,8 @@ class DLInstance:
 @dataclass(frozen=True)
 class DLTrapdoor:
     x: int
+    # x^-1 mod q, set where the trapdoor is made or decoded; never serialized
+    x_inv: int | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -235,7 +245,8 @@ def _jacobi(a: int, n: int) -> int:
 def hg_dl(p: int, q_grp: int, g: int, rng: Rng) -> tuple[DLInstance, DLTrapdoor]:
     _check_dl_group(p, q_grp, g)
     x = 1 + rng.randbelow(q_grp - 1)
-    return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), DLTrapdoor(x=x)
+    td = DLTrapdoor(x=x, x_inv=pow(x, -1, q_grp))
+    return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), td
 
 
 def hg_sis(
@@ -266,38 +277,51 @@ def hg(
 
 
 # ---------------------------------------------------------------------------
-# fixed-base exponentiation
+# exponentiation
 
-_COMB_ROWS = 8  # a base's table holds the 2^8 products of its row powers
+_COMB_ROWS = 8  # rows per limb: a limb's table holds the 2^8 products of its rows
+_COMB_LIMBS = 4  # limbs, and tables, per base
 _COMB_MIN_BITS = 256  # below this, a comb column is too short to beat pow
-_COMB_CACHE_SIZE = 8  # bases; a 2048-bit table is about 75 kB
-# (base, p, bits) -> comb table, or None after the base's first use
-_comb_cache: OrderedDict[tuple[int, int, int], list[int] | None] = OrderedDict()
+_COMB_CACHE_SIZE = 8  # bases; a 2048-bit base's tables are about 307 kB
+_WINDOW_BITS = 5  # the joint first-use pass multiplies in up to 5 bits at a time
+# (base, p, bits) -> one comb table per limb, or None after the base's first use
+_comb_cache: OrderedDict[tuple[int, int, int], list[list[int]] | None] = OrderedDict()
 _comb_lock = threading.Lock()
 
 
-def _comb_table(b: int, p: int, a: int) -> list[int]:
-    """Entry j is the product of b^(2^(a*i)) over the rows i set in j."""
+def _comb_width(bits: int) -> int:
+    """Columns of the comb: the bits split into _COMB_LIMBS * _COMB_ROWS rows."""
+    return -(-bits // (_COMB_LIMBS * _COMB_ROWS))
+
+
+def _comb_table(b: int, p: int, a: int) -> list[list[int]]:
+    """Per limb l, entry j is the product of b^(2^(a*(8l + i))) over the rows
+    i set in j."""
     row_powers = [b]
-    for _ in range(_COMB_ROWS - 1):
+    for _ in range(_COMB_LIMBS * _COMB_ROWS - 1):
         x = row_powers[-1]
         for _ in range(a):
             x = x * x % p
         row_powers.append(x)
-    table = [1] * (1 << _COMB_ROWS)
-    for j in range(1, 1 << _COMB_ROWS):
-        low = j & -j
-        table[j] = table[j ^ low] * row_powers[low.bit_length() - 1] % p
-    return table
+    tables = []
+    for limb in range(_COMB_LIMBS):
+        rows = row_powers[limb * _COMB_ROWS : (limb + 1) * _COMB_ROWS]
+        table = [1] * (1 << _COMB_ROWS)
+        for j in range(1, 1 << _COMB_ROWS):
+            low = j & -j
+            table[j] = table[j ^ low] * rows[low.bit_length() - 1] % p
+        tables.append(table)
+    return tables
 
 
 def _comb_columns(e: int, a: int) -> bytes:
-    """The table index of each column of e, most significant column first.
+    """The table index of each column of e's lowest limb, most significant
+    column first.
 
-    e is split into rows e = sum_i e_i 2^(a*i) of a bits each; bit i of
-    index k is bit a-1-k of e_i.  Each row's binary digits are read as ASCII
-    bytes and shifted into bit i of every byte; the ASCII zeros come off at
-    the end.
+    The limb is split into rows e = sum_i e_i 2^(a*i) of a bits each; bit i
+    of index k is bit a-1-k of e_i.  Each row's binary digits are read as
+    ASCII bytes and shifted into bit i of every byte; the ASCII zeros come
+    off at the end.
     """
     mask = (1 << a) - 1
     spread = 0
@@ -308,40 +332,83 @@ def _comb_columns(e: int, a: int) -> bytes:
     return (spread - zeros).to_bytes(a, "big")
 
 
-def _comb_lookup(b: int, p: int, bits: int) -> list[int] | None:
-    """The comb table of b, built on the second call for b; None on the first."""
+def _comb_lookup(b: int, p: int, bits: int) -> list[list[int]] | None:
+    """The comb tables of b, built on the second call for b; None on the first."""
     key = (b, p, bits)
     with _comb_lock:
         seen = key in _comb_cache
-        table = _comb_cache.pop(key, None)
-        _comb_cache[key] = table  # least recently used first
+        tables = _comb_cache.pop(key, None)
+        _comb_cache[key] = tables  # least recently used first
         if len(_comb_cache) > _COMB_CACHE_SIZE:
             _comb_cache.popitem(last=False)
-    if seen and table is None:
-        table = _comb_table(b, p, -(-bits // _COMB_ROWS))
+    if seen and tables is None:
+        tables = _comb_table(b, p, _comb_width(bits))
         with _comb_lock:
             if key in _comb_cache:
-                _comb_cache[key] = table
-    return table
+                _comb_cache[key] = tables
+    return tables
+
+
+def _joint_pow(pairs, p: int) -> int:
+    """prod b^e mod p in one left-to-right pass over the bits of every e.
+
+    The squarings are shared by all bases.  Each e is cut into sliding
+    windows of up to _WINDOW_BITS bits that start and end on a set bit; a
+    window multiplies in its base's odd power once the pass reaches the
+    window's lowest bit.
+    """
+    top = max(e.bit_length() for _, e in pairs)
+    due = [[] for _ in range(top)]  # bit position -> odd powers to multiply in
+    for b, e in pairs:
+        b2 = b * b % p
+        odd = [b % p]  # b^1, b^3, ..., b^(2^_WINDOW_BITS - 1)
+        for _ in range((1 << (_WINDOW_BITS - 1)) - 1):
+            odd.append(odd[-1] * b2 % p)
+        digits = format(e, "b")
+        i, n = 0, len(digits)
+        while i < n:
+            if digits[i] == "0":
+                i += 1
+                continue
+            window = digits[i : i + _WINDOW_BITS].rstrip("0")
+            i += len(window)
+            due[n - i].append(odd[int(window, 2) >> 1])
+    acc = 1
+    for powers in reversed(due):
+        acc = acc * acc % p
+        for t in powers:
+            acc = acc * t % p
+    return acc
 
 
 def _multi_pow(pairs, p: int, bits: int) -> int:
     """prod b^e mod p over the (b, e) in pairs, every e in [0, 2^bits).
 
-    A base used before gets a Lim-Lee comb with _COMB_ROWS rows and
-    a = ceil(bits / rows) columns: a squarings, shared by all bases of the
-    call, and at most a multiplications per base.  The first use of a base,
-    and every base when bits < _COMB_MIN_BITS, take builtin pow.
+    When bits < _COMB_MIN_BITS, every base takes builtin pow.  Otherwise a
+    base used before gets a Lim-Lee comb of _COMB_LIMBS limbs of _COMB_ROWS
+    rows of a = _comb_width(bits) columns: one loop over the columns does a
+    squarings, shared by every limb of every base of the call, and at most
+    a products per limb.  Bases used for the first time share one
+    _joint_pow pass when there are two or more; a lone one takes builtin
+    pow.
     """
-    a = -(-bits // _COMB_ROWS)
-    out = 1
-    combs = []
+    a = _comb_width(bits)
+    fresh, combs = [], []
     for b, e in pairs:
-        table = _comb_lookup(b, p, bits) if bits >= _COMB_MIN_BITS else None
-        if table is None:
-            out = out * pow(b, e, p) % p
+        tables = _comb_lookup(b, p, bits) if bits >= _COMB_MIN_BITS else None
+        if tables is None:
+            fresh.append((b, e))
         else:
-            combs.append((_comb_columns(e, a), table))
+            combs += [
+                (_comb_columns(e >> (a * _COMB_ROWS * limb), a), table)
+                for limb, table in enumerate(tables)
+            ]
+    if len(fresh) > 1 and bits >= _COMB_MIN_BITS:
+        out = _joint_pow(fresh, p)
+    else:
+        out = 1
+        for b, e in fresh:
+            out = out * pow(b, e, p) % p
     if combs:
         acc = 1
         for k in range(a):
@@ -462,11 +529,13 @@ def ch_invert(
     """
     if isinstance(inst, DLInstance):
         mi = _check_dl_scalar(inst, m, "message")
-        if td.x % inst.q_grp == 0:
-            raise DegenerateTrapdoorError("trapdoor exponent is zero")
         m_t = _check_dl_scalar(inst, target.trace_message, "trace message")
         r_t = _check_dl_scalar(inst, target.trace_randomness, "trace randomness")
-        x_inv = pow(td.x, -1, inst.q_grp)
+        x_inv = td.x_inv
+        if x_inv is None:  # a trapdoor built by hand
+            if td.x % inst.q_grp == 0:
+                raise DegenerateTrapdoorError("trapdoor exponent is zero")
+            x_inv = pow(td.x, -1, inst.q_grp)
         return ((m_t - mi) * x_inv + r_t) % inst.q_grp
     if rng is None:
         raise SamplerError("SIS inversion needs an rng")
@@ -639,7 +708,10 @@ def deserialize_trapdoor(blob: bytes, inst: ChameleonInstance) -> ChameleonTrapd
     if len(fields) != 1:
         raise FormatError("trapdoor record needs exactly one field")
     if dl:
-        return DLTrapdoor(x=encoding.decode_int(fields[0]))
+        x = encoding.decode_int(fields[0])
+        if not 0 < x < inst.q_grp:
+            raise FormatError("trapdoor exponent outside [1, q)")
+        return DLTrapdoor(x=x, x_inv=pow(x, -1, inst.q_grp))
     p = inst.params
     T = unpack_matrix(fields[0], p.m, p.m, p.q)
     R = T[: p.m_bar, p.m_bar :]

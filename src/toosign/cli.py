@@ -130,8 +130,20 @@ def keygen(scheme, height, ch_name, n, q, m, k, out, seed, armor):
     click.echo(f"wrote {out}.toopub and {out}.tookey")
 
 
-def _check_capacity(kp) -> None:
-    if kp.base.descriptor.scheme_id == merkle.SCHEME_ID_MERKLE and kp.base.state:
+def _check_base_scheme(descriptor) -> None:
+    # the malleable wrapper of `games` is a negative control, not SU-secure
+    if descriptor.scheme_id != merkle.SCHEME_ID_MERKLE:
+        raise FormatError("base scheme is not Lamport-Merkle")
+
+
+def _check_signing_key(kp) -> None:
+    """Raises FormatError unless the key pair can sign: a Lamport-Merkle key
+    whose public half belongs to its secret half, with leaves left to spend
+    or exactly used up."""
+    _check_base_scheme(kp.base.descriptor)
+    if not merkle.merkle_keys_match(kp.base.public_key, kp.base.secret_key):
+        raise FormatError("the public key does not belong to the secret key")
+    if kp.base.state:
         height = kp.base.descriptor.param_blob[0]
         next_leaf = int.from_bytes(kp.base.state, "big")
         if next_leaf > (1 << height):
@@ -158,7 +170,7 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
             sys.exit(EXIT_LOCKED)
         try:
             kp = keypair_from_secret(_read(key, armor), _read(pub, armor))
-            _check_capacity(kp)
+            _check_signing_key(kp)
         except (ToosignError, OSError) as e:
             click.echo(f"malformed key: {e}", err=True)
             sys.exit(EXIT_MALFORMED)
@@ -191,6 +203,7 @@ def verify(pub, infile, sig, armor, ro_tag):
     """Verify a signature: exit 0 accept, 1 reject, 2 malformed."""
     try:
         pk = TransformedPublicKey.deserialize(_read(pub, armor))
+        _check_base_scheme(pk.base_descriptor)
         message = _read(infile, False)
         sig_obj = deserialize_signature(_read(sig, armor), pk.ch_inst, pk.base_descriptor)
     except (ToosignError, OSError, ValueError) as e:

@@ -87,6 +87,18 @@ def merkle_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     )
 
 
+def merkle_keys_match(public_key: bytes, secret_key: bytes) -> bool:
+    """True if the root cached in the secret key is the public key's root.
+
+    The packed nodes end with the root, so this costs no hashing.
+    """
+    _, pk_fields = encoding.decode_record(public_key, encoding.TAG_MERKLE_PK)
+    _, sk_fields = encoding.decode_record(secret_key, encoding.TAG_MERKLE_SK)
+    if len(pk_fields) != 2 or len(sk_fields) != 3 or len(pk_fields[1]) != 32:
+        return False
+    return sk_fields[2][-32:] == pk_fields[1]
+
+
 def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]:
     if len(digest) != 32:
         raise DomainError("merkle scheme signs 32-byte digests")

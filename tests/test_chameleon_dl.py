@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toosign import chameleon
+from toosign import chameleon, merkle, transform
 from toosign.chameleon import (
     ChameleonKind,
     CollisionVerdict,
@@ -17,6 +17,7 @@ from toosign.chameleon import (
     RangeSample,
 )
 from toosign.errors import DomainError, FormatError
+from toosign.oracle import production_oracle
 from toosign.rng import rng_from_int
 
 P, Q, G = 23, 11, 4
@@ -132,18 +133,18 @@ def test_instance_serialization_round_trip():
 
 P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
 BITS = Q2048.bit_length()  # 2047: the comb's last row is one bit short
-COLUMNS = -(-BITS // chameleon._COMB_ROWS)
+ROWS, LIMBS = chameleon._COMB_ROWS, chameleon._COMB_LIMBS
+COLUMNS = chameleon._comb_width(BITS)
+LIMB_BITS = COLUMNS * ROWS  # 512
 Y2048 = pow(G2048, 0x5EED << 1000, P2048)
 EXPONENTS = sorted(
     {0, 1, 2, Q2048 - 1, (1 << BITS) - 1, 1 << (BITS - 1)}
-    | {
-        (1 << (COLUMNS * i)) + d
-        for i in range(1, chameleon._COMB_ROWS)
-        for d in (-1, 0, 1)
-    }
+    # the limb boundaries, and the row boundaries of the 8-row layout before
+    | {(1 << (LIMB_BITS * i)) + d for i in range(1, LIMBS) for d in (-1, 0, 1)}
+    | {(1 << (-(-BITS // 8) * i)) + d for i in range(1, 8) for d in (-1, 0, 1)}
 )
-
-
+# every row boundary inside a limb
+ROW_EXPONENTS = [(1 << (COLUMNS * i)) - d for i in range(1, ROWS * LIMBS) for d in (0, 1)]
 def pow_reference(pairs):
     out = 1
     for b, e in pairs:
@@ -165,7 +166,8 @@ def test_multi_pow_uses_pow_first_then_a_table():
     assert multi_pow(pairs) == pow_reference(pairs)
     assert cached(G2048) is None and cached(Y2048) is None
     assert multi_pow(pairs) == pow_reference(pairs)
-    assert len(cached(G2048)) == len(cached(Y2048)) == 1 << chameleon._COMB_ROWS
+    for base in (G2048, Y2048):
+        assert [len(table) for table in cached(base)] == [1 << ROWS] * LIMBS
     # a joint call may mix a base with a table and one seen for the first time
     z = pow(G2048, 12345, P2048)
     mixed = ((G2048, 5), (z, Q2048 - 2))
@@ -183,6 +185,56 @@ def check_against_pow(e, f):
 def test_multi_pow_row_boundaries():
     for e in EXPONENTS:
         check_against_pow(e, (e * 7 + 3) % Q2048)
+    multi_pow(((Y2048, 1),))  # the comb for y too
+    for e in ROW_EXPONENTS:
+        assert multi_pow(((Y2048, e),)) == pow(Y2048, e, P2048)
+
+
+def fresh_bases(count):
+    chameleon._comb_cache.clear()
+    return [pow(G2048, 7 + i, P2048) for i in range(count)]
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_joint_first_use_pass(count, monkeypatch):
+    """Bases seen for the first time share one window pass, and tables come
+    on their second use."""
+    joint = []
+    joint_pow = chameleon._joint_pow
+    monkeypatch.setattr(
+        chameleon, "_joint_pow", lambda pairs, p: joint.append(len(pairs)) or joint_pow(pairs, p)
+    )
+    bases = fresh_bases(count)
+    for e in EXPONENTS[: 4 * count : 2] + [Q2048 - 1 - i for i in range(5)]:
+        assert joint_pow([(b, e) for b in bases], P2048) == pow_reference(
+            [(b, e) for b in bases]
+        )
+    pairs = [(b, (Q2048 - 1) // (i + 2)) for i, b in enumerate(bases)]
+    assert multi_pow(pairs) == pow_reference(pairs)
+    assert joint == [count]
+    assert all(cached(b) is None for b in bases)
+    assert multi_pow(pairs) == pow_reference(pairs)
+    assert joint == [count]
+    assert all(cached(b) is not None for b in bases)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(0, (1 << BITS) - 1), min_size=2, max_size=3))
+def test_joint_pass_matches_pow_property(exponents):
+    pairs = list(zip(fresh_bases(len(exponents)), exponents))
+    assert multi_pow(pairs) == pow_reference(pairs)
+
+
+def test_mixed_call_with_and_without_tables():
+    chameleon._comb_cache.clear()
+    g_only = ((G2048, 3),)
+    multi_pow(g_only)
+    multi_pow(g_only)
+    assert cached(G2048) is not None
+    z1, z2 = pow(G2048, 99, P2048), pow(G2048, 101, P2048)
+    pairs = ((z1, Q2048 - 3), (G2048, Q2048 - 5), (z2, 1 << (BITS - 1)))
+    assert multi_pow(pairs) == pow_reference(pairs)
+    assert cached(z1) is None and cached(z2) is None
 
 
 @settings(max_examples=25, deadline=None)
@@ -206,6 +258,41 @@ def test_comb_cache_stays_bounded():
     chameleon.ch_hash(inst, 3, 4)
     assert len(chameleon._comb_cache) == chameleon._COMB_CACHE_SIZE
     assert all((b, P, Q.bit_length()) not in chameleon._comb_cache for b in (G, 18))
+
+
+def test_dl_demo_never_enters_the_cache():
+    chameleon._comb_cache.clear()
+    inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-demo"}, rng_from_int(3))
+    rng = rng_from_int(4)
+    for _ in range(5):
+        sample = chameleon.sample_range(inst, rng, td)
+        r = chameleon.ch_invert(inst, td, 5, sample)
+        assert chameleon.ch_hash(inst, 5, r) == sample.element
+    assert not chameleon._comb_cache
+
+
+def test_trapdoor_inverse_once_per_trapdoor(monkeypatch):
+    """x^-1 mod q is computed when the trapdoor is made or decoded, never
+    per signature."""
+    inverses = []
+
+    def spy(b, e, m=None):
+        if e == -1:
+            inverses.append(b)
+        return pow(b, e) if m is None else pow(b, e, m)
+
+    monkeypatch.setattr(chameleon, "pow", spy, raising=False)
+    descriptor = merkle.merkle_descriptor(3)
+    kp = transform.g_prime(descriptor, ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(5))
+    assert inverses == [kp.ch_td.x]
+    kp = transform.keypair_from_secret(kp.secret_bytes(), kp.public_bytes())
+    assert inverses == [kp.ch_td.x] * 2
+    ro = production_oracle(kp.ch_inst)
+    pk = transform.public_key_of(kp)
+    for i in range(5):
+        sig, kp = transform.s_prime(kp, b"message %d" % i, ro, rng_from_int(10 + i))
+        assert transform.v_prime(pk, b"message %d" % i, sig, ro)
+    assert inverses == [kp.ch_td.x] * 2
 
 
 @pytest.mark.parametrize("name, seeds", [("dl-demo", 40), ("dl-2048", 4)])

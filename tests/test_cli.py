@@ -9,7 +9,10 @@ import sys
 import pytest
 from click.testing import CliRunner
 
-from toosign import cli, encoding
+from toosign import cli, encoding, games, merkle, transform
+from toosign.chameleon import ChameleonKind
+from toosign.oracle import production_oracle
+from toosign.rng import rng_from_int
 
 SEED_A = "11" * 32
 SEED_B = "22" * 32
@@ -104,6 +107,54 @@ def test_altered_dl_group_is_malformed(workspace):
                  cwd=workspace)
     assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
     assert not (workspace / "bad.toosig").exists()
+
+
+def sign_refused(workspace, key, pub):
+    """sign exits 2, keeps the key's bytes and leaves no new file behind."""
+    key_before = (workspace / key).read_bytes()
+    files_before = set(os.listdir(workspace))
+    r = too_sign("sign", "--key", key, "--pub", pub, "--in", "msg.txt",
+                 "--out", "refused.toosig", "--seed", SEED_B, cwd=workspace)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+    assert (workspace / key).read_bytes() == key_before
+    assert set(os.listdir(workspace)) - files_before <= {key + ".lock"}
+
+
+@pytest.mark.parametrize("multiple", [0, 1, 2])
+def test_degenerate_trapdoor_is_malformed(workspace, multiple):
+    """A DL trapdoor x of 0, q or 2q has no inverse mod q: the key is malformed."""
+    sk = (workspace / "key.tookey").read_bytes()
+    _, sk_fields = encoding.decode_record(sk, encoding.TAG_TRANSFORMED_SK)
+    sk_fields[2] = encoding.encode_record(
+        encoding.TAG_DL_TRAPDOOR, [encoding.encode_int(11 * multiple)]  # dl-demo q = 11
+    )
+    (workspace / "bad.tookey").write_bytes(
+        encoding.encode_record(encoding.TAG_TRANSFORMED_SK, sk_fields)
+    )
+    sign_refused(workspace, "bad.tookey", "key.toopub")
+
+
+def test_public_key_of_another_pair_is_refused(workspace):
+    """sign spends no leaf when the public key belongs to another key pair."""
+    assert too_sign("keygen", "--chameleon", "dl-demo", "--height", "2",
+                    "--out", "other", "--seed", SEED_B, cwd=workspace).returncode == 0
+    sign_refused(workspace, "key.tookey", "other.toopub")
+
+
+def test_malleable_base_scheme_is_refused(workspace):
+    """Keys over the malleable test wrapper are malformed for sign and verify."""
+    descriptor = games.wrap_malleable(merkle.merkle_descriptor(2))
+    kp = transform.g_prime(descriptor, ChameleonKind.DL, {"name": "dl-demo"},
+                           rng_from_int(1))
+    sig, _ = transform.s_prime(kp, b"the quick brown fox",
+                               production_oracle(kp.ch_inst), rng_from_int(2))
+    (workspace / "mall.toopub").write_bytes(kp.public_bytes())
+    (workspace / "mall.tookey").write_bytes(kp.secret_bytes())
+    (workspace / "mall.toosig").write_bytes(sig.serialize(kp.ch_inst))
+    sign_refused(workspace, "mall.tookey", "mall.toopub")
+    r = too_sign("verify", "--pub", "mall.toopub", "--in", "msg.txt",
+                 "--sig", "mall.toosig", cwd=workspace)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
 
 
 def test_failed_key_write_keeps_the_key(workspace, monkeypatch):

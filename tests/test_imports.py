@@ -1,5 +1,6 @@
 """Every name a toosign module imports is used in it (`__init__` re-exports),
-and a process that uses only the DL chameleon hash never loads numpy."""
+a process that uses only the DL chameleon hash never loads numpy, and a
+one-shot sign or verify never builds a comb table."""
 
 import ast
 import os
@@ -86,12 +87,42 @@ assert "numpy" in sys.modules
 """
 
 
-def test_dl_only_process_never_loads_numpy():
+def run_child(script: str) -> subprocess.CompletedProcess:
+    """Runs script in a fresh interpreter that imports this checkout's toosign."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
     )
-    r = subprocess.run(
-        [sys.executable, "-c", DL_ONLY], capture_output=True, text=True, env=env
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
     )
+
+
+def test_dl_only_process_never_loads_numpy():
+    r = run_child(DL_ONLY)
+    assert r.returncode == 0, r.stderr
+
+
+ONE_SHOT = """
+from toosign import chameleon, merkle, oracle, rng, transform
+
+built = []
+comb_table = chameleon._comb_table
+chameleon._comb_table = lambda *args: built.append(args) or comb_table(*args)
+
+kp = transform.g_prime(merkle.merkle_descriptor(2), chameleon.ChameleonKind.DL,
+                       {"name": "dl-2048"}, rng.rng_from_int(1))
+sig, _ = transform.s_prime(kp, b"message", oracle.production_oracle(kp.ch_inst),
+                           rng.rng_from_int(2))
+assert not built, "a one-shot sign built a comb table"
+# `too-sign verify` is a process of its own: it starts with no base seen
+chameleon._comb_cache.clear()
+pk = transform.public_key_of(kp)
+assert transform.v_prime(pk, b"message", sig, oracle.production_oracle(pk.ch_inst))
+assert not built, "a one-shot verify built a comb table"
+"""
+
+
+def test_one_shot_sign_and_verify_build_no_table():
+    r = run_child(ONE_SHOT)
     assert r.returncode == 0, r.stderr
