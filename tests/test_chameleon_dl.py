@@ -145,6 +145,8 @@ EXPONENTS = sorted(
 )
 # every row boundary inside a limb
 ROW_EXPONENTS = [(1 << (COLUMNS * i)) - d for i in range(1, ROWS * LIMBS) for d in (0, 1)]
+
+
 def pow_reference(pairs):
     out = 1
     for b, e in pairs:
@@ -206,9 +208,8 @@ def test_joint_first_use_pass(count, monkeypatch):
     )
     bases = fresh_bases(count)
     for e in EXPONENTS[: 4 * count : 2] + [Q2048 - 1 - i for i in range(5)]:
-        assert joint_pow([(b, e) for b in bases], P2048) == pow_reference(
-            [(b, e) for b in bases]
-        )
+        pairs = [(b, e) for b in bases]
+        assert joint_pow(pairs, P2048) == pow_reference(pairs)
     pairs = [(b, (Q2048 - 1) // (i + 2)) for i, b in enumerate(bases)]
     assert multi_pow(pairs) == pow_reference(pairs)
     assert joint == [count]
