@@ -35,56 +35,34 @@ test suite, so key generation and decoding accept them by comparing
 p = 2q + 1, g of order q) once per process.  A decoded public key's y must
 also lie in the order-q subgroup.
 
-Lazy numpy.  Only the SIS branches use numpy, `.sis` and `.gaussian`; they
-reach them through module globals bound on first use, so a process that
-hashes only over DL never imports numpy.
+Families.  DLInstance here and SISInstance in `sis` carry their family's
+operations, and the module functions call them.  `hg` and
+`deserialize_instance`, which have no instance yet, import `sis` only in
+their SIS arm, so a process that hashes only over DL never imports numpy.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib
-import math
 import numbers
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
+from typing import TYPE_CHECKING, Union
 
 from . import encoding
 from .errors import (
     DegenerateTrapdoorError,
-    DimensionError,
     DomainError,
     FormatError,
-    SamplerError,
     TrivialCollisionError,
 )
 from .rng import Rng
 
-
-class _ImportOnFirstUse:
-    """Stands in for a module global until the first attribute access.
-
-    That access imports the module and rebinds the global to it, so later
-    lookups reach the module itself.
-    """
-
-    def __init__(self, global_name: str, module: str):
-        self._global_name = global_name
-        self._module = module
-
-    def __getattr__(self, attr: str):
-        module = importlib.import_module(self._module)
-        globals()[self._global_name] = module
-        return getattr(module, attr)
-
-
-# only SIS code uses numpy; a process that hashes only over DL never loads it
-np = _ImportOnFirstUse("np", "numpy")
-gaussian = _ImportOnFirstUse("gaussian", "toosign.gaussian")
-sis = _ImportOnFirstUse("sis", "toosign.sis")
+if TYPE_CHECKING:  # sis imports numpy
+    from . import sis
 
 
 class ChameleonKind(Enum):
@@ -99,17 +77,7 @@ class CollisionVerdict(Enum):
 
 
 # ---------------------------------------------------------------------------
-# instances and trapdoors
-
-
-@dataclass(frozen=True)
-class DLInstance:
-    p: int
-    q_grp: int
-    g: int
-    y: int
-
-    kind = ChameleonKind.DL
+# trapdoors and range samples
 
 
 @dataclass(frozen=True)
@@ -117,24 +85,6 @@ class DLTrapdoor:
     x: int
     # x^-1 mod q, set where the trapdoor is made or decoded; never serialized
     x_inv: int | None = field(default=None, compare=False, repr=False)
-
-
-@dataclass(frozen=True)
-class SISInstance:
-    params: sis.SISParams
-    A: np.ndarray  # n x k
-    B: np.ndarray  # n x m
-
-    kind = ChameleonKind.SIS
-
-
-@dataclass(frozen=True)
-class SISTrapdoor:
-    R: np.ndarray  # m_bar x w
-
-
-ChameleonInstance = DLInstance | SISInstance
-ChameleonTrapdoor = DLTrapdoor | SISTrapdoor
 
 
 @dataclass(frozen=True)
@@ -249,19 +199,6 @@ def hg_dl(p: int, q_grp: int, g: int, rng: Rng) -> tuple[DLInstance, DLTrapdoor]
     return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), td
 
 
-def hg_sis(
-    n: int, q: int, m: int, k: int, rng: Rng, s: float | None = None
-) -> tuple[SISInstance, SISTrapdoor]:
-    params = sis.derive_params(n, q, m, k, s)
-    A = np.array(
-        [[rng.randbelow(q) for _ in range(k)] for _ in range(n)], dtype=np.int64
-    )
-    B, R = sis.sample_trapdoor(params, rng)
-    inst = SISInstance(params=params, A=A, B=B)
-    assert sis.trapdoor_relation_holds(params, B, R)
-    return inst, SISTrapdoor(R=R)
-
-
 def hg(
     kind: ChameleonKind, params: dict, rng: Rng
 ) -> tuple[ChameleonInstance, ChameleonTrapdoor]:
@@ -271,7 +208,8 @@ def hg(
         else:
             p, q_grp, g = params["p"], params["q_grp"], params["g"]
         return hg_dl(p, q_grp, g, rng)
-    return hg_sis(
+    from . import sis  # numpy loads with the first SIS key
+    return sis.hg_sis(
         params["n"], params["q"], params["m"], params["k"], rng, params.get("s")
     )
 
@@ -421,77 +359,138 @@ def _multi_pow(pairs, p: int, bits: int) -> int:
     return out
 
 
+
+
+# ---------------------------------------------------------------------------
+# the discrete-log family
+
+
+@dataclass(frozen=True)
+class DLInstance:
+    """h(m, r) = g^m y^r mod p; messages and randomness are integers mod q."""
+
+    p: int
+    q_grp: int
+    g: int
+    y: int
+
+    def _scalar(self, v, what: str) -> int:
+        if not isinstance(v, numbers.Integral) or not 0 <= v < self.q_grp:
+            raise DomainError(f"{what} must be an integer in [0, {self.q_grp})")
+        return int(v)
+
+    def hash(self, m, r) -> int:
+        mi = self._scalar(m, "message")
+        ri = self._scalar(r, "randomness")
+        return _multi_pow(((self.g, mi), (self.y, ri)), self.p, self.q_grp.bit_length())
+
+    def trapdoor_hash(self, td: DLTrapdoor, m: int, r: int) -> int:
+        """hash(m, r) with one exponentiation, as g^((m + x r) mod q): the
+        same value because y = g^x and g has order q."""
+        # the folded exponent reveals x together with (m, r): never keep it
+        e = (m + td.x * r) % self.q_grp
+        return _multi_pow(((self.g, e),), self.p, self.q_grp.bit_length())
+
+    def sample_message(self, rng: Rng) -> int:
+        return rng.randbelow(self.q_grp)
+
+    sample_randomness = sample_message  # randomness is uniform in Z_q too
+
+    def message_from_xof(self, xof) -> int:
+        """Reads 128 bits beyond q and reduces: the bias is below 2^-128."""
+        nbytes = (self.q_grp.bit_length() + 128 + 7) // 8
+        return int.from_bytes(xof.digest(nbytes), "big") % self.q_grp
+
+    def invert(self, td: DLTrapdoor, m, target: RangeSample, rng: Rng | None) -> int:
+        """Exact algebra on the retained trace; consumes no randomness."""
+        mi = self._scalar(m, "message")
+        m_t = self._scalar(target.trace_message, "trace message")
+        r_t = self._scalar(target.trace_randomness, "trace randomness")
+        x_inv = td.x_inv
+        if x_inv is None:  # a trapdoor built by hand
+            if td.x % self.q_grp == 0:
+                raise DegenerateTrapdoorError("trapdoor exponent is zero")
+            x_inv = pow(td.x, -1, self.q_grp)
+        return ((m_t - mi) * x_inv + r_t) % self.q_grp
+
+    def elements_equal(self, a, b) -> bool:
+        return int(a) == int(b)
+
+    def serialize(self) -> bytes:
+        return encoding.encode_record(
+            encoding.TAG_DL_INSTANCE,
+            [encoding.encode_int(v) for v in (self.p, self.q_grp, self.g, self.y)],
+        )
+
+    def serialize_trapdoor(self, td: DLTrapdoor) -> bytes:
+        return encoding.encode_record(
+            encoding.TAG_DL_TRAPDOOR, [encoding.encode_int(td.x)]
+        )
+
+    def deserialize_trapdoor(self, blob: bytes) -> DLTrapdoor:
+        _, fields = encoding.decode_record(blob, encoding.TAG_DL_TRAPDOOR)
+        if len(fields) != 1:
+            raise FormatError("trapdoor record needs exactly one field")
+        x = encoding.decode_int(fields[0])
+        if not 0 < x < self.q_grp:
+            raise FormatError("trapdoor exponent outside [1, q)")
+        return DLTrapdoor(x=x, x_inv=pow(x, -1, self.q_grp))
+
+    def serialize_element(self, elem) -> bytes:
+        return encoding.encode_record(
+            encoding.TAG_RANGE_ELEMENT, [encoding.encode_int(int(elem))]
+        )
+
+    def serialize_message(self, m) -> bytes:
+        return encoding.encode_int(int(m))
+
+    def serialize_randomness(self, r) -> bytes:
+        return encoding.encode_record(
+            encoding.TAG_RANDOMNESS, [encoding.encode_int(int(r))]
+        )
+
+    def deserialize_randomness(self, blob: bytes) -> int:
+        _, fields = encoding.decode_record(blob, encoding.TAG_RANDOMNESS)
+        if len(fields) != 1:
+            raise FormatError("randomness record needs exactly one field")
+        r = encoding.decode_int(fields[0])
+        if r >= self.q_grp:
+            raise FormatError("randomness outside Z_q")
+        return r
+
+    def overhead_elements(self, td: DLTrapdoor, r) -> tuple[dict, dict, dict]:
+        """(parameters, predicted, measured): the ring elements the hash adds
+        to the public key, the secret key and a signature."""
+        _, ifields = encoding.decode_record(self.serialize())
+        _, tfields = encoding.decode_record(self.serialize_trapdoor(td))
+        _, rfields = encoding.decode_record(self.serialize_randomness(r))
+        measured = {
+            "pk": len(ifields) - 2,  # g and y; p, q_grp are shared parameters
+            "sk": len(tfields),
+            "sig": len(rfields),
+        }
+        predicted = {"pk": 2, "sk": 1, "sig": 1}  # (g, y), x, r
+        return {"kind": "dl", "modulus_bits": self.p.bit_length()}, predicted, measured
+
+
+ChameleonInstance = Union[DLInstance, "sis.SISInstance"]
+ChameleonTrapdoor = Union[DLTrapdoor, "sis.SISTrapdoor"]
+
+
 # ---------------------------------------------------------------------------
 # hashing, sampling, inversion
 
 
-@lru_cache(maxsize=32)
-def _gaussian(s: float) -> gaussian.DiscreteGaussian:
-    return gaussian.DiscreteGaussian(s)
-
-
-def _check_dl_scalar(inst: DLInstance, v, what: str) -> int:
-    if not isinstance(v, numbers.Integral) or not 0 <= v < inst.q_grp:
-        raise DomainError(f"{what} must be an integer in [0, {inst.q_grp})")
-    return int(v)
-
-
-def _as_bits(inst: SISInstance, m) -> np.ndarray:
-    arr = np.asarray(m, dtype=np.int64)
-    if arr.shape != (inst.params.k,) or not np.all((arr == 0) | (arr == 1)):
-        raise DomainError(f"message must be a 0/1 vector of length {inst.params.k}")
-    return arr
-
-
-def _as_randomness(inst: SISInstance, r) -> np.ndarray:
-    arr = np.asarray(r, dtype=np.int64)
-    if arr.shape != (inst.params.m,):
-        raise DomainError(
-            f"randomness must be an integer vector of length {inst.params.m}"
-        )
-    return arr
-
-
 def ch_hash(inst: ChameleonInstance, m, r):
-    if isinstance(inst, DLInstance):
-        mi = _check_dl_scalar(inst, m, "message")
-        ri = _check_dl_scalar(inst, r, "randomness")
-        return _multi_pow(((inst.g, mi), (inst.y, ri)), inst.p, inst.q_grp.bit_length())
-    marr = _as_bits(inst, m)
-    rarr = _as_randomness(inst, r)
-    return (inst.A @ marr + inst.B @ rarr) % inst.params.q
+    return inst.hash(m, r)
 
 
 def sample_message(inst: ChameleonInstance, rng: Rng):
-    if isinstance(inst, DLInstance):
-        return rng.randbelow(inst.q_grp)
-    return np.array(rng.random_bits(inst.params.k), dtype=np.int64)
-
-
-def message_from_xof(inst: ChameleonInstance, xof):
-    """Message-space element read from a SHAKE object.
-
-    DL reads 128 bits more than q has and reduces, so the bias is below
-    2^-128; SIS reads the first k bits, most significant bit first.
-    """
-    if isinstance(inst, DLInstance):
-        nbytes = (inst.q_grp.bit_length() + 128 + 7) // 8
-        return int.from_bytes(xof.digest(nbytes), "big") % inst.q_grp
-    k = inst.params.k
-    bits = np.unpackbits(np.frombuffer(xof.digest((k + 7) // 8), dtype=np.uint8))
-    return bits[:k].astype(np.int64)
+    return inst.sample_message(rng)
 
 
 def sample_randomness(inst: ChameleonInstance, rng: Rng):
-    if isinstance(inst, DLInstance):
-        return rng.randbelow(inst.q_grp)
-    params = inst.params
-    gauss = _gaussian(params.s)
-    for _ in range(100):
-        r = gauss.sample_vector(rng, params.m)
-        if float(np.linalg.norm(r)) <= params.norm_bound:
-            return r
-    raise SamplerError("randomness sampler exceeded retry budget")
+    return inst.sample_randomness(rng)
 
 
 def sample_range(
@@ -499,19 +498,12 @@ def sample_range(
 ) -> RangeSample:
     """A range value C = ch_hash(inst, m, r) for a random trace (m, r).
 
-    Given the DL trapdoor x, C is computed with one exponentiation as
-    g^((m + x r) mod q), the same value because y = g^x and g has order q.
-    The draws from rng and the trace are the same with or without td.
+    Given the trapdoor, C comes from the family's `trapdoor_hash`.  The draws
+    from rng and the trace are the same with or without td.
     """
     m = sample_message(inst, rng)
     r = sample_randomness(inst, rng)
-    if isinstance(inst, DLInstance) and td is not None:
-        # the folded exponent reveals x together with the trace: never keep it
-        elem = _multi_pow(
-            ((inst.g, (m + td.x * r) % inst.q_grp),), inst.p, inst.q_grp.bit_length()
-        )
-    else:
-        elem = ch_hash(inst, m, r)
+    elem = ch_hash(inst, m, r) if td is None else inst.trapdoor_hash(td, m, r)
     return RangeSample(element=elem, trace_message=m, trace_randomness=r)
 
 
@@ -524,50 +516,21 @@ def ch_invert(
 ):
     """Randomness r with ch_hash(inst, m, r) == target.element.
 
-    DL inversion is exact algebra on the retained trace and consumes no
-    randomness.  SIS inversion is gadget preimage sampling and requires rng.
+    DL inversion consumes no randomness; SIS inversion requires rng.
     """
-    if isinstance(inst, DLInstance):
-        mi = _check_dl_scalar(inst, m, "message")
-        m_t = _check_dl_scalar(inst, target.trace_message, "trace message")
-        r_t = _check_dl_scalar(inst, target.trace_randomness, "trace randomness")
-        x_inv = td.x_inv
-        if x_inv is None:  # a trapdoor built by hand
-            if td.x % inst.q_grp == 0:
-                raise DegenerateTrapdoorError("trapdoor exponent is zero")
-            x_inv = pow(td.x, -1, inst.q_grp)
-        return ((m_t - mi) * x_inv + r_t) % inst.q_grp
-    if rng is None:
-        raise SamplerError("SIS inversion needs an rng")
-    marr = _as_bits(inst, m)
-    params = inst.params
-    target_vec = np.asarray(target.element, dtype=np.int64)
-    syndrome = (target_vec - inst.A @ marr) % params.q
-    return sis.sample_preimage(
-        params, inst.B, td.R, syndrome, rng, _gaussian(params.s / 2)
-    )
+    return inst.invert(td, m, target, rng)
 
 
 # ---------------------------------------------------------------------------
 # collisions
 
 
-def elements_equal(inst: ChameleonInstance, a, b) -> bool:
-    if isinstance(inst, DLInstance):
-        return int(a) == int(b)
-    return np.array_equal(np.asarray(a), np.asarray(b))
-
-
-def _pairs_equal(inst: ChameleonInstance, pair1, pair2) -> bool:
-    return all(elements_equal(inst, a, b) for a, b in zip(pair1, pair2))
-
-
 def check_collision(inst: ChameleonInstance, pair1, pair2) -> CollisionVerdict:
-    if _pairs_equal(inst, pair1, pair2):
+    if all(inst.elements_equal(a, b) for a, b in zip(pair1, pair2)):
         return CollisionVerdict.TRIVIAL
     h1 = ch_hash(inst, pair1[0], pair1[1])
     h2 = ch_hash(inst, pair2[0], pair2[1])
-    if elements_equal(inst, h1, h2):
+    if inst.elements_equal(h1, h2):
         return CollisionVerdict.VALID
     return CollisionVerdict.NOT_COLLISION
 
@@ -584,77 +547,18 @@ def dl_recover_trapdoor(inst: DLInstance, pair1, pair2) -> int:
     return x
 
 
-def sis_collision_to_short_vector(inst: SISInstance, pair1, pair2) -> np.ndarray:
+def sis_collision_to_short_vector(inst: sis.SISInstance, pair1, pair2):
     """Maps a valid SIS collision to a short nonzero z with [A|B] z = 0 mod q."""
-    if _pairs_equal(inst, pair1, pair2):
+    verdict = check_collision(inst, pair1, pair2)
+    if verdict is CollisionVerdict.TRIVIAL:
         raise TrivialCollisionError("equal pairs carry no short vector")
-    if check_collision(inst, pair1, pair2) is not CollisionVerdict.VALID:
+    if verdict is not CollisionVerdict.VALID:
         raise DomainError("not a valid collision")
-    dm = np.asarray(pair1[0], dtype=np.int64) - np.asarray(pair2[0], dtype=np.int64)
-    dr = np.asarray(pair1[1], dtype=np.int64) - np.asarray(pair2[1], dtype=np.int64)
-    z = np.concatenate([dm, dr])
-    AB = np.concatenate([inst.A, inst.B], axis=1)
-    assert np.all((AB @ z) % inst.params.q == 0)
-    return z
+    return inst.collision_vector(pair1, pair2)
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-# matrices are row-major; entries use the minimal whole-byte width covering
-# [0, q)
-
-
-def _entry_width(q: int) -> int:
-    return ((q - 1).bit_length() + 7) // 8 or 1
-
-
-def _pack_ints(values: np.ndarray, width: int, signed: bool = False) -> bytes:
-    return b"".join([v.to_bytes(width, "big", signed=signed) for v in values.tolist()])
-
-
-def _unpack_ints(
-    blob: bytes, count: int, width: int, what: str, signed: bool = False
-) -> np.ndarray:
-    if len(blob) != count * width:
-        raise FormatError(f"{what} has wrong length")
-    ints = [
-        int.from_bytes(blob[i * width : (i + 1) * width], "big", signed=signed)
-        for i in range(count)
-    ]
-    try:
-        return np.array(ints, dtype=np.int64)
-    except OverflowError as e:
-        raise FormatError(f"{what} has an entry outside int64") from e
-
-
-def pack_matrix(M: np.ndarray, q: int) -> bytes:
-    return _pack_ints(np.asarray(M, dtype=np.int64).reshape(-1) % q, _entry_width(q))
-
-
-def unpack_matrix(blob: bytes, rows: int, cols: int, q: int) -> np.ndarray:
-    flat = _unpack_ints(blob, rows * cols, _entry_width(q), "matrix blob")
-    return flat.reshape(rows, cols)
-
-
-def _randomness_width(params: sis.SISParams) -> int:
-    bound = int(params.norm_bound) + 1
-    return (bound.bit_length() + 1 + 7) // 8
-
-
-def serialize_instance(inst: ChameleonInstance) -> bytes:
-    if isinstance(inst, DLInstance):
-        return encoding.encode_record(
-            encoding.TAG_DL_INSTANCE,
-            [encoding.encode_int(v) for v in (inst.p, inst.q_grp, inst.g, inst.y)],
-        )
-    p = inst.params
-    header = [encoding.encode_int(v) for v in (p.n, p.q, p.m, p.k)]
-    return encoding.encode_record(
-        encoding.TAG_SIS_INSTANCE,
-        header
-        + [repr(p.s).encode(), pack_matrix(inst.A, p.q), pack_matrix(inst.B, p.q)],
-    )
+# decoding an instance
 
 
 def deserialize_instance(blob: bytes) -> ChameleonInstance:
@@ -670,93 +574,8 @@ def deserialize_instance(blob: bytes) -> ChameleonInstance:
             raise FormatError("y is not in the order-q subgroup")
         return DLInstance(p=p, q_grp=q_grp, g=g, y=y)
     if tag == encoding.TAG_SIS_INSTANCE and len(fields) == 7:
-        n, q, m, k = (encoding.decode_int(f) for f in fields[:4])
-        # the matrix lengths bound n, m, k and q before any parameter work
-        A = unpack_matrix(fields[5], n, k, q)
-        B = unpack_matrix(fields[6], n, m, q)
-        try:
-            s = float(fields[4].decode())
-            params = sis.derive_params(n, q, m, k, s)
-        except (ValueError, DimensionError) as e:  # UnicodeDecodeError included
-            raise FormatError(f"bad SIS parameters: {e}") from e
-        if not 0 < s < math.inf:
-            raise FormatError("Gaussian width must be positive and finite")
-        return SISInstance(params=params, A=A, B=B)
+        from . import sis  # numpy loads with the first SIS key
+        return sis.decode_instance(fields)
     raise FormatError(
         f"not a chameleon instance record (tag {tag}, {len(fields)} fields)"
-    )
-
-
-def serialize_trapdoor(inst: ChameleonInstance, td: ChameleonTrapdoor) -> bytes:
-    if isinstance(inst, DLInstance):
-        return encoding.encode_record(
-            encoding.TAG_DL_TRAPDOOR, [encoding.encode_int(td.x)]
-        )
-    # stored as the full m x m unimodular matrix [[I, R], [0, I]]; this is the
-    # lattice-basis form of the trapdoor and fixes the secret-key overhead at
-    # m^2 ring elements
-    p = inst.params
-    T = np.eye(p.m, dtype=np.int64)
-    T[: p.m_bar, p.m_bar :] = td.R
-    return encoding.encode_record(encoding.TAG_SIS_TRAPDOOR, [pack_matrix(T, p.q)])
-
-
-def deserialize_trapdoor(blob: bytes, inst: ChameleonInstance) -> ChameleonTrapdoor:
-    dl = isinstance(inst, DLInstance)
-    tag = encoding.TAG_DL_TRAPDOOR if dl else encoding.TAG_SIS_TRAPDOOR
-    _, fields = encoding.decode_record(blob, tag)
-    if len(fields) != 1:
-        raise FormatError("trapdoor record needs exactly one field")
-    if dl:
-        x = encoding.decode_int(fields[0])
-        if not 0 < x < inst.q_grp:
-            raise FormatError("trapdoor exponent outside [1, q)")
-        return DLTrapdoor(x=x, x_inv=pow(x, -1, inst.q_grp))
-    p = inst.params
-    T = unpack_matrix(fields[0], p.m, p.m, p.q)
-    R = T[: p.m_bar, p.m_bar :]
-    # entries were reduced into [0, q); map back to signed +-1
-    R = np.where(R > p.q // 2, R - p.q, R)
-    return SISTrapdoor(R=R)
-
-
-def serialize_range_element(inst: ChameleonInstance, elem) -> bytes:
-    if isinstance(inst, DLInstance):
-        return encoding.encode_record(
-            encoding.TAG_RANGE_ELEMENT, [encoding.encode_int(int(elem))]
-        )
-    return encoding.encode_record(
-        encoding.TAG_RANGE_ELEMENT, [pack_matrix(np.asarray(elem), inst.params.q)]
-    )
-
-
-def serialize_message(inst: ChameleonInstance, m) -> bytes:
-    if isinstance(inst, DLInstance):
-        return encoding.encode_int(int(m))
-    return bytes(int(b) for b in np.asarray(m, dtype=np.int64))
-
-
-def serialize_randomness(inst: ChameleonInstance, r) -> bytes:
-    if isinstance(inst, DLInstance):
-        return encoding.encode_record(
-            encoding.TAG_RANDOMNESS, [encoding.encode_int(int(r))]
-        )
-    body = _pack_ints(
-        np.asarray(r, dtype=np.int64), _randomness_width(inst.params), signed=True
-    )
-    return encoding.encode_record(encoding.TAG_RANDOMNESS, [body])
-
-
-def deserialize_randomness(inst: ChameleonInstance, blob: bytes):
-    _, fields = encoding.decode_record(blob, encoding.TAG_RANDOMNESS)
-    if len(fields) != 1:
-        raise FormatError("randomness record needs exactly one field")
-    if isinstance(inst, DLInstance):
-        r = encoding.decode_int(fields[0])
-        if r >= inst.q_grp:
-            raise FormatError("randomness outside Z_q")
-        return r
-    p = inst.params
-    return _unpack_ints(
-        fields[0], p.m, _randomness_width(p), "randomness vector", signed=True
     )

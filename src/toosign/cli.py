@@ -136,20 +136,6 @@ def _check_base_scheme(descriptor) -> None:
         raise FormatError("base scheme is not Lamport-Merkle")
 
 
-def _check_signing_key(kp) -> None:
-    """Raises FormatError unless the key pair can sign: a Lamport-Merkle key
-    whose public half belongs to its secret half, with leaves left to spend
-    or exactly used up."""
-    _check_base_scheme(kp.base.descriptor)
-    if not merkle.merkle_keys_match(kp.base.public_key, kp.base.secret_key):
-        raise FormatError("the public key does not belong to the secret key")
-    if kp.base.state:
-        height = kp.base.descriptor.param_blob[0]
-        next_leaf = int.from_bytes(kp.base.state, "big")
-        if next_leaf > (1 << height):
-            raise FormatError("key state exceeds tree capacity")
-
-
 @main.command()
 @click.option("--key", required=True, help="secret key file (.tookey)")
 @click.option("--pub", required=True, help="public key file (.toopub)")
@@ -170,7 +156,8 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
             sys.exit(EXIT_LOCKED)
         try:
             kp = keypair_from_secret(_read(key, armor), _read(pub, armor))
-            _check_signing_key(kp)
+            _check_base_scheme(kp.base.descriptor)
+            merkle.check_key_pair(kp.base)
         except (ToosignError, OSError) as e:
             click.echo(f"malformed key: {e}", err=True)
             sys.exit(EXIT_MALFORMED)
@@ -204,6 +191,7 @@ def verify(pub, infile, sig, armor, ro_tag):
     try:
         pk = TransformedPublicKey.deserialize(_read(pub, armor))
         _check_base_scheme(pk.base_descriptor)
+        merkle.check_public_key(pk.base_descriptor, pk.base_pk)
         message = _read(infile, False)
         sig_obj = deserialize_signature(_read(sig, armor), pk.ch_inst, pk.base_descriptor)
     except (ToosignError, OSError, ValueError) as e:

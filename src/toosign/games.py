@@ -223,7 +223,7 @@ class TransformedChallenger:
         record = QueryRecord(
             message=message,
             sig_bytes=sig_bytes,
-            c_serial=chameleon.serialize_range_element(inst, c_sample.element),
+            c_serial=inst.serialize_element(c_sample.element),
             m_value=m_i,
             randomness=r_i,
             base_sig_bytes=base_sig.bytes,
@@ -319,7 +319,7 @@ def run_game(
             if challenger.oracle is None:
                 raise GameError("raw game has no oracle")
             value = challenger.oracle.eval(action[1])
-            value_bytes = chameleon.serialize_message(challenger.kp.ch_inst, value)
+            value_bytes = challenger.kp.ch_inst.serialize_message(value)
             transcript.visible.append(b"ro:" + action[1] + b":" + value_bytes)
             adversary.on_ro_answer(action[1], value)
         elif action[0] == "finish":
@@ -375,7 +375,7 @@ def forgery_components(t: GameTranscript):
 def classify_forgery(t: GameTranscript) -> Classification:
     ch = _require_transformed_win(t)
     _, _, c_star = forgery_components(t)
-    c_star_serial = chameleon.serialize_range_element(ch.kp.ch_inst, c_star)
+    c_star_serial = ch.kp.ch_inst.serialize_element(c_star)
     for i, q in enumerate(t.queries):
         if q.c_serial == c_star_serial:
             return Classification(case=2, index=i)
@@ -503,7 +503,7 @@ class LuckyGuesser(Adversary):
         guess = chameleon.sample_randomness(inst, self.rng)
         forged = encoding.encode_record(
             encoding.TAG_TRANSFORMED_SIG,
-            [fields[0], chameleon.serialize_randomness(inst, guess)],
+            [fields[0], inst.serialize_randomness(guess)],
         )
         return ("finish", b"second message", forged)
 

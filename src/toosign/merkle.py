@@ -87,16 +87,36 @@ def merkle_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     )
 
 
-def merkle_keys_match(public_key: bytes, secret_key: bytes) -> bool:
-    """True if the root cached in the secret key is the public key's root.
+_HEIGHTS = frozenset(bytes([h]) for h in range(1, 21))  # one byte in [1, 20]
 
-    The packed nodes end with the root, so this costs no hashing.
-    """
-    _, pk_fields = encoding.decode_record(public_key, encoding.TAG_MERKLE_PK)
-    _, sk_fields = encoding.decode_record(secret_key, encoding.TAG_MERKLE_SK)
-    if len(pk_fields) != 2 or len(sk_fields) != 3 or len(pk_fields[1]) != 32:
-        return False
-    return sk_fields[2][-32:] == pk_fields[1]
+
+def check_public_key(
+    descriptor: SchemeDescriptor, public_key: bytes
+) -> tuple[int, bytes]:
+    """(height, root) of public_key; FormatError unless the descriptor and the
+    key hold the same valid height and the root has 32 bytes."""
+    height = descriptor.param_blob
+    _, fields = encoding.decode_record(public_key, encoding.TAG_MERKLE_PK)
+    lengths = [len(f) for f in fields]
+    if height not in _HEIGHTS or lengths != [1, 32] or fields[0] != height:
+        raise FormatError("malformed Merkle public key")
+    return height[0], fields[1]
+
+
+def check_key_pair(kp: KeyPair) -> None:
+    """FormatError unless kp can sign or is exactly used up: both keys fit the
+    descriptor's height, the secret key's seed and 2^(h+1) - 1 packed nodes
+    end with the public key's root (so this costs no hashing), and the state
+    is a leaf index no greater than 2^h."""
+    height, root = check_public_key(kp.descriptor, kp.public_key)
+    _, fields = encoding.decode_record(kp.secret_key, encoding.TAG_MERKLE_SK)
+    layout = [1, 32, 32 * ((2 << height) - 1)]
+    if [len(f) for f in fields] != layout or fields[0] != kp.descriptor.param_blob:
+        raise FormatError("malformed Merkle secret key")
+    if fields[2][-32:] != root:
+        raise FormatError("the public key does not belong to the secret key")
+    if int.from_bytes(kp.state or b"", "big") > (1 << height):
+        raise FormatError("key state exceeds tree capacity")
 
 
 def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]:
@@ -131,14 +151,12 @@ def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]
 
 def merkle_verify(pk: bytes, digest: bytes, sig: Signature) -> bool:
     try:
-        _, pk_fields = encoding.decode_record(pk, encoding.TAG_MERKLE_PK)
-        height = pk_fields[0][0]
-        root = pk_fields[1]
+        height, root = check_public_key(sig.descriptor, pk)
         _, fields = encoding.decode_record(sig.bytes, encoding.TAG_MERKLE_SIG)
         leaf_index_b, revealed, complement, path = fields
     except (FormatError, ValueError):
         return False
-    if len(digest) != 32 or len(root) != 32 or len(leaf_index_b) != 4:
+    if len(digest) != 32 or len(leaf_index_b) != 4:
         return False
     if len(revealed) != DIGEST_BITS * 32 or len(complement) != DIGEST_BITS * 32:
         return False

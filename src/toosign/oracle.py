@@ -2,9 +2,8 @@
 
 Production mode is a domain-separated SHAKE-256 evaluated into the chameleon
 message space.  The programmable mode is a test double: a lazy table filled
-from a seed-derived stream, an append-only query log, and point
-reprogramming.  Production signing never reprograms; only the reduction
-harness does.
+from a seed-derived stream, and point reprogramming.  Production signing
+never reprograms; only the reduction harness does.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .chameleon import ChameleonInstance, message_from_xof, sample_message
+from .chameleon import ChameleonInstance, sample_message
 from .errors import FormatError, UnsupportedOperationError
 from .rng import Rng
 
@@ -39,8 +38,6 @@ class OracleContext:
     domain_tag: bytes = DEFAULT_DOMAIN_TAG
     seed: bytes | None = None  # programmable only
     _table: dict = field(default_factory=dict)
-    _query_log: list = field(default_factory=list)
-    _events: list = field(default_factory=list)
     _stream: Rng | None = None
 
     def __post_init__(self):
@@ -60,9 +57,7 @@ class OracleContext:
     def eval(self, data: bytes):
         if self.mode is OracleMode.PRODUCTION:
             xof = hashlib.shake_256(self.domain_tag + data)
-            return message_from_xof(self.range_instance, xof)
-        self._query_log.append(data)
-        self._events.append(("eval", data))
+            return self.range_instance.message_from_xof(xof)
         if data not in self._table:
             self._table[data] = self.fresh_value()
         return self._table[data]
@@ -71,23 +66,6 @@ class OracleContext:
         if self.mode is not OracleMode.PROGRAMMABLE:
             raise UnsupportedOperationError("cannot reprogram the production oracle")
         self._table[data] = value
-        self._events.append(("program", data))
-
-    def log_contains(self, data: bytes) -> bool:
-        """True iff the point was queried (programming alone does not count)."""
-        if self.mode is not OracleMode.PROGRAMMABLE:
-            raise UnsupportedOperationError("no query log on the production oracle")
-        return data in self._query_log
-
-    def query_log(self) -> list[bytes]:
-        if self.mode is not OracleMode.PROGRAMMABLE:
-            raise UnsupportedOperationError("no query log on the production oracle")
-        return list(self._query_log)
-
-    def events(self) -> list[tuple[str, bytes]]:
-        if self.mode is not OracleMode.PROGRAMMABLE:
-            raise UnsupportedOperationError("no event log on the production oracle")
-        return list(self._events)
 
 
 def production_oracle(

@@ -9,15 +9,21 @@ perturbation plus a gadget digit decomposition.
 The gadget base b is chosen per parameter set: the digit count t is the
 largest with n*t <= m - n, and b the smallest with b^t >= q.  This keeps
 small parameter sets (where m < n*log2(q)) usable.
+
+SISInstance is the lattice family of `chameleon`.  Only this module and
+`gaussian` import numpy; `chameleon` imports this one for the first SIS key.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, SamplerError
+from . import encoding
+from .errors import DimensionError, DomainError, FormatError, SamplerError
 from .gaussian import DiscreteGaussian
 from .rng import Rng
 
@@ -127,3 +133,221 @@ def sample_preimage(
         if float(np.linalg.norm(r)) <= params.norm_bound:
             return r
     raise SamplerError("preimage sampler exceeded retry budget")
+
+
+# ---------------------------------------------------------------------------
+# the chameleon family
+
+
+_gaussian = lru_cache(maxsize=32)(DiscreteGaussian)  # one sampler per width
+
+
+@dataclass(frozen=True)
+class SISTrapdoor:
+    R: np.ndarray  # m_bar x w
+
+
+@dataclass(frozen=True)
+class SISInstance:
+    """h(m, r) = A m + B r mod q for a k-bit message m and a short integer
+    vector r of length m."""
+
+    params: SISParams
+    A: np.ndarray  # n x k
+    B: np.ndarray  # n x m
+
+    def _bits(self, m) -> np.ndarray:
+        arr = np.asarray(m, dtype=np.int64)
+        if arr.shape != (self.params.k,) or not np.all((arr == 0) | (arr == 1)):
+            raise DomainError(f"message must be a 0/1 vector of length {self.params.k}")
+        return arr
+
+    def hash(self, m, r) -> np.ndarray:
+        marr = self._bits(m)
+        rarr = np.asarray(r, dtype=np.int64)
+        if rarr.shape != (self.params.m,):
+            raise DomainError(
+                f"randomness must be an integer vector of length {self.params.m}"
+            )
+        return (self.A @ marr + self.B @ rarr) % self.params.q
+
+    def trapdoor_hash(self, td: SISTrapdoor, m, r) -> np.ndarray:
+        """The gadget trapdoor gives no faster way to hash: this is hash(m, r)."""
+        return self.hash(m, r)
+
+    def sample_message(self, rng: Rng) -> np.ndarray:
+        return np.array(rng.random_bits(self.params.k), dtype=np.int64)
+
+    def sample_randomness(self, rng: Rng) -> np.ndarray:
+        params = self.params
+        gauss = _gaussian(params.s)
+        for _ in range(100):
+            r = gauss.sample_vector(rng, params.m)
+            if float(np.linalg.norm(r)) <= params.norm_bound:
+                return r
+        raise SamplerError("randomness sampler exceeded retry budget")
+
+    def message_from_xof(self, xof) -> np.ndarray:
+        """The first k bits, most significant bit first."""
+        k = self.params.k
+        bits = np.unpackbits(np.frombuffer(xof.digest((k + 7) // 8), dtype=np.uint8))
+        return bits[:k].astype(np.int64)
+
+    def invert(self, td: SISTrapdoor, m, target, rng: Rng | None) -> np.ndarray:
+        """Gadget preimage sampling towards target.element; requires rng."""
+        if rng is None:
+            raise SamplerError("SIS inversion needs an rng")
+        marr = self._bits(m)
+        params = self.params
+        target_vec = np.asarray(target.element, dtype=np.int64)
+        syndrome = (target_vec - self.A @ marr) % params.q
+        return sample_preimage(
+            params, self.B, td.R, syndrome, rng, _gaussian(params.s / 2)
+        )
+
+    def elements_equal(self, a, b) -> bool:
+        return np.array_equal(np.asarray(a), np.asarray(b))
+
+    def collision_vector(self, pair1, pair2) -> np.ndarray:
+        """z = (m1 - m2, r1 - r2); [A|B] z = 0 mod q for a valid collision."""
+        z = np.concatenate(pair1, dtype=np.int64) - np.concatenate(pair2, dtype=np.int64)
+        AB = np.concatenate([self.A, self.B], axis=1)
+        assert np.all((AB @ z) % self.params.q == 0)
+        return z
+
+    def serialize(self) -> bytes:
+        p = self.params
+        header = [encoding.encode_int(v) for v in (p.n, p.q, p.m, p.k)]
+        return encoding.encode_record(
+            encoding.TAG_SIS_INSTANCE,
+            header
+            + [repr(p.s).encode(), pack_matrix(self.A, p.q), pack_matrix(self.B, p.q)],
+        )
+
+    def serialize_trapdoor(self, td: SISTrapdoor) -> bytes:
+        # stored as the full m x m unimodular matrix [[I, R], [0, I]]; this is
+        # the lattice-basis form of the trapdoor and fixes the secret-key
+        # overhead at m^2 ring elements
+        p = self.params
+        T = np.eye(p.m, dtype=np.int64)
+        T[: p.m_bar, p.m_bar :] = td.R
+        return encoding.encode_record(encoding.TAG_SIS_TRAPDOOR, [pack_matrix(T, p.q)])
+
+    def deserialize_trapdoor(self, blob: bytes) -> SISTrapdoor:
+        _, fields = encoding.decode_record(blob, encoding.TAG_SIS_TRAPDOOR)
+        if len(fields) != 1:
+            raise FormatError("trapdoor record needs exactly one field")
+        p = self.params
+        T = unpack_matrix(fields[0], p.m, p.m, p.q)
+        R = T[: p.m_bar, p.m_bar :]
+        # entries were reduced into [0, q); map back to signed +-1
+        return SISTrapdoor(R=np.where(R > p.q // 2, R - p.q, R))
+
+    def serialize_element(self, elem) -> bytes:
+        return encoding.encode_record(
+            encoding.TAG_RANGE_ELEMENT, [pack_matrix(np.asarray(elem), self.params.q)]
+        )
+
+    def serialize_message(self, m) -> bytes:
+        return bytes(int(b) for b in np.asarray(m, dtype=np.int64))
+
+    def serialize_randomness(self, r) -> bytes:
+        body = _pack_ints(
+            np.asarray(r, dtype=np.int64), _randomness_width(self.params), signed=True
+        )
+        return encoding.encode_record(encoding.TAG_RANDOMNESS, [body])
+
+    def deserialize_randomness(self, blob: bytes) -> np.ndarray:
+        _, fields = encoding.decode_record(blob, encoding.TAG_RANDOMNESS)
+        if len(fields) != 1:
+            raise FormatError("randomness record needs exactly one field")
+        p = self.params
+        return _unpack_ints(
+            fields[0], p.m, _randomness_width(p), "randomness vector", signed=True
+        )
+
+    def overhead_elements(self, td: SISTrapdoor, r) -> tuple[dict, dict, dict]:
+        """(parameters, predicted, measured): the Z_q elements the hash adds
+        to the public key, the secret key and a signature."""
+        p = self.params
+        width = _entry_width(p.q)
+        _, ifields = encoding.decode_record(self.serialize())
+        _, tfields = encoding.decode_record(self.serialize_trapdoor(td))
+        _, rfields = encoding.decode_record(self.serialize_randomness(r))
+        measured = {
+            "pk": (len(ifields[5]) + len(ifields[6])) // width,
+            "sk": len(tfields[0]) // width,
+            "sig": len(rfields[0]) // _randomness_width(p),
+        }
+        predicted = {"pk": p.n * (p.k + p.m), "sk": p.m**2, "sig": p.m}
+        return {"kind": "sis", "n": p.n, "q": p.q, "m": p.m, "k": p.k}, predicted, measured
+
+
+def hg_sis(
+    n: int, q: int, m: int, k: int, rng: Rng, s: float | None = None
+) -> tuple[SISInstance, SISTrapdoor]:
+    params = derive_params(n, q, m, k, s)
+    A = np.array(
+        [[rng.randbelow(q) for _ in range(k)] for _ in range(n)], dtype=np.int64
+    )
+    B, R = sample_trapdoor(params, rng)
+    inst = SISInstance(params=params, A=A, B=B)
+    assert trapdoor_relation_holds(params, B, R)
+    return inst, SISTrapdoor(R=R)
+
+
+def decode_instance(fields: list[bytes]) -> SISInstance:
+    """The instance held by the seven fields of an SIS instance record."""
+    n, q, m, k = (encoding.decode_int(f) for f in fields[:4])
+    # the matrix lengths bound n, m, k and q before any parameter work
+    A = unpack_matrix(fields[5], n, k, q)
+    B = unpack_matrix(fields[6], n, m, q)
+    try:
+        s = float(fields[4].decode())
+        params = derive_params(n, q, m, k, s)
+    except (ValueError, DimensionError) as e:  # UnicodeDecodeError included
+        raise FormatError(f"bad SIS parameters: {e}") from e
+    if not 0 < s < math.inf:
+        raise FormatError("Gaussian width must be positive and finite")
+    return SISInstance(params=params, A=A, B=B)
+
+
+# matrix and randomness codecs: matrices are row-major; entries use the
+# minimal whole-byte width covering [0, q)
+
+
+def _entry_width(q: int) -> int:
+    return ((q - 1).bit_length() + 7) // 8 or 1
+
+
+def _pack_ints(values: np.ndarray, width: int, signed: bool = False) -> bytes:
+    return b"".join([v.to_bytes(width, "big", signed=signed) for v in values.tolist()])
+
+
+def _unpack_ints(
+    blob: bytes, count: int, width: int, what: str, signed: bool = False
+) -> np.ndarray:
+    if len(blob) != count * width:
+        raise FormatError(f"{what} has wrong length")
+    ints = [
+        int.from_bytes(blob[i * width : (i + 1) * width], "big", signed=signed)
+        for i in range(count)
+    ]
+    try:
+        return np.array(ints, dtype=np.int64)
+    except OverflowError as e:
+        raise FormatError(f"{what} has an entry outside int64") from e
+
+
+def pack_matrix(M: np.ndarray, q: int) -> bytes:
+    return _pack_ints(np.asarray(M, dtype=np.int64).reshape(-1) % q, _entry_width(q))
+
+
+def unpack_matrix(blob: bytes, rows: int, cols: int, q: int) -> np.ndarray:
+    flat = _unpack_ints(blob, rows * cols, _entry_width(q), "matrix blob")
+    return flat.reshape(rows, cols)
+
+
+def _randomness_width(params: SISParams) -> int:
+    bound = int(params.norm_bound) + 1
+    return (bound.bit_length() + 1 + 7) // 8

@@ -40,7 +40,7 @@ class TransformedKeyPair:
             [
                 self.base.descriptor.serialize(),
                 self.base.public_key,
-                chameleon.serialize_instance(self.ch_inst),
+                self.ch_inst.serialize(),
             ],
         )
 
@@ -50,7 +50,7 @@ class TransformedKeyPair:
             [
                 self.base.descriptor.serialize(),
                 self.base.secret_key,
-                chameleon.serialize_trapdoor(self.ch_inst, self.ch_td),
+                self.ch_inst.serialize_trapdoor(self.ch_td),
                 self.base.state or b"",
             ],
         )
@@ -80,7 +80,7 @@ def keypair_from_secret(blob: bytes, public_blob: bytes) -> TransformedKeyPair:
     if len(fields) != 4:
         raise FormatError("transformed secret key needs exactly four fields")
     descriptor = SchemeDescriptor.deserialize(fields[0])
-    td = chameleon.deserialize_trapdoor(fields[2], pub.ch_inst)
+    td = pub.ch_inst.deserialize_trapdoor(fields[2])
     base = KeyPair(
         public_key=pub.base_pk,
         secret_key=fields[1],
@@ -100,7 +100,7 @@ class TransformedSignature:
             encoding.TAG_TRANSFORMED_SIG,
             [
                 self.base_sig.bytes,
-                chameleon.serialize_randomness(inst, self.randomness),
+                inst.serialize_randomness(self.randomness),
             ],
         )
 
@@ -113,7 +113,7 @@ def deserialize_signature(
         raise FormatError("transformed signature needs exactly two fields")
     return TransformedSignature(
         base_sig=Signature(bytes=fields[0], descriptor=base_descriptor),
-        randomness=chameleon.deserialize_randomness(inst, fields[1]),
+        randomness=inst.deserialize_randomness(fields[1]),
     )
 
 
@@ -121,7 +121,7 @@ def encode_range_value(
     inst: ChameleonInstance, elem, base_descriptor: SchemeDescriptor
 ) -> bytes:
     """Range value C as a base-scheme message (digested for fixed-width schemes)."""
-    canonical = chameleon.serialize_range_element(inst, elem)
+    canonical = inst.serialize_element(elem)
     if base_descriptor.message_space_kind is MessageSpaceKind.FIXED_WIDTH_DIGEST:
         return hashlib.sha256(canonical).digest()
     return canonical

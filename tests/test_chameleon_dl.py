@@ -122,9 +122,9 @@ def test_large_group_round_trip():
 
 def test_instance_serialization_round_trip():
     inst, td = fixed_instance()
-    inst2 = chameleon.deserialize_instance(chameleon.serialize_instance(inst))
+    inst2 = chameleon.deserialize_instance(inst.serialize())
     assert inst2 == inst
-    td2 = chameleon.deserialize_trapdoor(chameleon.serialize_trapdoor(inst, td), inst2)
+    td2 = inst2.deserialize_trapdoor(inst.serialize_trapdoor(td))
     assert td2.x == td.x
 
 
@@ -355,11 +355,9 @@ def test_explicit_named_group_gives_the_same_key():
     explicit = chameleon.hg(
         ChameleonKind.DL, {"p": P2048, "q_grp": Q2048, "g": G2048}, rng_from_int(8)
     )
-    assert chameleon.serialize_instance(explicit[0]) == chameleon.serialize_instance(
-        by_name[0]
-    )
-    assert chameleon.serialize_trapdoor(*explicit) == chameleon.serialize_trapdoor(
-        *by_name
+    assert explicit[0].serialize() == by_name[0].serialize()
+    assert explicit[0].serialize_trapdoor(explicit[1]) == by_name[0].serialize_trapdoor(
+        by_name[1]
     )
 
 
@@ -370,7 +368,7 @@ def test_decoding_checks_the_group_and_y():
         DLInstance(P2048, Q2048, G2048, 4),
     ]
     for inst in good:
-        assert chameleon.deserialize_instance(chameleon.serialize_instance(inst)) == inst
+        assert chameleon.deserialize_instance(inst.serialize()) == inst
     bad = [
         DLInstance(P, 10, G, 18),  # p != 2q + 1
         DLInstance(P, Q, 5, 18),  # g outside the subgroup
@@ -384,4 +382,4 @@ def test_decoding_checks_the_group_and_y():
     ]
     for inst in bad:
         with pytest.raises(FormatError):
-            chameleon.deserialize_instance(chameleon.serialize_instance(inst))
+            chameleon.deserialize_instance(inst.serialize())

@@ -49,7 +49,7 @@ def test_gadget_base_for_one_digit_is_q():
 @pytest.mark.parametrize("width", [b"inf", b"nan", b"-1.0", b"0", b"\xff"])
 def test_bad_gaussian_width_raises_format_error(width):
     inst, _ = make_instance()
-    tag, fields = encoding.decode_record(chameleon.serialize_instance(inst))
+    tag, fields = encoding.decode_record(inst.serialize())
     fields[4] = width
     with pytest.raises(FormatError):
         chameleon.deserialize_instance(encoding.encode_record(tag, fields))
@@ -140,13 +140,13 @@ def test_trivial_collision_rejected():
 
 def test_serialization_round_trips():
     inst, td = make_instance(seed=8)
-    inst2 = chameleon.deserialize_instance(chameleon.serialize_instance(inst))
+    inst2 = chameleon.deserialize_instance(inst.serialize())
     assert np.array_equal(inst2.A, inst.A) and np.array_equal(inst2.B, inst.B)
-    td2 = chameleon.deserialize_trapdoor(chameleon.serialize_trapdoor(inst, td), inst2)
+    td2 = inst2.deserialize_trapdoor(inst.serialize_trapdoor(td))
     assert np.array_equal(td2.R, td.R)
     rng = rng_from_int(9)
     r = chameleon.sample_randomness(inst, rng)
-    r2 = chameleon.deserialize_randomness(inst, chameleon.serialize_randomness(inst, r))
+    r2 = inst.deserialize_randomness(inst.serialize_randomness(r))
     assert np.array_equal(r2, r)
 
 

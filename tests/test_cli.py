@@ -141,6 +141,50 @@ def test_public_key_of_another_pair_is_refused(workspace):
     sign_refused(workspace, "key.tookey", "other.toopub")
 
 
+def edit_record(blob, tag, index, edit):
+    """blob with field `index` of its record replaced by edit(field)."""
+    _, fields = encoding.decode_record(blob, tag)
+    fields[index] = edit(fields[index])
+    return encoding.encode_record(tag, fields)
+
+
+MALFORMED_MERKLE_SK = {
+    # field of the transformed secret key -> (record tag, field index, edit)
+    "empty descriptor parameters": (0, encoding.TAG_DESCRIPTOR, 1, lambda f: b""),
+    "empty height field": (1, encoding.TAG_MERKLE_SK, 0, lambda f: b""),
+    "height above the node blob": (1, encoding.TAG_MERKLE_SK, 0, lambda f: b"\x03"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_MERKLE_SK))
+def test_malformed_merkle_secret_key_is_refused(workspace, case):
+    """A Merkle secret key whose layout does not match its height spends no leaf."""
+    sk_field, tag, index, edit = MALFORMED_MERKLE_SK[case]
+    sk = edit_record(
+        (workspace / "key.tookey").read_bytes(), encoding.TAG_TRANSFORMED_SK, sk_field,
+        lambda record: edit_record(record, tag, index, edit),
+    )
+    (workspace / "bad.tookey").write_bytes(sk)
+    sign_refused(workspace, "bad.tookey", "key.toopub")
+
+
+@pytest.mark.parametrize("index, edit", [(0, lambda f: b""), (1, lambda f: f[:31])],
+                         ids=["empty height field", "31-byte root"])
+def test_malformed_merkle_public_key_is_malformed(workspace, index, edit):
+    """verify exits 2, not 1, on a Merkle public key with a bad layout."""
+    assert too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",
+                    "--in", "msg.txt", "--out", "msg.toosig", "--seed", SEED_B,
+                    cwd=workspace).returncode == 0
+    pk = edit_record(
+        (workspace / "key.toopub").read_bytes(), encoding.TAG_TRANSFORMED_PK, 1,
+        lambda record: edit_record(record, encoding.TAG_MERKLE_PK, index, edit),
+    )
+    (workspace / "bad.toopub").write_bytes(pk)
+    r = too_sign("verify", "--pub", "bad.toopub", "--in", "msg.txt",
+                 "--sig", "msg.toosig", cwd=workspace)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+
+
 def test_malleable_base_scheme_is_refused(workspace):
     """Keys over the malleable test wrapper are malformed for sign and verify."""
     descriptor = games.wrap_malleable(merkle.merkle_descriptor(2))

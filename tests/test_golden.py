@@ -14,7 +14,6 @@ import json
 import pytest
 
 from toosign import ChameleonKind, g_prime, s_prime, wrap_malleable
-from toosign.chameleon import serialize_message, serialize_randomness
 from toosign.cli import _ADVERSARIES as CLI_ADVERSARIES
 from toosign.games import (
     ChallengerVariant,
@@ -157,8 +156,8 @@ def game_digest(variant: str, ch: str, base: str) -> str:
                 put(q.sig_bytes)
                 put(q.c_serial)
                 put(q.base_sig_bytes)
-                put(serialize_message(inst, q.m_value))
-                put(serialize_randomness(inst, q.randomness))
+                put(inst.serialize_message(q.m_value))
+                put(inst.serialize_randomness(q.randomness))
         report = game_report(
             GameKind.SU, ChallengerVariant(variant), make_challenger, make_adversary,
             GAME_SEEDS,

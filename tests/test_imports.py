@@ -1,6 +1,7 @@
 """Every name a toosign module imports is used in it (`__init__` re-exports),
-a process that uses only the DL chameleon hash never loads numpy, and a
-one-shot sign or verify never builds a comb table."""
+no code asks which chameleon family it holds, a process that uses only the
+DL chameleon hash never loads numpy, and a one-shot sign or verify never
+builds a comb table."""
 
 import ast
 import os
@@ -51,6 +52,43 @@ def test_no_unused_imports(module):
     used = used_names(tree)
     unused = {n: line for n, line in imported_names(tree).items() if n not in used}
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+FAMILY_CLASSES = {"DLInstance", "SISInstance", "DLTrapdoor", "SISTrapdoor"}
+
+
+def test_no_isinstance_on_a_chameleon_family():
+    """Each family's instance carries its operations, so no branch picks one."""
+    branches = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+            ):
+                named = {
+                    getattr(n, "id", None) or getattr(n, "attr", None)
+                    for arg in node.args[1:]
+                    for n in ast.walk(arg)
+                }
+                if named & FAMILY_CLASSES:
+                    branches.append(f"{path.name}:{node.lineno}")
+    assert not branches, f"isinstance on a chameleon family at {branches}"
+
+
+def test_chameleon_imports_no_numpy():
+    """numpy is for the SIS family, which lives in `sis`."""
+    tree = ast.parse((PACKAGE / "chameleon.py").read_text(), "chameleon.py")
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+            found.append(node.module)
+        elif isinstance(node, ast.Constant) and node.value == "numpy":
+            found.append(f"the string 'numpy' on line {node.lineno}")
+    assert not found, f"chameleon.py imports numpy: {found}"
 
 
 DL_ONLY = """
