@@ -6,6 +6,10 @@ the chameleon-hash family in `chameleon`, the oracle layer in `oracle`, the
 executable unforgeability games in `games`, and the sample base schemes
 (a stateful Merkle one-time-signature tree and a deliberately malleable
 wrapper used as a negative control).
+
+Importing the package registers the Merkle scheme.  The names from `games`
+load it on first use, so the malleable wrapper is registered only in a
+process that plays games.
 """
 
 from .chameleon import (
@@ -34,17 +38,6 @@ from .errors import (
     ToosignError,
     TrivialCollisionError,
     UnsupportedOperationError,
-)
-from .games import (
-    ChallengerVariant,
-    GameKind,
-    case1_extract,
-    case2_extract,
-    classify_forgery,
-    game_report,
-    hybrid_transcript_compare,
-    run_game,
-    wrap_malleable,
 )
 from .merkle import merkle_descriptor
 from .oracle import (
@@ -79,3 +72,23 @@ from .transform import (
 )
 
 __version__ = "0.1.0"
+
+_GAMES_NAMES = frozenset({
+    "ChallengerVariant",
+    "GameKind",
+    "case1_extract",
+    "case2_extract",
+    "classify_forgery",
+    "game_report",
+    "hybrid_transcript_compare",
+    "run_game",
+    "wrap_malleable",
+})
+
+
+def __getattr__(name: str):
+    if name in _GAMES_NAMES:
+        from . import games
+
+        return getattr(games, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

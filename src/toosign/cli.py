@@ -3,26 +3,28 @@ the size-overhead report.
 
 Exit codes for ``verify``: 0 accept, 1 reject, 2 malformed input.
 ``sign`` exits 3 on lock contention and 4 on signing-capacity exhaustion.
-Key state is persisted write-ahead: the advanced state hits disk before the
-signature is released.
+Every usage error exits 2; any other failure exits 1 with ``Error: ...`` on
+stderr.  Key state is persisted write-ahead: the advanced state hits disk
+before the signature is released.
+
+A process imports only what its command runs: `games`, `bench` and `json`
+load inside the `game` and `bench` commands, never for keygen, sign or
+verify.
 """
 
 from __future__ import annotations
 
+import argparse
 import fcntl
-import json
 import os
 import sys
+from typing import NoReturn
 
-import click
-
-from . import games, merkle
-from .bench import overhead_report
+from . import merkle
 from .chameleon import ChameleonKind
 from .encoding import armor as to_armor
 from .encoding import dearmor
 from .errors import CapacityError, FormatError, ToosignError
-from .games import ChallengerVariant, GameKind
 from .merkle import merkle_descriptor
 from .oracle import production_oracle
 from .rng import Rng
@@ -40,6 +42,16 @@ EXIT_REJECT = 1
 EXIT_MALFORMED = 2
 EXIT_LOCKED = 3
 EXIT_CAPACITY = 4
+
+BASE_SCHEMES = {"merkle": merkle_descriptor}
+DL_GROUPS = {"dl": "dl-2048", "dl-2048": "dl-2048", "dl-demo": "dl-demo"}
+CHAMELEONS = (*DL_GROUPS, "sis")
+
+
+def _fail(message: str) -> NoReturn:
+    """Exits 1 with message on stderr: a failure that is not a usage error."""
+    print(f"Error: {message}", file=sys.stderr)
+    sys.exit(1)
 
 
 def _write(path: str, blob: bytes, armored: bool) -> None:
@@ -76,58 +88,52 @@ def _read(path: str, armored: bool) -> bytes:
         return f.read()
 
 
-def _seed_rng(seed_hex: str | None) -> Rng:
-    if seed_hex is None:
+def _seed(text: str) -> bytes:
+    """The --seed type: 32 bytes of hex."""
+    try:
+        seed = bytes.fromhex(text)
+    except ValueError:
+        seed = b""
+    if len(seed) != 32:
+        raise argparse.ArgumentTypeError("seed must be 32 bytes of hex")
+    return seed
+
+
+def _known(what: str, names):
+    """An option type that accepts only the given names."""
+
+    def check(text: str) -> str:
+        if text not in names:
+            raise argparse.ArgumentTypeError(f"unknown {what} {text!r}")
+        return text
+
+    return check
+
+
+def _seed_rng(seed: bytes | None) -> Rng:
+    if seed is None:
         seed = os.urandom(32)
-        click.echo(f"seed: {seed.hex()}", err=True)
-    else:
-        seed = bytes.fromhex(seed_hex)
-        if len(seed) != 32:
-            raise click.BadParameter("seed must be 32 bytes of hex")
+        print(f"seed: {seed.hex()}", file=sys.stderr)
     return Rng(seed)
 
 
 def _chameleon_params(name: str, n: int, q: int, m: int, k: int):
-    if name in ("dl", "dl-2048"):
-        return ChameleonKind.DL, {"name": "dl-2048"}
-    if name == "dl-demo":
-        return ChameleonKind.DL, {"name": "dl-demo"}
     if name == "sis":
         return ChameleonKind.SIS, {"n": n, "q": q, "m": m, "k": k}
-    raise click.BadParameter(f"unknown chameleon instantiation {name!r}")
+    return ChameleonKind.DL, {"name": DL_GROUPS[name]}
 
 
-@click.group()
-def main():
-    """Signature hardening toolkit: strongly unforgeable signatures from any
-    existentially unforgeable base scheme plus a chameleon hash."""
-
-
-@main.command()
-@click.option("--scheme", default="merkle", show_default=True)
-@click.option("--height", default=4, show_default=True, help="Merkle tree height")
-@click.option("--chameleon", "ch_name", default="dl", show_default=True,
-              help="dl | dl-demo | sis")
-@click.option("--n", default=4, show_default=True)
-@click.option("--q", default=257, show_default=True)
-@click.option("--m", default=12, show_default=True)
-@click.option("--k", default=8, show_default=True)
-@click.option("--out", required=True, help="output path prefix")
-@click.option("--seed", default=None, help="32-byte hex seed (printed if absent)")
-@click.option("--armor", is_flag=True, help="write hex text instead of binary")
-def keygen(scheme, height, ch_name, n, q, m, k, out, seed, armor):
+def keygen(scheme, height, chameleon, n, q, m, k, out, seed, armor):
     """Generate a transformed key pair (PREFIX.toopub, PREFIX.tookey)."""
-    if scheme != "merkle":
-        raise click.BadParameter(f"unknown base scheme {scheme!r}")
-    kind, params = _chameleon_params(ch_name, n, q, m, k)
+    kind, params = _chameleon_params(chameleon, n, q, m, k)
     rng = _seed_rng(seed)
     try:
-        kp = g_prime(merkle_descriptor(height), kind, params, rng)
+        kp = g_prime(BASE_SCHEMES[scheme](height), kind, params, rng)
     except ToosignError as e:
-        raise click.ClickException(str(e))
+        _fail(str(e))
     _write(out + ".toopub", kp.public_bytes(), armor)
     _write(out + ".tookey", kp.secret_bytes(), armor)
-    click.echo(f"wrote {out}.toopub and {out}.tookey")
+    print(f"wrote {out}.toopub and {out}.tookey")
 
 
 def _check_base_scheme(descriptor) -> None:
@@ -136,14 +142,6 @@ def _check_base_scheme(descriptor) -> None:
         raise FormatError("base scheme is not Lamport-Merkle")
 
 
-@main.command()
-@click.option("--key", required=True, help="secret key file (.tookey)")
-@click.option("--pub", required=True, help="public key file (.toopub)")
-@click.option("--in", "infile", required=True, help="message file")
-@click.option("--out", required=True, help="signature output file (.toosig)")
-@click.option("--seed", default=None, help="32-byte hex seed (printed if absent)")
-@click.option("--armor", is_flag=True)
-@click.option("--ro-tag", default="TOO-RO-v1", show_default=True)
 def sign(key, pub, infile, out, seed, armor, ro_tag):
     """Sign a file; persists the advanced key state before emitting output."""
     lock_path = key + ".lock"
@@ -152,14 +150,14 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
         try:
             fcntl.flock(lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
-            click.echo("key is locked by another signer", err=True)
+            print("key is locked by another signer", file=sys.stderr)
             sys.exit(EXIT_LOCKED)
         try:
             kp = keypair_from_secret(_read(key, armor), _read(pub, armor))
             _check_base_scheme(kp.base.descriptor)
             merkle.check_key_pair(kp.base)
         except (ToosignError, OSError) as e:
-            click.echo(f"malformed key: {e}", err=True)
+            print(f"malformed key: {e}", file=sys.stderr)
             sys.exit(EXIT_MALFORMED)
         message = _read(infile, False)
         oracle = production_oracle(kp.ch_inst, domain_tag=ro_tag.encode())
@@ -167,25 +165,19 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
         try:
             sig, new_kp = s_prime(kp, message, oracle, rng)
         except CapacityError as e:
-            click.echo(f"capacity exhausted: {e}", err=True)
+            print(f"capacity exhausted: {e}", file=sys.stderr)
             sys.exit(EXIT_CAPACITY)
         # write-ahead: state on disk before the signature is released
         try:
             _write(key, new_kp.secret_bytes(), armor)
             _write(out, sig.serialize(kp.ch_inst), armor)
         except OSError as e:
-            raise click.ClickException(f"cannot write: {e}")
-        click.echo(f"wrote {out}")
+            _fail(f"cannot write: {e}")
+        print(f"wrote {out}")
     finally:
         os.close(lock_fd)
 
 
-@main.command()
-@click.option("--pub", required=True, help="public key file (.toopub)")
-@click.option("--in", "infile", required=True, help="message file")
-@click.option("--sig", required=True, help="signature file (.toosig)")
-@click.option("--armor", is_flag=True)
-@click.option("--ro-tag", default="TOO-RO-v1", show_default=True)
 def verify(pub, infile, sig, armor, ro_tag):
     """Verify a signature: exit 0 accept, 1 reject, 2 malformed."""
     try:
@@ -195,59 +187,53 @@ def verify(pub, infile, sig, armor, ro_tag):
         message = _read(infile, False)
         sig_obj = deserialize_signature(_read(sig, armor), pk.ch_inst, pk.base_descriptor)
     except (ToosignError, OSError, ValueError) as e:
-        click.echo(f"malformed input: {e}", err=True)
+        print(f"malformed input: {e}", file=sys.stderr)
         sys.exit(EXIT_MALFORMED)
     oracle = production_oracle(pk.ch_inst, domain_tag=ro_tag.encode())
     if v_prime(pk, message, sig_obj, oracle):
-        click.echo("accept")
+        print("accept")
         sys.exit(EXIT_ACCEPT)
-    click.echo("reject")
+    print("reject")
     sys.exit(EXIT_REJECT)
 
 
-@main.command()
-@click.option("--chameleon", "ch_name", default="sis", show_default=True)
-@click.option("--n", default=4, show_default=True)
-@click.option("--q", default=257, show_default=True)
-@click.option("--m", default=12, show_default=True)
-@click.option("--k", default=8, show_default=True)
-@click.option("--height", default=2, show_default=True)
-@click.option("--seed", default=None)
-def bench(ch_name, n, q, m, k, height, seed):
+def bench(chameleon, n, q, m, k, height, seed):
     """Measure transform size overhead against the closed-form predictions."""
-    kind, params = _chameleon_params(ch_name, n, q, m, k)
+    import json
+
+    from .bench import overhead_report
+
+    kind, params = _chameleon_params(chameleon, n, q, m, k)
     rng = _seed_rng(seed)
     report = overhead_report(merkle_descriptor(height), kind, params, rng.seed)
-    click.echo(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2))
     if not all(report["match"].values()):
-        raise click.ClickException("measured overhead does not match prediction")
+        _fail("measured overhead does not match prediction")
 
 
+def _games():
+    from . import games
+
+    return games
+
+
+# adversary name -> factory taking the challenger; `games` loads on first call
 _ADVERSARIES = {
-    "mauling": lambda ch: games.MaulingAdversary(),
-    "replay": lambda ch: games.ReplayAdversary(),
-    "garbage": lambda ch: games.GarbageForger(),
-    "lucky": lambda ch: games.LuckyGuesser(),
-    "case1": lambda ch: games.CaseOneForger(ch),
-    "case2": lambda ch: games.CaseTwoForger(ch),
+    "mauling": lambda ch: _games().MaulingAdversary(),
+    "replay": lambda ch: _games().ReplayAdversary(),
+    "garbage": lambda ch: _games().GarbageForger(),
+    "lucky": lambda ch: _games().LuckyGuesser(),
+    "case1": lambda ch: _games().CaseOneForger(ch),
+    "case2": lambda ch: _games().CaseTwoForger(ch),
 }
 
 
-@main.command()
-@click.option("--kind", type=click.Choice(["eu", "su"]), default="su", show_default=True)
-@click.option("--variant", type=click.Choice(["hyd0", "hyd1", "hyd2"]), default="hyd0",
-              show_default=True)
-@click.option("--adversary", type=click.Choice(sorted(_ADVERSARIES)), required=True)
-@click.option("--target", type=click.Choice(["transformed", "raw"]),
-              default="transformed", show_default=True)
-@click.option("--seeds", default=100, show_default=True)
-@click.option("--chameleon", "ch_name", default="dl-demo", show_default=True)
-@click.option("--height", default=2, show_default=True)
-@click.option("--budget", default=4, show_default=True)
-@click.option("--report", "report_fmt", type=click.Choice(["json"]), default="json")
-def game(kind, variant, adversary, target, seeds, ch_name, height, budget, report_fmt):
+def game(kind, variant, adversary, target, seeds, chameleon, height, budget, report_fmt):
     """Run a seeded sweep of unforgeability games and report statistics."""
-    ch_kind, ch_params = _chameleon_params(ch_name, 4, 257, 12, 8)
+    import json
+
+    games = _games()
+    ch_kind, ch_params = _chameleon_params(chameleon, 4, 257, 12, 8)
     base = games.wrap_malleable(merkle_descriptor(height))
 
     if target == "raw":
@@ -256,18 +242,100 @@ def game(kind, variant, adversary, target, seeds, ch_name, height, budget, repor
     else:
         def make_challenger(master):
             return games.make_transformed_challenger(
-                ChallengerVariant(variant), base, ch_kind, ch_params, master
+                games.ChallengerVariant(variant), base, ch_kind, ch_params, master
             )
 
     report = games.game_report(
-        GameKind(kind),
-        ChallengerVariant(variant),
+        games.GameKind(kind),
+        games.ChallengerVariant(variant),
         make_challenger,
         _ADVERSARIES[adversary],
         range(seeds),
         budget=budget,
     )
-    click.echo(json.dumps(report, sort_keys=True, indent=2))
+    print(json.dumps(report, sort_keys=True, indent=2))
+
+
+DEFAULT = "[default: %(default)s]"
+CHAMELEON = _known("chameleon instantiation", CHAMELEONS)
+
+
+def _parser(prog_name: str) -> argparse.ArgumentParser:
+    """Every command with its options.  Help is --help alone, and no option
+    name may be abbreviated."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name, add_help=False, allow_abbrev=False,
+        description="Signature hardening toolkit: strongly unforgeable signatures "
+        "from any existentially unforgeable base scheme plus a chameleon hash.",
+    )
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+
+    def command(run):
+        """The add_argument of a new subcommand that calls run."""
+        p = commands.add_parser(run.__name__, help=run.__doc__, description=run.__doc__,
+                                add_help=False, allow_abbrev=False)
+        p.add_argument("--help", action="help", help="Show this message and exit.")
+        p.set_defaults(run=run)
+        return p.add_argument
+
+    def sis_options(option):
+        option("--n", type=int, default=4, help=DEFAULT)
+        option("--q", type=int, default=257, help=DEFAULT)
+        option("--m", type=int, default=12, help=DEFAULT)
+        option("--k", type=int, default=8, help=DEFAULT)
+
+    option = command(keygen)
+    option("--scheme", default="merkle", type=_known("base scheme", BASE_SCHEMES),
+           help=DEFAULT)
+    option("--height", type=int, default=4, help=f"Merkle tree height {DEFAULT}")
+    option("--chameleon", default="dl", type=CHAMELEON,
+           help=f"dl | dl-demo | sis {DEFAULT}")
+    sis_options(option)
+    option("--out", required=True, help="output path prefix")
+    option("--seed", type=_seed, help="32-byte hex seed (printed if absent)")
+    option("--armor", action="store_true", help="write hex text instead of binary")
+
+    option = command(sign)
+    option("--key", required=True, help="secret key file (.tookey)")
+    option("--pub", required=True, help="public key file (.toopub)")
+    option("--in", dest="infile", required=True, help="message file")
+    option("--out", required=True, help="signature output file (.toosig)")
+    option("--seed", type=_seed, help="32-byte hex seed (printed if absent)")
+    option("--armor", action="store_true")
+    option("--ro-tag", default="TOO-RO-v1", help=DEFAULT)
+
+    option = command(verify)
+    option("--pub", required=True, help="public key file (.toopub)")
+    option("--in", dest="infile", required=True, help="message file")
+    option("--sig", required=True, help="signature file (.toosig)")
+    option("--armor", action="store_true")
+    option("--ro-tag", default="TOO-RO-v1", help=DEFAULT)
+
+    option = command(bench)
+    option("--chameleon", default="sis", type=CHAMELEON, help=DEFAULT)
+    sis_options(option)
+    option("--height", type=int, default=2, help=DEFAULT)
+    option("--seed", type=_seed)
+
+    option = command(game)
+    option("--kind", choices=["eu", "su"], default="su", help=DEFAULT)
+    option("--variant", choices=["hyd0", "hyd1", "hyd2"], default="hyd0", help=DEFAULT)
+    option("--adversary", choices=sorted(_ADVERSARIES), required=True)
+    option("--target", choices=["transformed", "raw"], default="transformed", help=DEFAULT)
+    option("--seeds", type=int, default=100, help=DEFAULT)
+    option("--chameleon", default="dl-demo", type=CHAMELEON, help=DEFAULT)
+    option("--height", type=int, default=2, help=DEFAULT)
+    option("--budget", type=int, default=4, help=DEFAULT)
+    option("--report", dest="report_fmt", choices=["json"], default="json")
+    return parser
+
+
+def main(argv=None, prog_name: str = "too-sign") -> None:
+    """Runs one `too-sign` command; usage errors exit 2."""
+    args = vars(_parser(prog_name).parse_args(argv))
+    del args["command"]
+    args.pop("run")(**args)
 
 
 if __name__ == "__main__":

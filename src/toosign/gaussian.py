@@ -32,9 +32,6 @@ class DiscreteGaussian:
             1 << _PREC_BITS
         )
 
-    def sample(self, rng: Rng) -> int:
-        return int(self.sample_vector(rng, 1)[0])
-
     def sample_vector(self, rng: Rng, n: int) -> np.ndarray:
         u = self._uniforms(rng, n)
         idx = np.searchsorted(self._cdf, u, side="right")

@@ -103,17 +103,26 @@ def check_public_key(
     return height[0], fields[1]
 
 
+def _secret_key_fields(secret_key: bytes) -> tuple[int, bytes, bytes]:
+    """(height, seed, nodes) of secret_key; FormatError unless it holds a
+    height in [1, 20], a 32-byte seed and 2^(h+1) - 1 packed 32-byte nodes."""
+    _, fields = encoding.decode_record(secret_key, encoding.TAG_MERKLE_SK)
+    height = fields[0][0] if fields and fields[0] in _HEIGHTS else 0
+    if not height or [len(f) for f in fields] != [1, 32, 32 * ((2 << height) - 1)]:
+        raise FormatError("malformed Merkle secret key")
+    return height, fields[1], fields[2]
+
+
 def check_key_pair(kp: KeyPair) -> None:
     """FormatError unless kp can sign or is exactly used up: both keys fit the
     descriptor's height, the secret key's seed and 2^(h+1) - 1 packed nodes
     end with the public key's root (so this costs no hashing), and the state
     is a leaf index no greater than 2^h."""
     height, root = check_public_key(kp.descriptor, kp.public_key)
-    _, fields = encoding.decode_record(kp.secret_key, encoding.TAG_MERKLE_SK)
-    layout = [1, 32, 32 * ((2 << height) - 1)]
-    if [len(f) for f in fields] != layout or fields[0] != kp.descriptor.param_blob:
+    sk_height, _, nodes = _secret_key_fields(kp.secret_key)
+    if sk_height != height:
         raise FormatError("malformed Merkle secret key")
-    if fields[2][-32:] != root:
+    if nodes[-32:] != root:
         raise FormatError("the public key does not belong to the secret key")
     if int.from_bytes(kp.state or b"", "big") > (1 << height):
         raise FormatError("key state exceeds tree capacity")
@@ -122,8 +131,7 @@ def check_key_pair(kp: KeyPair) -> None:
 def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]:
     if len(digest) != 32:
         raise DomainError("merkle scheme signs 32-byte digests")
-    _, fields = encoding.decode_record(kp.secret_key, encoding.TAG_MERKLE_SK)
-    height, seed, nodes = fields[0][0], fields[1], fields[2]
+    height, seed, nodes = _secret_key_fields(kp.secret_key)
     next_leaf = int.from_bytes(kp.state or b"\x00" * 8, "big")
     if next_leaf >= (1 << height):
         raise CapacityError(f"all {1 << height} leaves consumed")

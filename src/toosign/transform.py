@@ -80,6 +80,8 @@ def keypair_from_secret(blob: bytes, public_blob: bytes) -> TransformedKeyPair:
     if len(fields) != 4:
         raise FormatError("transformed secret key needs exactly four fields")
     descriptor = SchemeDescriptor.deserialize(fields[0])
+    if descriptor != pub.base_descriptor:
+        raise FormatError("the public key's base scheme differs from the secret key's")
     td = pub.ch_inst.deserialize_trapdoor(fields[2])
     base = KeyPair(
         public_key=pub.base_pk,

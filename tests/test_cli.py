@@ -7,7 +7,6 @@ import subprocess
 import sys
 
 import pytest
-from click.testing import CliRunner
 
 from toosign import cli, encoding, games, merkle, transform
 from toosign.chameleon import ChameleonKind
@@ -185,6 +184,18 @@ def test_malformed_merkle_public_key_is_malformed(workspace, index, edit):
     assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
 
 
+def test_public_key_with_another_base_descriptor_is_refused(workspace):
+    """sign spends no leaf when the public key's base descriptor differs from
+    the secret key's: a verifier with that public key would reject."""
+    pk = edit_record(
+        (workspace / "key.toopub").read_bytes(), encoding.TAG_TRANSFORMED_PK, 0,
+        lambda record: edit_record(record, encoding.TAG_DESCRIPTOR, 2,
+                                   lambda f: b"arbitrary-bytes"),
+    )
+    (workspace / "bad.toopub").write_bytes(pk)
+    sign_refused(workspace, "key.tookey", "bad.toopub")
+
+
 def test_malleable_base_scheme_is_refused(workspace):
     """Keys over the malleable test wrapper are malformed for sign and verify."""
     descriptor = games.wrap_malleable(merkle.merkle_descriptor(2))
@@ -199,6 +210,15 @@ def test_malleable_base_scheme_is_refused(workspace):
     r = too_sign("verify", "--pub", "mall.toopub", "--in", "msg.txt",
                  "--sig", "mall.toosig", cwd=workspace)
     assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+
+
+def run_main(args):
+    """Exit code of `too-sign ARGS` run in this process."""
+    try:
+        cli.main(args)
+    except SystemExit as e:
+        return e.code
+    return 0
 
 
 def test_failed_key_write_keeps_the_key(workspace, monkeypatch):
@@ -216,15 +236,44 @@ def test_failed_key_write_keeps_the_key(workspace, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(os, "replace", fail)
-        result = CliRunner().invoke(cli.main, args)
-    assert result.exit_code != 0
+        code = run_main(args)
+    assert code != 0
     assert (workspace / "key.tookey").read_bytes() == key_before
     assert set(os.listdir(workspace)) == files_before | {"key.tookey.lock"}
 
-    result = CliRunner().invoke(cli.main, args)
-    assert result.exit_code == 0, result.output
+    assert run_main(args) == 0
     assert (workspace / "key.tookey").read_bytes() != key_before
     assert set(os.listdir(workspace)) == files_before | {"key.tookey.lock", "msg.toosig"}
+
+
+USAGE_ERRORS = {
+    "no command": [],
+    "missing --out": ["keygen"],
+    "unknown option": ["verify", "--pub", "p", "--in", "m", "--sig", "s", "--bogus"],
+    "bad choice": ["game", "--adversary", "nobody"],
+    "bad --height": ["keygen", "--out", "k", "--height", "two"],
+    "bad --seed": ["keygen", "--out", "k", "--seed", "zz"],
+    "short --seed": ["sign", "--key", "k", "--pub", "p", "--in", "m", "--out", "s",
+                     "--seed", "11" * 31],
+    "unknown --scheme": ["keygen", "--out", "k", "--scheme", "rsa"],
+    "unknown --chameleon": ["bench", "--chameleon", "rsa"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+def test_usage_error_exits_2(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    assert run_main(USAGE_ERRORS[case]) == 2
+    assert os.listdir(tmp_path) == []
+
+
+def test_keygen_error_exits_1(tmp_path, capsys):
+    """A key generation the library refuses exits 1 with `Error:`, no traceback."""
+    code = run_main(["keygen", "--out", str(tmp_path / "k"), "--height", "30",
+                     "--seed", SEED_A])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("Error: ") and "Traceback" not in err, err
+    assert os.listdir(tmp_path) == []
 
 
 def test_signing_advances_persisted_state(workspace):

@@ -1,6 +1,8 @@
 """Key and signature decoders are total: a damaged blob decodes to an object
 or raises FormatError, never another exception."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,3 +138,18 @@ def test_decoder_fault_sites_raise_format_error(ch):
     for case in cases:
         with pytest.raises(FormatError):
             case()
+
+
+@pytest.mark.parametrize(
+    "index, edit", [(0, lambda f: b""), (2, lambda f: f[:-32])],
+    ids=["empty height field", "short node blob"],
+)
+def test_malformed_merkle_secret_key_raises_format_error(index, edit):
+    """s_prime on a Merkle secret key with a bad layout raises FormatError."""
+    kp = VALID["dl-demo"][0]
+    _, fields = encoding.decode_record(kp.base.secret_key, encoding.TAG_MERKLE_SK)
+    secret_key = _with_field(kp.base.secret_key, encoding.TAG_MERKLE_SK, index,
+                             edit(fields[index]))
+    bad = replace(kp, base=replace(kp.base, secret_key=secret_key))
+    with pytest.raises(FormatError):
+        s_prime(bad, b"sign me", production_oracle(kp.ch_inst), rng_from_int(80))

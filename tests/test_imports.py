@@ -1,7 +1,8 @@
 """Every name a toosign module imports is used in it (`__init__` re-exports),
 no code asks which chameleon family it holds, a process that uses only the
-DL chameleon hash never loads numpy, and a one-shot sign or verify never
-builds a comb table."""
+DL chameleon hash never loads numpy, `import toosign.cli` loads only what
+keygen, sign and verify run, and a one-shot sign or verify never builds a
+comb table."""
 
 import ast
 import os
@@ -163,4 +164,43 @@ assert not built, "a one-shot verify built a comb table"
 
 def test_one_shot_sign_and_verify_build_no_table():
     r = run_child(ONE_SHOT)
+    assert r.returncode == 0, r.stderr
+
+
+CLI_FOOTPRINT = """
+import sys
+import toosign, toosign.cli
+from toosign import registry
+
+loaded = [m for m in ("click", "toosign.games", "toosign.bench", "numpy") if m in sys.modules]
+assert not loaded, f"import toosign.cli loaded {loaded}"
+assert 2 not in registry._REGISTRY, "the malleable wrapper is registered"
+from toosign import wrap_malleable
+assert "toosign.games" in sys.modules and 2 in registry._REGISTRY
+"""
+
+
+def test_cli_loads_neither_games_nor_click():
+    r = run_child(CLI_FOOTPRINT)
+    assert r.returncode == 0, r.stderr
+
+
+TRANSFORM_ONLY = """
+from toosign.oracle import production_oracle
+from toosign.rng import rng_from_int
+from toosign.transform import (
+    ChameleonKind, MessageSpaceKind, SchemeDescriptor, g_prime, public_key_of, s_prime,
+    v_prime,
+)
+
+merkle_h2 = SchemeDescriptor(1, bytes([2]), MessageSpaceKind.FIXED_WIDTH_DIGEST)
+kp = g_prime(merkle_h2, ChameleonKind.DL, {"name": "dl-demo"}, rng_from_int(1))
+sig, _ = s_prime(kp, b"message", production_oracle(kp.ch_inst), rng_from_int(2))
+assert v_prime(public_key_of(kp), b"message", sig, production_oracle(kp.ch_inst))
+"""
+
+
+def test_importing_transform_registers_merkle():
+    """Merkle signs in a process that never names `toosign.merkle`."""
+    r = run_child(TRANSFORM_ONLY)
     assert r.returncode == 0, r.stderr
