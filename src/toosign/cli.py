@@ -126,11 +126,7 @@ def _chameleon_params(name: str, n: int, q: int, m: int, k: int):
 def keygen(scheme, height, chameleon, n, q, m, k, out, seed, armor):
     """Generate a transformed key pair (PREFIX.toopub, PREFIX.tookey)."""
     kind, params = _chameleon_params(chameleon, n, q, m, k)
-    rng = _seed_rng(seed)
-    try:
-        kp = g_prime(BASE_SCHEMES[scheme](height), kind, params, rng)
-    except ToosignError as e:
-        _fail(str(e))
+    kp = g_prime(BASE_SCHEMES[scheme](height), kind, params, _seed_rng(seed))
     _write(out + ".toopub", kp.public_bytes(), armor)
     _write(out + ".tookey", kp.secret_bytes(), armor)
     print(f"wrote {out}.toopub and {out}.tookey")
@@ -226,12 +222,16 @@ _ADVERSARIES = {
     "case1": lambda ch: _games().CaseOneForger(ch),
     "case2": lambda ch: _games().CaseTwoForger(ch),
 }
+# the adversaries that need no transformed challenger
+_RAW_ADVERSARIES = ("mauling", "replay", "garbage")
 
 
 def game(kind, variant, adversary, target, seeds, chameleon, height, budget, report_fmt):
     """Run a seeded sweep of unforgeability games and report statistics."""
     import json
 
+    if target == "raw" and adversary not in _RAW_ADVERSARIES:
+        _fail("the raw target takes only the mauling, replay and garbage adversaries")
     games = _games()
     ch_kind, ch_params = _chameleon_params(chameleon, 4, 257, 12, 8)
     base = games.wrap_malleable(merkle_descriptor(height))
@@ -332,10 +332,14 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
 
 
 def main(argv=None, prog_name: str = "too-sign") -> None:
-    """Runs one `too-sign` command; usage errors exit 2."""
+    """Runs one `too-sign` command; usage errors exit 2, and an input the
+    library refuses exits 1 with `Error: ...`."""
     args = vars(_parser(prog_name).parse_args(argv))
     del args["command"]
-    args.pop("run")(**args)
+    try:
+        args.pop("run")(**args)
+    except ToosignError as e:
+        _fail(str(e))
 
 
 if __name__ == "__main__":

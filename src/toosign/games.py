@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import chameleon, encoding
 from .chameleon import ChameleonKind, CollisionVerdict, RangeSample
-from .errors import GameError, ExtractionError
+from .errors import ExtractionError, FormatError, GameError
 from .oracle import OracleContext, frame, programmable_oracle
 from .registry import (
     KeyPair,
@@ -33,6 +33,7 @@ from .registry import (
 from .rng import Rng, rng_from_int
 from .transform import (
     TransformedKeyPair,
+    TransformedPublicKey,
     TransformedSignature,
     deserialize_signature,
     encode_range_value,
@@ -127,15 +128,13 @@ class QueryRecord:
 @dataclass
 class GameTranscript:
     game_kind: GameKind
-    variant: Optional[ChallengerVariant]
-    pk_bytes: bytes
-    queries: list[QueryRecord]
-    forgery_message: Optional[bytes]
-    forgery_sig_bytes: Optional[bytes]
-    verdict: bool
+    # live handle for the classifier/extractors (transformed games only)
+    challenger: object
+    queries: list[QueryRecord] = field(default_factory=list)
+    forgery_message: Optional[bytes] = None
+    forgery_sig_bytes: Optional[bytes] = None
+    verdict: bool = False
     budget_violation: bool = False
-    # live handles for the classifier/extractors (transformed games only)
-    challenger: object = None
     visible: list = field(default_factory=list)
 
     def visible_digest(self) -> bytes:
@@ -163,17 +162,15 @@ class RawChallenger:
     def pk_bytes(self) -> bytes:
         return self.kp.public_key
 
-    def _digest(self, message: bytes) -> bytes:
-        return hashlib.sha256(message).digest()
-
     def sign(self, message: bytes) -> tuple[bytes, QueryRecord]:
-        sig, new_state = scheme_sign(self.kp, self._digest(message), self.rng)
+        digest = hashlib.sha256(message).digest()
+        sig, new_state = scheme_sign(self.kp, digest, self.rng)
         self.kp = self.kp.with_state(new_state)
         return sig.bytes, QueryRecord(message=message, sig_bytes=sig.bytes)
 
     def verify(self, message: bytes, sig_bytes: bytes) -> bool:
         sig = Signature(bytes=sig_bytes, descriptor=self.descriptor)
-        return scheme_verify(self.kp.public_key, self._digest(message), sig)
+        return scheme_verify(self.kp.public_key, hashlib.sha256(message).digest(), sig)
 
 
 class TransformedChallenger:
@@ -240,7 +237,7 @@ class TransformedChallenger:
     def verify(self, message: bytes, sig_bytes: bytes) -> bool:
         try:
             sig = self.parse_signature(sig_bytes)
-        except Exception:
+        except FormatError:
             return False
         return v_prime(self.pk, message, sig, self.oracle)
 
@@ -290,17 +287,7 @@ def run_game(
     budget: int,
     rng: Rng,
 ) -> GameTranscript:
-    variant = getattr(challenger, "variant", None)
-    transcript = GameTranscript(
-        game_kind=kind,
-        variant=variant,
-        pk_bytes=challenger.pk_bytes,
-        queries=[],
-        forgery_message=None,
-        forgery_sig_bytes=None,
-        verdict=False,
-        challenger=challenger,
-    )
+    transcript = GameTranscript(kind, challenger)
     transcript.visible.append(b"pk:" + challenger.pk_bytes)
     adversary.start(challenger.pk_bytes, rng.fork(b"adversary"))
     while True:
@@ -308,7 +295,6 @@ def run_game(
         if action[0] == "sign":
             if len(transcript.queries) >= budget:
                 transcript.budget_violation = True
-                transcript.verdict = False
                 return transcript
             message = action[1]
             sig_bytes, record = challenger.sign(message)
@@ -350,67 +336,55 @@ def run_game(
 @dataclass(frozen=True)
 class Classification:
     case: int  # 1 or 2
-    index: Optional[int] = None  # matching query for case 2 (smallest on ties)
+    index: Optional[int]  # matching query for case 2 (smallest on ties)
+    sig: TransformedSignature  # the parsed forgery
+    m_star: object  # oracle value at the forgery's frame
+    c_star: object  # range value the forgery opens to
 
 
-def _require_transformed_win(t: GameTranscript) -> TransformedChallenger:
-    if not isinstance(t.challenger, TransformedChallenger):
+def classify_forgery(t: GameTranscript) -> Classification:
+    """Recomputes the forgery's range value once: case 1 if it is fresh,
+    case 2 if it repeats a signing query."""
+    ch = t.challenger
+    if not isinstance(ch, TransformedChallenger):
         raise GameError("classification needs a transformed-scheme transcript")
     if not t.verdict:
         raise GameError("classification needs a winning transcript")
     if t.game_kind is not GameKind.SU:
         raise GameError("classification is defined for the strong game")
-    return t.challenger
-
-
-def forgery_components(t: GameTranscript):
-    """(sig_star, m_star, c_star) recomputed from the forgery."""
-    ch = t.challenger
     sig = ch.parse_signature(t.forgery_sig_bytes)
     m_star = ch.oracle.eval(frame(t.forgery_message, sig.base_sig.bytes))
     c_star = chameleon.ch_hash(ch.kp.ch_inst, m_star, sig.randomness)
-    return sig, m_star, c_star
-
-
-def classify_forgery(t: GameTranscript) -> Classification:
-    ch = _require_transformed_win(t)
-    _, _, c_star = forgery_components(t)
-    c_star_serial = ch.kp.ch_inst.serialize_element(c_star)
-    for i, q in enumerate(t.queries):
-        if q.c_serial == c_star_serial:
-            return Classification(case=2, index=i)
-    return Classification(case=1)
+    c_serial = ch.kp.ch_inst.serialize_element(c_star)
+    index = next((i for i, q in enumerate(t.queries) if q.c_serial == c_serial), None)
+    return Classification(1 if index is None else 2, index, sig, m_star, c_star)
 
 
 def case1_extract(t: GameTranscript):
     """Returns (c_star, base_sig): a fresh valid base-scheme forgery."""
-    ch = _require_transformed_win(t)
-    if classify_forgery(t).case != 1:
+    cls = classify_forgery(t)
+    if cls.case != 1:
         raise GameError("transcript is not a case-1 win")
-    sig, _, c_star = forgery_components(t)
-    base_msg = encode_range_value(ch.kp.ch_inst, c_star, ch.kp.base.descriptor)
-    if not scheme_verify(ch.kp.base.public_key, base_msg, sig.base_sig):
+    kp = t.challenger.kp
+    base_msg = encode_range_value(kp.ch_inst, cls.c_star, kp.base.descriptor)
+    if not scheme_verify(kp.base.public_key, base_msg, cls.sig.base_sig):
         raise ExtractionError("extracted base forgery does not verify")
     for q in t.queries:
-        q_msg = encode_range_value(
-            ch.kp.ch_inst, q.c_sample.element, ch.kp.base.descriptor
-        )
+        q_msg = encode_range_value(kp.ch_inst, q.c_sample.element, kp.base.descriptor)
         if q_msg == base_msg:
             raise ExtractionError("extracted range value was already base-signed")
-    return c_star, sig.base_sig
+    return cls.c_star, cls.sig.base_sig
 
 
 def case2_extract(t: GameTranscript):
     """Returns (pair_star, pair_i, verdict); TRIVIAL marks an oracle collision."""
-    ch = _require_transformed_win(t)
     cls = classify_forgery(t)
     if cls.case != 2:
         raise GameError("transcript is not a case-2 win")
-    sig, m_star, _ = forgery_components(t)
     q = t.queries[cls.index]
-    pair_star = (m_star, sig.randomness)
+    pair_star = (cls.m_star, cls.sig.randomness)
     pair_i = (q.m_value, q.randomness)
-    verdict = chameleon.check_collision(ch.kp.ch_inst, pair_star, pair_i)
+    verdict = chameleon.check_collision(t.challenger.kp.ch_inst, pair_star, pair_i)
     return pair_star, pair_i, verdict
 
 
@@ -418,23 +392,34 @@ def case2_extract(t: GameTranscript):
 # adversaries
 
 
-class ReplayAdversary(Adversary):
-    """Resubmits a received (message, signature) pair; must lose the SU game."""
-
-    def __init__(self, message: bytes = b"replayed message"):
-        self.message = message
-        self.received = None
+class _SignThenForge(Adversary):
+    """Asks for one signature on `message`, then finishes with `forge` of the
+    reply: a (message, signature bytes) pair."""
 
     def start(self, pk_bytes, rng):
+        self.rng = rng
         self.received = None
 
     def next_action(self):
         if self.received is None:
             return ("sign", self.message)
-        return ("finish", self.message, self.received)
+        return ("finish", *self.forge(self.received))
 
     def on_signature(self, message, sig_bytes):
         self.received = sig_bytes
+
+    def forge(self, sig_bytes: bytes) -> tuple[bytes, bytes]:
+        raise NotImplementedError
+
+
+class ReplayAdversary(_SignThenForge):
+    """Resubmits a received (message, signature) pair; must lose the SU game."""
+
+    def __init__(self, message: bytes = b"replayed message"):
+        self.message = message
+
+    def forge(self, sig_bytes):
+        return self.message, sig_bytes
 
 
 class GarbageForger(Adversary):
@@ -447,7 +432,7 @@ class GarbageForger(Adversary):
         return ("finish", b"fresh message", self.rng.random_bytes(64))
 
 
-class MaulingAdversary(Adversary):
+class MaulingAdversary(ReplayAdversary):
     """Flips the base scheme's ignored trailing byte and resubmits.
 
     Beats the raw malleable wrapper; the transform must close the maul.
@@ -455,10 +440,6 @@ class MaulingAdversary(Adversary):
 
     def __init__(self, message: bytes = b"maul me"):
         self.message = message
-        self.received = None
-
-    def start(self, pk_bytes, rng):
-        self.received = None
 
     def _maul(self, sig_bytes: bytes) -> bytes:
         try:
@@ -468,47 +449,33 @@ class MaulingAdversary(Adversary):
             base = fields[0]
             mauled_base = base[:-1] + bytes([base[-1] ^ 0x01])
             return encoding.encode_record(tag, [mauled_base, fields[1]])
-        except Exception:
+        except FormatError:
             return sig_bytes[:-1] + bytes([sig_bytes[-1] ^ 0x01])
 
-    def next_action(self):
-        if self.received is None:
-            return ("sign", self.message)
-        return ("finish", self.message, self._maul(self.received))
-
-    def on_signature(self, message, sig_bytes):
-        self.received = sig_bytes
+    def forge(self, sig_bytes):
+        return super().forge(self._maul(sig_bytes))
 
 
-class LuckyGuesser(Adversary):
+class LuckyGuesser(_SignThenForge):
     """Reuses a received base signature with guessed randomness on a new
     message; wins exactly when the guessed randomness reopens the signed
     range value (probability 1/|range| on the toy group)."""
 
-    def __init__(self):
-        self.received = None
+    message = b"first message"
 
     def start(self, pk_bytes, rng):
-        self.received = None
-        self.rng = rng
-        from .transform import TransformedPublicKey
-
+        super().start(pk_bytes, rng)
         self.pk = TransformedPublicKey.deserialize(pk_bytes)
 
-    def next_action(self):
-        if self.received is None:
-            return ("sign", b"first message")
-        _, fields = encoding.decode_record(self.received, encoding.TAG_TRANSFORMED_SIG)
+    def forge(self, sig_bytes):
+        _, fields = encoding.decode_record(sig_bytes, encoding.TAG_TRANSFORMED_SIG)
         inst = self.pk.ch_inst
         guess = chameleon.sample_randomness(inst, self.rng)
         forged = encoding.encode_record(
             encoding.TAG_TRANSFORMED_SIG,
             [fields[0], inst.serialize_randomness(guess)],
         )
-        return ("finish", b"second message", forged)
-
-    def on_signature(self, message, sig_bytes):
-        self.received = sig_bytes
+        return b"second message", forged
 
 
 class ProbingAdversary(Adversary):
@@ -520,24 +487,11 @@ class ProbingAdversary(Adversary):
         self.messages = messages
 
     def start(self, pk_bytes, rng):
-        self.step = 0
-        self.answers = []
+        probes = [("ro", x) for x in self.known_frames]
+        self.script = iter(probes + [("sign", m) for m in self.messages] + probes)
 
     def next_action(self):
-        n = len(self.known_frames)
-        if self.step < n:
-            x = self.known_frames[self.step]
-            self.step += 1
-            return ("ro", x)
-        if self.step < n + len(self.messages):
-            m = self.messages[self.step - n]
-            self.step += 1
-            return ("sign", m)
-        if self.step < 2 * n + len(self.messages):
-            x = self.known_frames[self.step - n - len(self.messages)]
-            self.step += 1
-            return ("ro", x)
-        return ("finish", b"probe done", b"\x00")
+        return next(self.script, ("finish", b"probe done", b"\x00"))
 
 
 class CaseOneForger(Adversary):
@@ -561,35 +515,27 @@ class CaseOneForger(Adversary):
         return ("finish", b"forged message", sig.serialize(ch.kp.ch_inst))
 
 
-class CaseTwoForger(Adversary):
+class CaseTwoForger(_SignThenForge):
     """Omniscient test adversary: reuses a signed range value on a new
     message via the trapdoor.  Produces case-2 wins on demand."""
 
+    message = b"query message"
+
     def __init__(self, challenger: TransformedChallenger):
         self.challenger = challenger
-        self.record: Optional[QueryRecord] = None
 
-    def start(self, pk_bytes, rng):
-        self.rng = rng
-        self.record = None
-
-    def next_action(self):
-        if self.record is None:
-            return ("sign", b"query message")
+    def forge(self, sig_bytes):
+        # omniscient: read the bookkeeping off the challenger's last sign call
         ch = self.challenger
         inst, td = ch.kp.ch_inst, ch.kp.ch_td
-        q = self.record
+        q = ch.last_record
         m_star = ch.oracle.eval(frame(b"reused-c message", q.base_sig_bytes))
         r_star = chameleon.ch_invert(inst, td, m_star, q.c_sample, self.rng)
         sig = TransformedSignature(
             base_sig=Signature(bytes=q.base_sig_bytes, descriptor=ch.kp.base.descriptor),
             randomness=r_star,
         )
-        return ("finish", b"reused-c message", sig.serialize(inst))
-
-    def on_signature(self, message, sig_bytes):
-        # omniscient: read the bookkeeping off the challenger's last sign call
-        self.record = self.challenger.last_record
+        return b"reused-c message", sig.serialize(inst)
 
 
 class BudgetBuster(Adversary):
@@ -604,7 +550,21 @@ class BudgetBuster(Adversary):
 
 
 # ---------------------------------------------------------------------------
-# hybrid comparison and seeded sweeps
+# seeded games: hybrid comparison and sweeps
+
+
+def play(
+    kind: GameKind,
+    seed: int,
+    make_challenger: Callable[[Rng], object],
+    make_adversary: Callable[[object], Adversary],
+    budget: int,
+) -> GameTranscript:
+    """One seeded game: the challenger and the game loop fork one master."""
+    master = rng_from_int(seed)
+    challenger = make_challenger(master)
+    adversary = make_adversary(challenger)
+    return run_game(kind, challenger, adversary, budget, master.fork(b"game"))
 
 
 def hybrid_transcript_compare(
@@ -618,39 +578,25 @@ def hybrid_transcript_compare(
     kind: GameKind = GameKind.SU,
     shared_keypair: TransformedKeyPair | None = None,
 ):
-    """Runs both variants on coupled seeds and reports per-seed agreement."""
-    matches = 0
-    wins = {variants[0]: 0, variants[1]: 0}
-    divergent_seeds = []
-    per_seed = []
-    for seed in seeds:
-        digests = {}
-        records = {}
-        for variant in variants:
-            master = rng_from_int(seed)
-            challenger = make_transformed_challenger(
+    """Runs both variants on coupled seeds; counts the seeds whose visible
+    transcripts agree byte for byte."""
+
+    def digest(seed: int, variant: ChallengerVariant) -> bytes:
+        def make_challenger(master):
+            return make_transformed_challenger(
                 variant, base_descriptor, ch_kind, ch_params, master,
                 keypair=shared_keypair,
             )
-            adversary = make_adversary(challenger)
-            t = run_game(kind, challenger, adversary, budget, master.fork(b"game"))
-            digests[variant] = t.visible_digest()
-            records[variant] = t
-            if t.verdict:
-                wins[variant] += 1
-        same = digests[variants[0]] == digests[variants[1]]
-        matches += same
-        if not same:
+
+        t = play(kind, seed, make_challenger, make_adversary, budget)
+        return t.visible_digest()
+
+    divergent_seeds = []
+    for seed in seeds:
+        if digest(seed, variants[0]) != digest(seed, variants[1]):
             divergent_seeds.append(seed)
-        per_seed.append(records)
-    n = len(per_seed)
-    return {
-        "seeds": n,
-        "matches": matches,
-        "divergent_seeds": divergent_seeds,
-        "win_rate": {v.value: wins[v] / n for v in variants},
-        "transcripts": per_seed,
-    }
+    matches = len(seeds) - len(divergent_seeds)
+    return {"matches": matches, "divergent_seeds": divergent_seeds}
 
 
 def game_report(
@@ -662,23 +608,21 @@ def game_report(
     budget: int = 4,
 ) -> dict:
     """Seeded sweep with extraction bookkeeping (the CLI report schema)."""
+    if len(seeds) == 0:
+        raise GameError("a game sweep needs at least one seed")
     wins = 0
     case1 = 0
     case2 = 0
     oracle_collisions = 0
     extractor_failures = 0
     for seed in seeds:
-        master = rng_from_int(seed)
-        challenger = make_challenger(master)
-        adversary = make_adversary(challenger)
-        t = run_game(kind, challenger, adversary, budget, master.fork(b"game"))
+        t = play(kind, seed, make_challenger, make_adversary, budget)
         if not t.verdict:
             continue
         wins += 1
-        if kind is not GameKind.SU or not isinstance(challenger, TransformedChallenger):
+        if kind is not GameKind.SU or not isinstance(t.challenger, TransformedChallenger):
             continue
-        cls = classify_forgery(t)
-        if cls.case == 1:
+        if classify_forgery(t).case == 1:
             case1 += 1
             try:
                 case1_extract(t)
@@ -691,9 +635,8 @@ def game_report(
                 oracle_collisions += 1
             elif verdict is not CollisionVerdict.VALID:
                 extractor_failures += 1
-    n = len(seeds)
     return {
-        "win_rate": wins / n,
+        "win_rate": wins / len(seeds),
         "case1_count": case1,
         "case2_count": case2,
         "oracle_collisions": oracle_collisions,

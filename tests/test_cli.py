@@ -268,12 +268,17 @@ def test_usage_error_exits_2(tmp_path, monkeypatch, case):
 
 
 def test_keygen_error_exits_1(tmp_path, capsys):
-    """A key generation the library refuses exits 1 with `Error:`, no traceback."""
-    code = run_main(["keygen", "--out", str(tmp_path / "k"), "--height", "30",
-                     "--seed", SEED_A])
-    err = capsys.readouterr().err
-    assert code == 1 and err.startswith("Error: ") and "Traceback" not in err, err
-    assert os.listdir(tmp_path) == []
+    """An input the library refuses exits 1 with `Error:`, no traceback."""
+    for args in (
+        ["keygen", "--out", str(tmp_path / "k"), "--height", "30", "--seed", SEED_A],
+        ["bench", "--height", "0", "--seed", SEED_A],
+        ["bench", "--chameleon", "sis", "--n", "0", "--seed", SEED_A],
+        ["game", "--adversary", "replay", "--height", "0"],
+    ):
+        code = run_main(args)
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("Error: ") and "Traceback" not in err, err
+        assert os.listdir(tmp_path) == []
 
 
 def test_signing_advances_persisted_state(workspace):
@@ -375,3 +380,17 @@ def test_game_raw_target(tmp_path):
                  "--seeds", "10", "--kind", "su", cwd=tmp_path)
     rep = json.loads(r.stdout)
     assert rep["win_rate"] == 1.0
+
+
+def test_game_without_seeds_exits_1(capsys):
+    assert run_main(["game", "--adversary", "replay", "--seeds", "0"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("Error: "), err
+
+
+@pytest.mark.parametrize("adversary", ["case1", "case2", "lucky"])
+def test_raw_target_refuses_transformed_only_adversary(adversary, capsys):
+    """These adversaries read a transformed key; the raw target has none."""
+    code = run_main(["game", "--adversary", adversary, "--target", "raw", "--seeds", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and out == "" and err.startswith("Error: "), err

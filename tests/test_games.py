@@ -4,6 +4,7 @@ import pytest
 
 from toosign import chameleon, games
 from toosign.chameleon import ChameleonKind, CollisionVerdict
+from toosign.errors import GameError
 from toosign.games import (
     BudgetBuster,
     CaseOneForger,
@@ -248,3 +249,50 @@ def test_first_hybrid_queries_the_signing_frame_once(oracle_spy):
     _, record = chal.sign(b"one query")
     point = frame(b"one query", record.base_sig_bytes)
     assert events.count(("eval", point)) == 1
+
+
+def test_game_report_needs_a_seed():
+    with pytest.raises(GameError):
+        game_report(
+            GameKind.SU, ChallengerVariant.HYD0,
+            lambda m: transformed(0)[0], lambda ch: ReplayAdversary(), range(0),
+        )
+
+
+def test_verify_does_not_hide_harness_errors(monkeypatch):
+    """Only a FormatError reads as a reject; any other error propagates."""
+    def broken(*args):
+        raise RuntimeError("harness bug")
+
+    chal, _ = transformed(13, ch=ChameleonKind.DL, params=DL_DEMO)
+    sig_bytes, _ = chal.sign(b"signed")
+    monkeypatch.setattr(games, "deserialize_signature", broken)
+    with pytest.raises(RuntimeError):
+        chal.verify(b"signed", sig_bytes)
+
+
+# without warm-up queries the case-1 forgery cannot repeat a C of the
+# 11-element dl-demo range
+@pytest.mark.parametrize("forger, case", [
+    (lambda ch: CaseOneForger(ch, warmup_queries=0), "case1_count"),
+    (CaseTwoForger, "case2_count"),
+], ids=["case1", "case2"])
+def test_winning_forgery_is_parsed_three_times(monkeypatch, forger, case):
+    """A won game parses the forgery to verify, to classify and to extract."""
+    deserialize = games.deserialize_signature
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return deserialize(*args)
+
+    monkeypatch.setattr(games, "deserialize_signature", counting)
+    rep = game_report(
+        GameKind.SU, ChallengerVariant.HYD0,
+        lambda m: make_transformed_challenger(
+            ChallengerVariant.HYD0, merkle_descriptor(2), ChameleonKind.DL, DL_DEMO, m,
+        ),
+        forger, range(14, 15),
+    )
+    assert rep["win_rate"] == 1.0 and rep[case] == 1
+    assert len(calls) <= 3
