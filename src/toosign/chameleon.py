@@ -16,18 +16,23 @@ reveals x together with the trace, so it is never kept.  x^-1 mod q, which
 every inversion needs, is computed once per trapdoor, where the trapdoor is
 made or decoded, and is never serialized.
 
-Exponentiations with exponents of 256 bits or more use a Lim-Lee comb.  The
-exponent splits into 4 limbs of 8 rows each; each limb has its own table of
-the 256 products of its row powers, so a base holds 1024 products, about
-307 kB for a 2048-bit group.  One column loop serves every limb of every base
-of a hash: 64 squarings on the 2048-bit group and at most 256 products per
-base.  The first exponentiation of a base in a process does not build its
-table, so a one-shot process never pays for one; the second builds it.  Two
-or more bases seen for the first time in one call share one interleaved
-sliding-window pass and so its squarings; a lone one takes builtin pow.  At
-most 8 bases keep tables (about 2.5 MB on the 2048-bit group), least
-recently used evicted first.  Neither builtin pow nor these passes run in
-constant time; this code makes no side-channel claim.
+Exponentiations with exponents of 256 bits or more use a Lim-Lee comb, in
+one of two layouts chosen by the base's role.  The generator g, which every
+key of a group shares and which every sign and verify raises, splits its
+exponent into 3 limbs of 10 rows: 3 tables of 1024 products, about 0.95 MB
+and 69 columns on a 2048-bit group.  A key's y splits into 4 limbs of 8
+rows: 4 tables of 256 products, about 315 kB and 64 columns.  One column
+loop serves every limb of every base of a hash, with y's columns lined up
+with g's last ones: g^m y^r on the 2048-bit group takes 69 squarings, at
+most 207 products for g and 256 for y.  The first exponentiation of a base
+in a layout in a process does not build its table, so a one-shot process
+never pays for one; the second builds it (about 70 ms for g, 50 ms for y).
+Two or more bases seen for the first time in one call share one
+interleaved sliding-window pass and so its squarings; a lone one takes
+builtin pow.  At most 8 bases keep tables, least recently used evicted
+first: one group's g and 7 keys take about 3.1 MB on the 2048-bit group,
+and 8 generators at most 7.6 MB.  Neither builtin pow nor these passes run
+in constant time; this code makes no side-channel claim.
 
 DL groups.  The named sets in DL_PARAM_SETS are constants proven once by the
 test suite, so key generation and decoding accept them by comparing
@@ -45,12 +50,13 @@ from __future__ import annotations
 
 import hashlib
 import numbers
+import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import encoding
 from .errors import (
@@ -217,62 +223,86 @@ def hg(
 # ---------------------------------------------------------------------------
 # exponentiation
 
-_COMB_ROWS = 8  # rows per limb: a limb's table holds the 2^8 products of its rows
-_COMB_LIMBS = 4  # limbs, and tables, per base
+
+class _CombLayout(NamedTuple):
+    """A base's comb: one table per limb of the 2^rows products of its rows
+    (rows <= 16, so that _comb_columns fits an index in 16 bits)."""
+
+    limbs: int
+    rows: int
+
+
+# The generator, shared by every key of a group, gets the larger comb.
+_GENERATOR_COMB = _CombLayout(limbs=3, rows=10)  # 3 x 1024 products per base
+_KEY_COMB = _CombLayout(limbs=4, rows=8)  # 4 x 256 products per base
 _COMB_MIN_BITS = 256  # below this, a comb column is too short to beat pow
-_COMB_CACHE_SIZE = 8  # bases; a 2048-bit base's tables are about 307 kB
+_COMB_CACHE_SIZE = 8  # bases; on a 2048-bit group a comb is 0.95 MB or 315 kB
 _WINDOW_BITS = 5  # the joint first-use pass multiplies in up to 5 bits at a time
-# (base, p, bits) -> one comb table per limb, or None after the base's first use
-_comb_cache: OrderedDict[tuple[int, int, int], list[list[int]] | None] = OrderedDict()
+# (base, p, bits, layout) -> the comb's tables, or None after the first use
+_comb_cache: OrderedDict[tuple, list[list[int]] | None] = OrderedDict()
 _comb_lock = threading.Lock()
+# _comb_columns reads binary digits as 16-bit characters in native order
+_DIGIT_CODEC = "utf-16-le" if sys.byteorder == "little" else "utf-16-be"
 
 
-def _comb_width(bits: int) -> int:
-    """Columns of the comb: the bits split into _COMB_LIMBS * _COMB_ROWS rows."""
-    return -(-bits // (_COMB_LIMBS * _COMB_ROWS))
+def _comb_width(bits: int, layout: _CombLayout) -> int:
+    """Columns of the comb: the bits split into limbs * rows rows."""
+    return -(-bits // (layout.limbs * layout.rows))
 
 
-def _comb_table(b: int, p: int, a: int) -> list[list[int]]:
-    """Per limb l, entry j is the product of b^(2^(a*(8l + i))) over the rows
-    i set in j."""
+def _comb_table(b: int, p: int, a: int, layout: _CombLayout) -> list[list[int]]:
+    """Per limb l, entry j is the product of b^(2^(a*(rows*l + i))) over the
+    rows i set in j."""
+    limbs, rows = layout
     row_powers = [b]
-    for _ in range(_COMB_LIMBS * _COMB_ROWS - 1):
+    for _ in range(limbs * rows - 1):
         x = row_powers[-1]
         for _ in range(a):
             x = x * x % p
         row_powers.append(x)
     tables = []
-    for limb in range(_COMB_LIMBS):
-        rows = row_powers[limb * _COMB_ROWS : (limb + 1) * _COMB_ROWS]
-        table = [1] * (1 << _COMB_ROWS)
-        for j in range(1, 1 << _COMB_ROWS):
+    for limb in range(limbs):
+        powers = row_powers[limb * rows : (limb + 1) * rows]
+        table = [1] * (1 << rows)
+        for j in range(1, 1 << rows):
             low = j & -j
-            table[j] = table[j ^ low] * rows[low.bit_length() - 1] % p
+            table[j] = table[j ^ low] * powers[low.bit_length() - 1] % p
         tables.append(table)
     return tables
 
 
-def _comb_columns(e: int, a: int) -> bytes:
-    """The table index of each column of e's lowest limb, most significant
-    column first.
+def _comb_columns(e: int, a: int, layout: _CombLayout, width: int) -> list[memoryview]:
+    """Per limb, the table index of each of its a columns, most significant
+    column first, behind width - a zero columns.
 
-    The limb is split into rows e = sum_i e_i 2^(a*i) of a bits each; bit i
-    of index k is bit a-1-k of e_i.  Each row's binary digits are read as
-    ASCII bytes and shifted into bit i of every byte; the ASCII zeros come
-    off at the end.
+    e splits into rows e = sum_i e_i 2^(a*i) of a bits each, and limb l
+    holds rows l*rows to l*rows + rows - 1; bit i of index k of limb l is
+    bit a-1-k of e_(l*rows + i).  The binary digits of e are read once as
+    16-bit characters and cut into rows; each row's ASCII zeros come off
+    and it is shifted into bit i of every character.
     """
-    mask = (1 << a) - 1
-    spread = 0
-    for i in range(_COMB_ROWS):
-        digits = format((e >> (a * i)) & mask, f"0{a}b").encode()
-        spread += int.from_bytes(digits, "big") << i
-    zeros = int.from_bytes(b"0" * a, "big") * ((1 << _COMB_ROWS) - 1)
-    return (spread - zeros).to_bytes(a, "big")
+    limbs, rows = layout
+    n = a * limbs * rows
+    digits = format(e, f"0{n}b").encode(_DIGIT_CODEC)
+    zeros = int.from_bytes(("0" * a).encode(_DIGIT_CODEC), sys.byteorder)
+    pad = bytes(2 * (width - a))
+    out = []
+    for limb in range(limbs):
+        spread = 0
+        for i in range(rows):
+            end = 2 * (n - a * (limb * rows + i))
+            row = int.from_bytes(digits[end - 2 * a : end], sys.byteorder)
+            spread += (row - zeros) << i
+        out.append(memoryview(pad + spread.to_bytes(2 * a, sys.byteorder)).cast("H"))
+    return out
 
 
-def _comb_lookup(b: int, p: int, bits: int) -> list[list[int]] | None:
-    """The comb tables of b, built on the second call for b; None on the first."""
-    key = (b, p, bits)
+def _comb_lookup(
+    b: int, p: int, bits: int, layout: _CombLayout
+) -> list[list[int]] | None:
+    """The comb tables of b, built on the second call for (b, layout); None
+    on the first."""
+    key = (b, p, bits, layout)
     with _comb_lock:
         seen = key in _comb_cache
         tables = _comb_cache.pop(key, None)
@@ -280,7 +310,7 @@ def _comb_lookup(b: int, p: int, bits: int) -> list[list[int]] | None:
         if len(_comb_cache) > _COMB_CACHE_SIZE:
             _comb_cache.popitem(last=False)
     if seen and tables is None:
-        tables = _comb_table(b, p, _comb_width(bits))
+        tables = _comb_table(b, p, _comb_width(bits, layout), layout)
         with _comb_lock:
             if key in _comb_cache:
                 _comb_cache[key] = tables
@@ -319,37 +349,39 @@ def _joint_pow(pairs, p: int) -> int:
     return acc
 
 
-def _multi_pow(pairs, p: int, bits: int) -> int:
-    """prod b^e mod p over the (b, e) in pairs, every e in [0, 2^bits).
+def _multi_pow(terms, p: int, bits: int) -> int:
+    """prod b^e mod p over the (b, e, layout) in terms, every e in [0, 2^bits).
 
     When bits < _COMB_MIN_BITS, every base takes builtin pow.  Otherwise a
-    base used before gets a Lim-Lee comb of _COMB_LIMBS limbs of _COMB_ROWS
-    rows of a = _comb_width(bits) columns: one loop over the columns does a
-    squarings, shared by every limb of every base of the call, and at most
-    a products per limb.  Bases used for the first time share one
-    _joint_pow pass when there are two or more; a lone one takes builtin
-    pow.
+    base used before in the same layout gets a Lim-Lee comb of layout.limbs
+    limbs of layout.rows rows of a = _comb_width(bits, layout) columns.  One
+    loop over the columns of the call's widest comb does its squarings,
+    shared by every limb of every base, and at most a products per limb; a
+    narrower comb's columns line up with the loop's last ones.  Bases used
+    for the first time share one _joint_pow pass when there are two or
+    more; a lone one takes builtin pow.
     """
-    a = _comb_width(bits)
-    fresh, combs = [], []
-    for b, e in pairs:
-        tables = _comb_lookup(b, p, bits) if bits >= _COMB_MIN_BITS else None
+    fresh, tabled = [], []
+    for b, e, layout in terms:
+        tables = _comb_lookup(b, p, bits, layout) if bits >= _COMB_MIN_BITS else None
         if tables is None:
             fresh.append((b, e))
         else:
-            combs += [
-                (_comb_columns(e >> (a * _COMB_ROWS * limb), a), table)
-                for limb, table in enumerate(tables)
-            ]
+            tabled.append((e, layout, tables))
     if len(fresh) > 1 and bits >= _COMB_MIN_BITS:
         out = _joint_pow(fresh, p)
     else:
         out = 1
         for b, e in fresh:
             out = out * pow(b, e, p) % p
-    if combs:
+    if tabled:
+        width = max(_comb_width(bits, layout) for _, layout, _ in tabled)
+        combs = []
+        for e, layout, tables in tabled:
+            columns = _comb_columns(e, _comb_width(bits, layout), layout, width)
+            combs += zip(columns, tables)
         acc = 1
-        for k in range(a):
+        for k in range(width):
             acc = acc * acc % p
             for columns, table in combs:
                 j = columns[k]
@@ -382,14 +414,16 @@ class DLInstance:
     def hash(self, m, r) -> int:
         mi = self._scalar(m, "message")
         ri = self._scalar(r, "randomness")
-        return _multi_pow(((self.g, mi), (self.y, ri)), self.p, self.q_grp.bit_length())
+        terms = ((self.g, mi, _GENERATOR_COMB), (self.y, ri, _KEY_COMB))
+        return _multi_pow(terms, self.p, self.q_grp.bit_length())
 
     def trapdoor_hash(self, td: DLTrapdoor, m: int, r: int) -> int:
         """hash(m, r) with one exponentiation, as g^((m + x r) mod q): the
         same value because y = g^x and g has order q."""
         # the folded exponent reveals x together with (m, r): never keep it
         e = (m + td.x * r) % self.q_grp
-        return _multi_pow(((self.g, e),), self.p, self.q_grp.bit_length())
+        terms = ((self.g, e, _GENERATOR_COMB),)
+        return _multi_pow(terms, self.p, self.q_grp.bit_length())
 
     def sample_message(self, rng: Rng) -> int:
         return rng.randbelow(self.q_grp)

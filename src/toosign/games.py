@@ -287,6 +287,8 @@ def run_game(
     budget: int,
     rng: Rng,
 ) -> GameTranscript:
+    if budget < 0:
+        raise GameError("the signing budget must not be negative")
     transcript = GameTranscript(kind, challenger)
     transcript.visible.append(b"pk:" + challenger.pk_bytes)
     adversary.start(challenger.pk_bytes, rng.fork(b"adversary"))
@@ -465,7 +467,10 @@ class LuckyGuesser(_SignThenForge):
 
     def start(self, pk_bytes, rng):
         super().start(pk_bytes, rng)
-        self.pk = TransformedPublicKey.deserialize(pk_bytes)
+        try:
+            self.pk = TransformedPublicKey.deserialize(pk_bytes)
+        except FormatError:
+            raise GameError("the lucky guesser needs a transformed public key") from None
 
     def forge(self, sig_bytes):
         _, fields = encoding.decode_record(sig_bytes, encoding.TAG_TRANSFORMED_SIG)
@@ -494,12 +499,19 @@ class ProbingAdversary(Adversary):
         return next(self.script, ("finish", b"probe done", b"\x00"))
 
 
+def _transformed(challenger) -> TransformedChallenger:
+    """The challenger of an omniscient adversary, which reads its key."""
+    if not isinstance(challenger, TransformedChallenger):
+        raise GameError("this adversary needs a transformed challenger")
+    return challenger
+
+
 class CaseOneForger(Adversary):
     """Omniscient test adversary: forges by signing a fresh range value with
     the challenger's own key material.  Produces case-1 wins on demand."""
 
     def __init__(self, challenger: TransformedChallenger, warmup_queries: int = 2):
-        self.challenger = challenger
+        self.challenger = _transformed(challenger)
         self.warmup = warmup_queries
 
     def start(self, pk_bytes, rng):
@@ -522,7 +534,7 @@ class CaseTwoForger(_SignThenForge):
     message = b"query message"
 
     def __init__(self, challenger: TransformedChallenger):
-        self.challenger = challenger
+        self.challenger = _transformed(challenger)
 
     def forge(self, sig_bytes):
         # omniscient: read the bookkeeping off the challenger's last sign call

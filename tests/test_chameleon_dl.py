@@ -133,18 +133,27 @@ def test_instance_serialization_round_trip():
 
 P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
 BITS = Q2048.bit_length()  # 2047: the comb's last row is one bit short
-ROWS, LIMBS = chameleon._COMB_ROWS, chameleon._COMB_LIMBS
-COLUMNS = chameleon._comb_width(BITS)
-LIMB_BITS = COLUMNS * ROWS  # 512
-Y2048 = pow(G2048, 0x5EED << 1000, P2048)
+GEN, KEY = chameleon._GENERATOR_COMB, chameleon._KEY_COMB
+COLUMNS = chameleon._comb_width(BITS, KEY)  # 64
+LIMB_BITS = COLUMNS * KEY.rows  # 512
+GEN_COLUMNS = chameleon._comb_width(BITS, GEN)  # 69
+GEN_LIMB_BITS = GEN_COLUMNS * GEN.rows  # 690
+X2048 = 0x5EED << 1000
+Y2048 = pow(G2048, X2048, P2048)
 EXPONENTS = sorted(
     {0, 1, 2, Q2048 - 1, (1 << BITS) - 1, 1 << (BITS - 1)}
     # the limb boundaries, and the row boundaries of the 8-row layout before
-    | {(1 << (LIMB_BITS * i)) + d for i in range(1, LIMBS) for d in (-1, 0, 1)}
+    | {(1 << (LIMB_BITS * i)) + d for i in range(1, KEY.limbs) for d in (-1, 0, 1)}
     | {(1 << (-(-BITS // 8) * i)) + d for i in range(1, 8) for d in (-1, 0, 1)}
 )
 # every row boundary inside a limb
-ROW_EXPONENTS = [(1 << (COLUMNS * i)) - d for i in range(1, ROWS * LIMBS) for d in (0, 1)]
+ROW_EXPONENTS = [
+    (1 << (COLUMNS * i)) - d for i in range(1, KEY.rows * KEY.limbs) for d in (0, 1)
+]
+# the same for the generator's layout
+GEN_EXPONENTS = [
+    (1 << (GEN_COLUMNS * i)) - d for i in range(GEN.rows * GEN.limbs) for d in (0, 1)
+] + [(1 << (GEN_LIMB_BITS * i)) + d for i in range(1, GEN.limbs) for d in (-1, 0, 1)]
 
 
 def pow_reference(pairs):
@@ -155,11 +164,19 @@ def pow_reference(pairs):
 
 
 def multi_pow(pairs):
-    return chameleon._multi_pow(pairs, P2048, BITS)
+    """_multi_pow with G2048 in the generator's layout, other bases in a key's."""
+    terms = [(b, e, GEN if b == G2048 else KEY) for b, e in pairs]
+    return chameleon._multi_pow(terms, P2048, BITS)
 
 
-def cached(base):
-    return chameleon._comb_cache[(base, P2048, BITS)]
+def cached(base, layout=None):
+    if layout is None:
+        layout = GEN if base == G2048 else KEY
+    return chameleon._comb_cache[(base, P2048, BITS, layout)]
+
+
+def shape(tables):
+    return [len(table) for table in tables]
 
 
 def test_multi_pow_uses_pow_first_then_a_table():
@@ -168,8 +185,8 @@ def test_multi_pow_uses_pow_first_then_a_table():
     assert multi_pow(pairs) == pow_reference(pairs)
     assert cached(G2048) is None and cached(Y2048) is None
     assert multi_pow(pairs) == pow_reference(pairs)
-    for base in (G2048, Y2048):
-        assert [len(table) for table in cached(base)] == [1 << ROWS] * LIMBS
+    assert shape(cached(G2048)) == [1024] * 3
+    assert shape(cached(Y2048)) == [256] * 4
     # a joint call may mix a base with a table and one seen for the first time
     z = pow(G2048, 12345, P2048)
     mixed = ((G2048, 5), (z, Q2048 - 2))
@@ -190,6 +207,55 @@ def test_multi_pow_row_boundaries():
     multi_pow(((Y2048, 1),))  # the comb for y too
     for e in ROW_EXPONENTS:
         assert multi_pow(((Y2048, e),)) == pow(Y2048, e, P2048)
+
+
+def test_generator_comb_row_and_limb_boundaries():
+    chameleon._comb_cache.clear()
+    for _ in range(2):
+        multi_pow(((G2048, 1), (Y2048, 1)))
+    assert cached(G2048) is not None and cached(Y2048) is not None
+    for e in GEN_EXPONENTS:
+        # y's 64 columns ride in the last 64 of the generator's 69
+        check_against_pow(e, (e * 7 + 3) % Q2048)
+
+
+def test_dl_hash_matches_pow_before_and_after_the_tables():
+    """First use: no table; second use: builds it; then the comb."""
+    inst, td = DLInstance(P2048, Q2048, G2048, Y2048), DLTrapdoor(x=X2048 % Q2048)
+
+    def folded(m, r):
+        return inst.trapdoor_hash(td, m, r)
+
+    for hash_, bases in ((inst.hash, (G2048, Y2048)), (folded, (G2048,))):
+        chameleon._comb_cache.clear()
+        for use, (m, r) in enumerate([(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (2, 3)]):
+            assert hash_(m, r) == pow_reference(((G2048, m), (Y2048, r)))
+            assert all((cached(b) is not None) == (use > 0) for b in bases)
+    assert list(chameleon._comb_cache) == [(G2048, P2048, BITS, GEN)]
+
+
+def test_one_base_in_both_roles_gets_two_entries():
+    inst = DLInstance(P2048, Q2048, G2048, G2048)  # y = g
+    chameleon._comb_cache.clear()
+    for m, r in [(Q2048 - 1, 7), (3, Q2048 - 5), (1 << 1000, 1 << 2000)]:
+        assert inst.hash(m, r) == pow(G2048, m + r, P2048)
+    assert shape(cached(G2048, GEN)) == [1024] * 3
+    assert shape(cached(G2048, KEY)) == [256] * 4
+    assert len(chameleon._comb_cache) == 2
+
+
+def test_comb_footprint_after_two_signs_and_verifies():
+    """A larger comb fails here before it shows in the benchmark's peak RSS."""
+    chameleon._comb_cache.clear()
+    kp = transform.g_prime(
+        merkle.merkle_descriptor(2), ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(6)
+    )
+    ro, pk = production_oracle(kp.ch_inst), transform.public_key_of(kp)
+    for i in range(2):
+        sig, kp = transform.s_prime(kp, b"message %d" % i, ro, rng_from_int(30 + i))
+        assert transform.v_prime(pk, b"message %d" % i, sig, ro)
+    entries = sum(len(t) for tables in chameleon._comb_cache.values() for t in tables or ())
+    assert entries == 3 * 1024 + 4 * 256
 
 
 def fresh_bases(count):
@@ -251,14 +317,14 @@ def test_comb_cache_stays_bounded():
         for _ in range(2):
             assert multi_pow(((b, Q2048 - 2),)) == pow(b, Q2048 - 2, P2048)
     assert list(chameleon._comb_cache) == [
-        (b, P2048, BITS) for b in bases[-chameleon._COMB_CACHE_SIZE :]
+        (b, P2048, BITS, KEY) for b in bases[-chameleon._COMB_CACHE_SIZE :]
     ]
     # short exponents never build a table
     inst, _ = fixed_instance()
     chameleon.ch_hash(inst, 3, 4)
     chameleon.ch_hash(inst, 3, 4)
     assert len(chameleon._comb_cache) == chameleon._COMB_CACHE_SIZE
-    assert all((b, P, Q.bit_length()) not in chameleon._comb_cache for b in (G, 18))
+    assert all(key[1] == P2048 for key in chameleon._comb_cache)
 
 
 def test_dl_demo_never_enters_the_cache():

@@ -3,6 +3,7 @@
 import fcntl
 import json
 import os
+import signal
 import subprocess
 import sys
 
@@ -18,15 +19,17 @@ SEED_B = "22" * 32
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def too_sign(*args, cwd=None):
-    # Run the checkout's entry point, not whatever `too-sign` is on PATH.
-    # The children run in tmp dirs, so `src` must be absolute.
+def too_sign(*args, cwd=None, driver=None):
+    # Run the checkout's entry point, not whatever `too-sign` is on PATH, or
+    # a driver script that calls it.  The children run in tmp dirs, so `src`
+    # must be absolute.
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, os.environ.get("PYTHONPATH")) if p
     )
+    entry = ["-c", driver] if driver else ["-m", "toosign.cli"]
     return subprocess.run(
-        [sys.executable, "-m", "toosign.cli", *args],
+        [sys.executable, *entry, *args],
         capture_output=True, text=True, cwd=cwd, env=env,
     )
 
@@ -274,6 +277,7 @@ def test_keygen_error_exits_1(tmp_path, capsys):
         ["bench", "--height", "0", "--seed", SEED_A],
         ["bench", "--chameleon", "sis", "--n", "0", "--seed", SEED_A],
         ["game", "--adversary", "replay", "--height", "0"],
+        ["game", "--adversary", "replay", "--budget", "-1"],
     ):
         code = run_main(args)
         err = capsys.readouterr().err
@@ -294,6 +298,51 @@ def test_signing_advances_persisted_state(workspace):
         r = too_sign("verify", "--pub", "key.toopub", "--in", "msg.txt",
                      "--sig", f"m{i}.toosig", cwd=workspace)
         assert r.returncode == 0
+
+
+# `too-sign` that dies by SIGKILL right after the key file is replaced
+KILLED_AFTER_KEY_WRITE = """
+import os, signal, sys
+from toosign import cli
+
+write = cli._write
+
+
+def write_then_die(path, blob, armored):
+    write(path, blob, armored)
+    if path.endswith(".tookey"):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+cli._write = write_then_die
+cli.main(sys.argv[1:])
+"""
+
+
+def leaf_of(sig_path):
+    _, fields = encoding.decode_record(sig_path.read_bytes(), encoding.TAG_TRANSFORMED_SIG)
+    _, merkle_fields = encoding.decode_record(fields[0], encoding.TAG_MERKLE_SIG)
+    return int.from_bytes(merkle_fields[0], "big")
+
+
+def test_signer_killed_after_key_write_never_reissues_a_leaf(workspace):
+    """The state write comes before the signature's: a signer killed between
+    them has spent a leaf it never released, and the next sign moves on."""
+    files_before = set(os.listdir(workspace))
+    args = ("sign", "--key", "key.tookey", "--pub", "key.toopub", "--in", "msg.txt",
+            "--seed", SEED_B)
+    r = too_sign(*args, "--out", "lost.toosig", cwd=workspace, driver=KILLED_AFTER_KEY_WRITE)
+    assert r.returncode == -signal.SIGKILL, r.stderr
+    sk = (workspace / "key.tookey").read_bytes()
+    kp = transform.keypair_from_secret(sk, (workspace / "key.toopub").read_bytes())
+    assert int.from_bytes(kp.base.state, "big") == 1
+    assert set(os.listdir(workspace)) == files_before | {"key.tookey.lock"}
+
+    assert too_sign(*args, "--out", "next.toosig", cwd=workspace).returncode == 0
+    assert leaf_of(workspace / "next.toosig") == 1
+    r = too_sign("verify", "--pub", "key.toopub", "--in", "msg.txt",
+                 "--sig", "next.toosig", cwd=workspace)
+    assert r.returncode == 0 and "accept" in r.stdout
 
 
 def test_capacity_exhaustion_exit_code(workspace):

@@ -66,6 +66,23 @@ def test_budget_violation_flagged():
     assert t.budget_violation and t.verdict is False
 
 
+def test_negative_budget_is_refused():
+    chal, rng = transformed(3)
+    with pytest.raises(GameError):
+        run_game(GameKind.SU, chal, ReplayAdversary(), budget=-1, rng=rng)
+    t = run_game(GameKind.SU, chal, ReplayAdversary(), budget=0, rng=rng)
+    assert t.budget_violation and t.verdict is False
+
+
+@pytest.mark.parametrize("make_adversary", [
+    CaseOneForger, CaseTwoForger, lambda ch: LuckyGuesser(),
+], ids=["case1", "case2", "lucky"])
+def test_transformed_only_adversaries_refuse_a_raw_challenger(make_adversary):
+    desc = wrap_malleable(merkle_descriptor(2))
+    with pytest.raises(GameError):
+        games.play(GameKind.SU, 0, lambda m: RawChallenger(desc, m), make_adversary, 4)
+
+
 def test_mauling_beats_raw_malleable_wrapper():
     desc = wrap_malleable(merkle_descriptor(2))
     for seed in range(10):
