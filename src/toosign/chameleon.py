@@ -391,8 +391,6 @@ def _multi_pow(terms, p: int, bits: int) -> int:
     return out
 
 
-
-
 # ---------------------------------------------------------------------------
 # the discrete-log family
 

@@ -5,11 +5,21 @@ transform.  Messages are 256-bit digests; each leaf is a full-reveal Lamport
 key (two 32-byte preimages per message bit) and the tree root is the public
 key.  The secret key caches every tree node so signing only re-derives one
 leaf's preimages plus an authentication path.
+
+Key generation splits the leaves into contiguous ranges, one per usable core
+and at least _LEAVES_PER_WORKER leaves each.  The caller computes the first
+range and a forked child each other one, so a tree of fewer than twice that
+many leaves never forks.  The children only hash: the seed is drawn before
+they start, and a range whose child fails is computed by the caller.  The
+keys are byte-identical to a serial keygen.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import threading
+from typing import BinaryIO
 
 from . import encoding
 from .errors import CapacityError, DomainError, FormatError
@@ -53,6 +63,88 @@ def _leaf_public(preimages: bytes) -> bytes:
     return HASH(hashes).digest()
 
 
+def _leaf_range(seed: bytes, start: int, stop: int) -> bytes:
+    """The public keys of leaves start .. stop-1, packed in order."""
+    return b"".join(
+        [_leaf_public(_leaf_preimages(seed, leaf)) for leaf in range(start, stop)]
+    )
+
+
+# a fork costs about 3.5 ms and a leaf about 0.55 ms; below 64 leaves per
+# worker the second core did not reliably pay for the fork
+_LEAVES_PER_WORKER = 64
+
+
+def _worker_count(leaves: int) -> int:
+    most = leaves // _LEAVES_PER_WORKER
+    # forking a process that runs other threads can copy a held lock
+    if most < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return min(cores, most)
+
+
+def _fork_range(seed: bytes, start: int, stop: int) -> tuple[int, BinaryIO]:
+    """(pid, read end of a pipe) of a child that writes _leaf_range(seed,
+    start, stop) to the pipe and exits 0; OSError if no child could be made."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child never returns: _exit skips buffers and handlers
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(_leaf_range(seed, start, stop))
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _leaf_keys(seed: bytes, leaves: int) -> bytes:
+    """The public keys of all leaves, packed in order; see the module
+    docstring for how the work is split.  Every child is reaped and every
+    pipe closed before this returns or raises; a child not read to the end
+    is killed first."""
+    workers = _worker_count(leaves)
+    bounds = [leaves * i // workers for i in range(workers + 1)]
+    ranges = list(zip(bounds[1:-1], bounds[2:]))  # the children's ranges
+    children = {}  # start -> (pid, pipe)
+    output = {}  # start -> what its child wrote, read to the end
+    try:
+        for start, stop in ranges:
+            try:
+                children[start] = _fork_range(seed, start, stop)
+            except OSError:
+                pass
+        parts = [_leaf_range(seed, 0, bounds[1])]
+        for start, (_, pipe) in children.items():
+            output[start] = pipe.read()
+    finally:
+        for start, (pid, pipe) in children.items():
+            pipe.close()
+            if start not in output:
+                from signal import SIGKILL
+
+                os.kill(pid, SIGKILL)
+            if os.waitpid(pid, 0)[1]:
+                output.pop(start, None)
+    for start, stop in ranges:
+        part = output.get(start, b"")
+        if len(part) != 32 * (stop - start):
+            part = _leaf_range(seed, start, stop)
+        parts.append(part)
+    return b"".join(parts)
+
+
 def _build_tree(leaf_pubs: list[bytes]) -> list[list[bytes]]:
     """Levels bottom-up; level 0 is the leaves, last level is [root]."""
     levels = [leaf_pubs]
@@ -71,8 +163,8 @@ def _digest_bits(digest: bytes) -> list[int]:
 def merkle_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     height = descriptor.param_blob[0]
     seed = rng.random_bytes(32)
-    leaf_pubs = [_leaf_public(_leaf_preimages(seed, leaf)) for leaf in range(1 << height)]
-    levels = _build_tree(leaf_pubs)
+    keys = _leaf_keys(seed, 1 << height)
+    levels = _build_tree([keys[i : i + 32] for i in range(0, len(keys), 32)])
     root = levels[-1][0]
     nodes = b"".join(b"".join(level) for level in levels)
     public_key = encoding.encode_record(encoding.TAG_MERKLE_PK, [bytes([height]), root])

@@ -270,6 +270,16 @@ def test_usage_error_exits_2(tmp_path, monkeypatch, case):
     assert os.listdir(tmp_path) == []
 
 
+def test_forking_keygen_prints_each_line_once(tmp_path):
+    """A height-10 keygen computes leaves in forked children; none of them
+    flushes the parent's output buffers a second time."""
+    r = too_sign("keygen", "--chameleon", "dl-demo", "--height", "10",
+                 "--out", "key", cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    assert [line.split()[0] for line in r.stderr.splitlines()] == ["seed:"]
+    assert [line.split()[0] for line in r.stdout.splitlines()] == ["wrote"]
+
+
 def test_keygen_error_exits_1(tmp_path, capsys):
     """An input the library refuses exits 1 with `Error:`, no traceback."""
     for args in (

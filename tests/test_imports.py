@@ -172,7 +172,9 @@ import sys
 import toosign, toosign.cli
 from toosign import registry
 
-loaded = [m for m in ("click", "toosign.games", "toosign.bench", "numpy") if m in sys.modules]
+heavy = ("click", "toosign.games", "toosign.bench", "numpy",
+         "multiprocessing", "concurrent.futures", "subprocess")
+loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, f"import toosign.cli loaded {loaded}"
 assert 2 not in registry._REGISTRY, "the malleable wrapper is registered"
 from toosign import wrap_malleable
