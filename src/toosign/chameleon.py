@@ -34,11 +34,12 @@ first: one group's g and 7 keys take about 3.1 MB on the 2048-bit group,
 and 8 generators at most 7.6 MB.  Neither builtin pow nor these passes run
 in constant time; this code makes no side-channel claim.
 
-DL groups.  The named sets in DL_PARAM_SETS are constants proven once by the
-test suite, so key generation and decoding accept them by comparing
-(p, q, g).  Every other group gets the full checks (Miller-Rabin on p and q,
-p = 2q + 1, g of order q) once per process.  A decoded public key's y must
-also lie in the order-q subgroup.
+DL groups.  The only DL groups are the named sets in DL_PARAM_SETS,
+constants that the test suite proves (p and q prime, p = 2q + 1, g of order
+q).  Key generation takes a group by name, and decoding accepts a key's
+(p, q, g) only by comparing it with the named sets, so an unnamed group is
+refused before any big-integer work.  A decoded public key's y must also
+lie in the order-q subgroup.
 
 Families.  DLInstance here and SISInstance in `sis` carry their family's
 operations, and the module functions call them.  `hg` and
@@ -48,14 +49,12 @@ their SIS arm, so a process that hashes only over DL never imports numpy.
 
 from __future__ import annotations
 
-import hashlib
 import numbers
 import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import encoding
@@ -127,34 +126,6 @@ DL_PARAM_SETS: dict[str, tuple[int, int, int]] = {
 }
 
 
-def _miller_rabin(n: int, rounds: int = 16) -> bool:
-    if n < 2:
-        return False
-    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n == small:
-            return True
-        if n % small == 0:
-            return False
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    # deterministic pseudo-random bases derived from n itself
-    base_rng = Rng(hashlib.sha256(b"mr:" + encoding.encode_int(n)).digest())
-    for _ in range(rounds):
-        a = 2 + base_rng.randbelow(n - 3)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # key generation
 
@@ -163,24 +134,9 @@ _NAMED_DL_GROUPS = frozenset(DL_PARAM_SETS.values())
 
 
 def _check_dl_group(p: int, q_grp: int, g: int) -> None:
-    """Raises DomainError unless p = 2q + 1 with p and q prime and g of order q.
-
-    The named sets are constants whose checks run in the test suite, so they
-    pass by comparison; any other group is checked in full once per process.
-    """
+    """Raises DomainError unless (p, q, g) is one of the named sets."""
     if (p, q_grp, g) not in _NAMED_DL_GROUPS:
-        _check_dl_group_full(p, q_grp, g)
-
-
-@lru_cache(maxsize=64)
-def _check_dl_group_full(p: int, q_grp: int, g: int) -> None:
-    # cheapest first; Miller-Rabin on a 2048-bit p and q takes about a second
-    if p != 2 * q_grp + 1:
-        raise DomainError("need a safe prime: p = 2*q + 1")
-    if g <= 1 or g >= p or pow(g, q_grp, p) != 1:
-        raise DomainError("g must generate the order-q subgroup")
-    if not _miller_rabin(q_grp) or not _miller_rabin(p):
-        raise DomainError("p and the subgroup order must both be prime")
+        raise DomainError("not a named DL group")
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -209,15 +165,12 @@ def hg(
     kind: ChameleonKind, params: dict, rng: Rng
 ) -> tuple[ChameleonInstance, ChameleonTrapdoor]:
     if kind is ChameleonKind.DL:
-        if "name" in params:
-            p, q_grp, g = DL_PARAM_SETS[params["name"]]
-        else:
-            p, q_grp, g = params["p"], params["q_grp"], params["g"]
-        return hg_dl(p, q_grp, g, rng)
+        group = DL_PARAM_SETS.get(params["name"])
+        if group is None:
+            raise DomainError(f"unknown DL group {params['name']!r}")
+        return hg_dl(*group, rng)
     from . import sis  # numpy loads with the first SIS key
-    return sis.hg_sis(
-        params["n"], params["q"], params["m"], params["k"], rng, params.get("s")
-    )
+    return sis.hg_sis(params["n"], params["q"], params["m"], params["k"], rng)
 
 
 # ---------------------------------------------------------------------------

@@ -417,8 +417,7 @@ class _SignThenForge(Adversary):
 class ReplayAdversary(_SignThenForge):
     """Resubmits a received (message, signature) pair; must lose the SU game."""
 
-    def __init__(self, message: bytes = b"replayed message"):
-        self.message = message
+    message = b"replayed message"
 
     def forge(self, sig_bytes):
         return self.message, sig_bytes
@@ -440,8 +439,7 @@ class MaulingAdversary(ReplayAdversary):
     Beats the raw malleable wrapper; the transform must close the maul.
     """
 
-    def __init__(self, message: bytes = b"maul me"):
-        self.message = message
+    message = b"maul me"
 
     def _maul(self, sig_bytes: bytes) -> bytes:
         try:
@@ -586,21 +584,18 @@ def hybrid_transcript_compare(
     base_descriptor: SchemeDescriptor,
     ch_kind: ChameleonKind,
     ch_params: dict,
-    budget: int = 4,
-    kind: GameKind = GameKind.SU,
-    shared_keypair: TransformedKeyPair | None = None,
 ):
-    """Runs both variants on coupled seeds; counts the seeds whose visible
+    """Runs both variants of the strong game on coupled seeds, with fresh
+    keys and a budget of 4 signatures; counts the seeds whose visible
     transcripts agree byte for byte."""
 
     def digest(seed: int, variant: ChallengerVariant) -> bytes:
         def make_challenger(master):
             return make_transformed_challenger(
-                variant, base_descriptor, ch_kind, ch_params, master,
-                keypair=shared_keypair,
+                variant, base_descriptor, ch_kind, ch_params, master
             )
 
-        t = play(kind, seed, make_challenger, make_adversary, budget)
+        t = play(GameKind.SU, seed, make_challenger, make_adversary, budget=4)
         return t.visible_digest()
 
     divergent_seeds = []

@@ -1,9 +1,9 @@
 """Discrete Gaussian sampling over the integers.
 
 D_{Z,s} assigns x weight exp(-pi x^2 / s^2).  Sampling is by CDF inversion
-over [-ceil(12 s), ceil(12 s)]; the truncated tail carries total mass below
-2^-64 for every s >= 1.  All draws come from an explicit Rng so runs are
-replayable.
+over [-ceil(_TAIL s), ceil(_TAIL s)] with _TAIL = 12; the truncated tail
+carries total mass below 2^-64 for every s >= 1.  All draws come from an
+explicit Rng so runs are replayable.
 """
 
 from __future__ import annotations
@@ -13,14 +13,15 @@ import numpy as np
 from .rng import Rng
 
 _PREC_BITS = 53  # uniform deviates carry one double's worth of entropy
+_TAIL = 12.0  # the support ends _TAIL widths s from 0
 
 
 class DiscreteGaussian:
-    def __init__(self, s: float, tail: float = 12.0):
+    def __init__(self, s: float):
         if s < 1.0:
             raise ValueError("width parameter s must be >= 1")
         self.s = float(s)
-        zmax = int(np.ceil(tail * s))
+        zmax = int(np.ceil(_TAIL * s))
         self.support = np.arange(-zmax, zmax + 1, dtype=np.int64)
         weights = np.exp(-np.pi * (self.support.astype(np.float64) ** 2) / (s * s))
         cdf = np.cumsum(weights)

@@ -2,8 +2,8 @@
 
 All algorithm randomness flows through :class:`Rng`; there is no ambient
 entropy inside any signing, hashing or game code.  The stream is defined by
-(seed, counter): block ``i`` is SHA-256(seed || i) and identical
-(seed, counter) always reproduces identical output.
+its seed: block ``i`` is SHA-256(seed || i), every stream starts at block 0,
+and one seed always reproduces identical output.
 """
 
 from __future__ import annotations
@@ -12,11 +12,11 @@ import hashlib
 
 
 class Rng:
-    def __init__(self, seed: bytes, counter: int = 0):
+    def __init__(self, seed: bytes):
         if len(seed) != 32:
             raise ValueError("seed must be exactly 32 bytes")
         self.seed = seed
-        self.counter = counter
+        self.counter = 0  # the next block
         self._buf = b""
 
     def random_bytes(self, n: int) -> bytes:

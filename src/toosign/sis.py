@@ -241,7 +241,16 @@ class SISInstance:
         T = unpack_matrix(fields[0], p.m, p.m, p.q)
         R = T[: p.m_bar, p.m_bar :]
         # entries were reduced into [0, q); map back to signed +-1
-        return SISTrapdoor(R=np.where(R > p.q // 2, R - p.q, R))
+        R = np.where(R > p.q // 2, R - p.q, R)
+        T[: p.m_bar, p.m_bar :] = 0
+        if not np.array_equal(T, np.eye(p.m, dtype=np.int64)):
+            raise FormatError("trapdoor is not of the form [[I, R], [0, I]]")
+        if not np.all(np.abs(R) == 1):
+            raise FormatError("trapdoor block R has an entry other than +-1")
+        # a tampered R would sign garbage that no verifier accepts
+        if not trapdoor_relation_holds(p, self.B, R):
+            raise FormatError("trapdoor does not match the public key: B [R; I] != G")
+        return SISTrapdoor(R=R)
 
     def serialize_element(self, elem) -> bytes:
         return encoding.encode_record(
@@ -283,10 +292,8 @@ class SISInstance:
         return {"kind": "sis", "n": p.n, "q": p.q, "m": p.m, "k": p.k}, predicted, measured
 
 
-def hg_sis(
-    n: int, q: int, m: int, k: int, rng: Rng, s: float | None = None
-) -> tuple[SISInstance, SISTrapdoor]:
-    params = derive_params(n, q, m, k, s)
+def hg_sis(n: int, q: int, m: int, k: int, rng: Rng) -> tuple[SISInstance, SISTrapdoor]:
+    params = derive_params(n, q, m, k)
     A = np.array(
         [[rng.randbelow(q) for _ in range(k)] for _ in range(n)], dtype=np.int64
     )

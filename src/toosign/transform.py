@@ -155,6 +155,12 @@ def s_prime(
     """Sign, returning the signature and the key pair with advanced state.
 
     Atomic: on any failure the base-scheme state is not advanced.
+
+    The range value C comes from rng before the key state is read, so one
+    rng stream must never sign at two states of one key: both signatures
+    would open the same C, and two openings of one C are a chameleon
+    collision, which for DL reveals the trapdoor.  Fork the rng by the
+    state, as `too-sign sign` does.
     """
     c_sample = chameleon.sample_range(kp.ch_inst, rng, kp.ch_td)
     base_sig, new_kp = sign_range(kp, c_sample.element, rng)

@@ -4,11 +4,14 @@ The small instance is p = 23 = 2*11 + 1, g = 4 generating the order-11
 subgroup {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}.
 """
 
+import hashlib
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toosign import chameleon, merkle, transform
+from toosign import chameleon, encoding, merkle, transform
 from toosign.chameleon import (
     ChameleonKind,
     CollisionVerdict,
@@ -18,7 +21,7 @@ from toosign.chameleon import (
 )
 from toosign.errors import DomainError, FormatError
 from toosign.oracle import production_oracle
-from toosign.rng import rng_from_int
+from toosign.rng import Rng, rng_from_int
 
 P, Q, G = 23, 11, 4
 SUBGROUP = sorted(pow(G, i, P) for i in range(Q))
@@ -375,36 +378,52 @@ def test_sample_range_with_trapdoor_matches_without(name, seeds):
 
 
 # ---------------------------------------------------------------------------
-# group checks: the named sets are proven here instead of at every keygen
+# group checks: the named sets are the only groups, and they are proven here
+
+
+def miller_rabin(n: int) -> bool:
+    if n < 2:
+        return False
+    for small in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        if n == small:
+            return True
+        if n % small == 0:
+            return False
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    # deterministic pseudo-random bases derived from n itself
+    base_rng = Rng(hashlib.sha256(b"mr:" + encoding.encode_int(n)).digest())
+    for _ in range(16):
+        a = 2 + base_rng.randbelow(n - 3)
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @pytest.mark.parametrize("name", sorted(chameleon.DL_PARAM_SETS))
 def test_named_groups_pass_the_full_checks(name):
     p, q, g = chameleon.DL_PARAM_SETS[name]
-    assert chameleon._miller_rabin(p) and chameleon._miller_rabin(q)
+    assert miller_rabin(p) and miller_rabin(q)
     assert p == 2 * q + 1
     assert 1 < g < p and pow(g, q, p) == 1
 
 
-def test_only_named_groups_skip_the_full_checks(monkeypatch):
-    tested = []
-    miller_rabin = chameleon._miller_rabin
-
-    def spy(n, rounds=16):
-        tested.append(n)
-        return miller_rabin(n, rounds)
-
-    monkeypatch.setattr(chameleon, "_miller_rabin", spy)
-    chameleon._check_dl_group_full.cache_clear()
+def test_unnamed_groups_are_refused():
     for name in chameleon.DL_PARAM_SETS:
         chameleon.hg(ChameleonKind.DL, {"name": name}, rng_from_int(0))
-    assert tested == []
-    # a valid group that is not named is checked in full, once per process
-    chameleon.hg_dl(47, 23, 2, rng_from_int(0))
-    chameleon.hg_dl(47, 23, 2, rng_from_int(1))
-    assert tested == [23, 47]
-    # groups that differ from a named set in p, q or g
+    with pytest.raises(DomainError):
+        chameleon.hg(ChameleonKind.DL, {"name": "dl-1024"}, rng_from_int(0))
     for p, q, g in [
+        (47, 23, 2),  # a valid safe-prime group, but not a named one
         (23, 11, 5),  # 5 is a non-residue mod 23: its order is 22
         (19, 9, 4),  # 4 has order 9 mod 19, but 9 is not prime
         (P2048 + 2, Q2048 + 1, G2048),
@@ -413,29 +432,17 @@ def test_only_named_groups_skip_the_full_checks(monkeypatch):
     ]:
         with pytest.raises(DomainError):
             chameleon.hg_dl(p, q, g, rng_from_int(0))
-    assert tested == [23, 47, 9]
-
-
-def test_explicit_named_group_gives_the_same_key():
-    by_name = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(8))
-    explicit = chameleon.hg(
-        ChameleonKind.DL, {"p": P2048, "q_grp": Q2048, "g": G2048}, rng_from_int(8)
-    )
-    assert explicit[0].serialize() == by_name[0].serialize()
-    assert explicit[0].serialize_trapdoor(explicit[1]) == by_name[0].serialize_trapdoor(
-        by_name[1]
-    )
 
 
 def test_decoding_checks_the_group_and_y():
     good = [
         DLInstance(P, Q, G, 18),
-        DLInstance(47, 23, 2, 4),
         DLInstance(P2048, Q2048, G2048, 4),
     ]
     for inst in good:
         assert chameleon.deserialize_instance(inst.serialize()) == inst
     bad = [
+        DLInstance(47, 23, 2, 4),  # a valid group, but not a named one
         DLInstance(P, 10, G, 18),  # p != 2q + 1
         DLInstance(P, Q, 5, 18),  # g outside the subgroup
         DLInstance(19, 9, 4, 5),  # q not prime
@@ -449,3 +456,10 @@ def test_decoding_checks_the_group_and_y():
     for inst in bad:
         with pytest.raises(FormatError):
             chameleon.deserialize_instance(inst.serialize())
+    # checking a 16384-bit group in full took seconds: one pow of g alone
+    p = (1 << 16383) | 0x5EED0001
+    blob = DLInstance(p, (p - 1) // 2, 2, 4).serialize()
+    start = time.perf_counter()
+    with pytest.raises(FormatError):
+        chameleon.deserialize_instance(blob)
+    assert time.perf_counter() - start < 1.0

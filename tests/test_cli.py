@@ -1,5 +1,6 @@
 """End-to-end command-line behaviour: round trips, exit codes, locking."""
 
+import argparse
 import fcntl
 import json
 import os
@@ -9,9 +10,10 @@ import sys
 
 import pytest
 
-from toosign import cli, encoding, games, merkle, transform
+from toosign import chameleon, cli, encoding, games, merkle, transform
 from toosign.chameleon import ChameleonKind
-from toosign.oracle import production_oracle
+from toosign.errors import DomainError
+from toosign.oracle import frame, production_oracle
 from toosign.rng import rng_from_int
 
 SEED_A = "11" * 32
@@ -120,6 +122,53 @@ def sign_refused(workspace, key, pub):
     assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
     assert (workspace / key).read_bytes() == key_before
     assert set(os.listdir(workspace)) - files_before <= {key + ".lock"}
+
+
+def test_tampered_sis_trapdoor_is_malformed(workspace):
+    """A SIS trapdoor whose R no longer matches B spends no leaf: signing
+    with it would release a signature that no verifier accepts."""
+    assert too_sign("keygen", "--chameleon", "sis", "--height", "1",
+                    "--out", "sk", "--seed", SEED_A, cwd=workspace).returncode == 0
+    kp = transform.keypair_from_secret((workspace / "sk.tookey").read_bytes(),
+                                       (workspace / "sk.toopub").read_bytes())
+    p = kp.ch_inst.params
+    width = 2  # q = 257
+    at = width * p.m_bar  # T[0, m_bar] = R[0, 0], which is 1 or q - 1
+
+    def negate_entry(blob):
+        entry = int.from_bytes(blob[at : at + width], "big")
+        return blob[:at] + (p.q - entry).to_bytes(width, "big") + blob[at + width :]
+
+    sk = edit_record(
+        (workspace / "sk.tookey").read_bytes(), encoding.TAG_TRANSFORMED_SK, 2,
+        lambda record: edit_record(record, encoding.TAG_SIS_TRAPDOOR, 0, negate_entry),
+    )
+    (workspace / "bad.tookey").write_bytes(sk)
+    sign_refused(workspace, "bad.tookey", "sk.toopub")
+
+
+def test_one_seed_on_two_leaves_keeps_the_trapdoor(tmp_path):
+    """Two signs with one --seed commit to different range values, so their
+    openings are no chameleon collision and do not reveal the trapdoor x."""
+    assert too_sign("keygen", "--chameleon", "dl", "--height", "2", "--out", "key",
+                    "--seed", SEED_A, cwd=tmp_path).returncode == 0
+    pk = transform.TransformedPublicKey.deserialize((tmp_path / "key.toopub").read_bytes())
+    ro = production_oracle(pk.ch_inst)
+    openings = []
+    for i in range(2):
+        message = b"message %d" % i
+        (tmp_path / f"m{i}.txt").write_bytes(message)
+        assert too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",
+                        "--in", f"m{i}.txt", "--out", f"m{i}.toosig", "--seed", SEED_B,
+                        cwd=tmp_path).returncode == 0
+        sig = transform.deserialize_signature(
+            (tmp_path / f"m{i}.toosig").read_bytes(), pk.ch_inst, pk.base_descriptor
+        )
+        openings.append((ro.eval(frame(message, sig.base_sig.bytes)), sig.randomness))
+    c0, c1 = (chameleon.ch_hash(pk.ch_inst, m, r) for m, r in openings)
+    assert c0 != c1
+    with pytest.raises(DomainError):
+        chameleon.dl_recover_trapdoor(pk.ch_inst, *openings)
 
 
 @pytest.mark.parametrize("multiple", [0, 1, 2])
@@ -453,3 +502,53 @@ def test_raw_target_refuses_transformed_only_adversary(adversary, capsys):
     code = run_main(["game", "--adversary", adversary, "--target", "raw", "--seeds", "2"])
     out, err = capsys.readouterr()
     assert code == 1 and out == "" and err.startswith("Error: "), err
+
+
+# every command's options: name -> (choices, default)
+CLI_SURFACE = {
+    "keygen": {
+        "--help": (None, argparse.SUPPRESS), "--scheme": (None, "merkle"),
+        "--height": (None, 4), "--chameleon": (None, "dl"), "--n": (None, 4),
+        "--q": (None, 257), "--m": (None, 12), "--k": (None, 8), "--out": (None, None),
+        "--seed": (None, None), "--armor": (None, False),
+    },
+    "sign": {
+        "--help": (None, argparse.SUPPRESS), "--key": (None, None), "--pub": (None, None),
+        "--in": (None, None), "--out": (None, None), "--seed": (None, None),
+        "--armor": (None, False), "--ro-tag": (None, "TOO-RO-v1"),
+    },
+    "verify": {
+        "--help": (None, argparse.SUPPRESS), "--pub": (None, None), "--in": (None, None),
+        "--sig": (None, None), "--armor": (None, False), "--ro-tag": (None, "TOO-RO-v1"),
+    },
+    "bench": {
+        "--help": (None, argparse.SUPPRESS), "--chameleon": (None, "sis"),
+        "--n": (None, 4), "--q": (None, 257), "--m": (None, 12), "--k": (None, 8),
+        "--height": (None, 2), "--seed": (None, None),
+    },
+    "game": {
+        "--help": (None, argparse.SUPPRESS), "--kind": (["eu", "su"], "su"),
+        "--variant": (["hyd0", "hyd1", "hyd2"], "hyd0"),
+        "--adversary": (["case1", "case2", "garbage", "lucky", "mauling", "replay"], None),
+        "--target": (["transformed", "raw"], "transformed"), "--seeds": (None, 100),
+        "--chameleon": (None, "dl-demo"), "--height": (None, 2), "--budget": (None, 4),
+        "--report": (["json"], "json"),
+    },
+}
+
+
+def test_cli_surface_is_pinned():
+    """A change to any command's options, choices or defaults shows here."""
+    parser = cli._parser("too-sign")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {a.option_strings[0]: (a.choices, a.default)
+               for a in sub._actions if a.option_strings}
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    # --scheme and --chameleon check their names in their type
+    assert sorted(cli.BASE_SCHEMES) == ["merkle"]
+    assert cli.CHAMELEONS == ("dl", "dl-2048", "dl-demo", "sis")
+    for name in cli.CHAMELEONS:
+        assert cli.CHAMELEON(name) == name
