@@ -127,8 +127,11 @@ def keygen(scheme, height, chameleon, n, q, m, k, out, seed, armor):
     """Generate a transformed key pair (PREFIX.toopub, PREFIX.tookey)."""
     kind, params = _chameleon_params(chameleon, n, q, m, k)
     kp = g_prime(BASE_SCHEMES[scheme](height), kind, params, _seed_rng(seed))
-    _write(out + ".toopub", kp.public_bytes(), armor)
-    _write(out + ".tookey", kp.secret_bytes(), armor)
+    try:
+        _write(out + ".toopub", kp.public_bytes(), armor)
+        _write(out + ".tookey", kp.secret_bytes(), armor)
+    except OSError as e:
+        _fail(f"cannot write: {e}")
     print(f"wrote {out}.toopub and {out}.tookey")
 
 
@@ -140,8 +143,11 @@ def _check_base_scheme(descriptor) -> None:
 
 def sign(key, pub, infile, out, seed, armor, ro_tag):
     """Sign a file; persists the advanced key state before emitting output."""
-    lock_path = key + ".lock"
-    lock_fd = os.open(lock_path, os.O_CREAT | os.O_RDWR)
+    try:
+        lock_fd = os.open(key + ".lock", os.O_CREAT | os.O_RDWR)
+    except OSError as e:
+        print(f"malformed key: {e}", file=sys.stderr)
+        sys.exit(EXIT_MALFORMED)
     try:
         try:
             fcntl.flock(lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -155,7 +161,10 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
         except (ToosignError, OSError) as e:
             print(f"malformed key: {e}", file=sys.stderr)
             sys.exit(EXIT_MALFORMED)
-        message = _read(infile, False)
+        try:
+            message = _read(infile, False)
+        except OSError as e:
+            _fail(f"cannot read: {e}")
         oracle = production_oracle(kp.ch_inst, domain_tag=ro_tag.encode())
         # a seed replayed on another leaf must not commit to the same range
         # value: two openings of one DL range value reveal the trapdoor

@@ -4,7 +4,8 @@ This is the reference existentially-unforgeable base scheme fed to the
 transform.  Messages are 256-bit digests; each leaf is a full-reveal Lamport
 key (two 32-byte preimages per message bit) and the tree root is the public
 key.  The secret key caches every tree node so signing only re-derives one
-leaf's preimages plus an authentication path.
+leaf's preimages plus an authentication path.  Keygen, signing and
+verifying cut 32-byte chunks with one shared table of slice objects.
 
 Key generation splits the leaves into contiguous ranges, one per usable core
 and at least _LEAVES_PER_WORKER leaves each.  The caller computes the first
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
+from itertools import compress
 from typing import BinaryIO
 
 from . import encoding
@@ -37,6 +39,13 @@ SCHEME_ID_MERKLE = 1
 
 DIGEST_BITS = 256
 HASH = hashlib.sha256
+
+# chunk i of a leaf's preimages; preimage 2j + b is revealed when digest bit
+# j is b.  The first DIGEST_BITS also cut a signature's two Lamport fields.
+_CHUNKS = [slice(32 * i, 32 * i + 32) for i in range(2 * DIGEST_BITS)]
+# a digest's bit string -> one selector byte per preimage
+_REVEAL = str.maketrans({"0": "\1\0", "1": "\0\1"})
+_HIDE = str.maketrans({"0": "\0\1", "1": "\1\0"})
 
 
 def merkle_descriptor(height: int) -> SchemeDescriptor:
@@ -57,10 +66,7 @@ def _leaf_preimages(seed: bytes, leaf: int) -> bytes:
 
 def _leaf_public(preimages: bytes) -> bytes:
     """Leaf public key: the hash of the concatenated per-preimage hashes."""
-    hashes = b"".join(
-        [HASH(preimages[i : i + 32]).digest() for i in range(0, len(preimages), 32)]
-    )
-    return HASH(hashes).digest()
+    return HASH(b"".join([HASH(preimages[c]).digest() for c in _CHUNKS])).digest()
 
 
 def _leaf_range(seed: bytes, start: int, stop: int) -> bytes:
@@ -156,8 +162,9 @@ def _build_tree(leaf_pubs: list[bytes]) -> list[list[bytes]]:
     return levels
 
 
-def _digest_bits(digest: bytes) -> list[int]:
-    return [(digest[j // 8] >> (7 - j % 8)) & 1 for j in range(DIGEST_BITS)]
+def _bit_string(digest: bytes) -> str:
+    """The digest's bits, most significant first, as '0' and '1'."""
+    return format(int.from_bytes(digest, "big"), "0256b")
 
 
 def merkle_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
@@ -228,12 +235,11 @@ def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]
     if next_leaf >= (1 << height):
         raise CapacityError(f"all {1 << height} leaves consumed")
     preimages = _leaf_preimages(seed, next_leaf)
-    # bit j reveals the preimage at offset o and hashes its pair partner at o ^ 32
-    offsets = [64 * j + 32 * bit for j, bit in enumerate(_digest_bits(digest))]
-    revealed = b"".join([preimages[o : o + 32] for o in offsets])
-    complement = b"".join(
-        [HASH(preimages[o ^ 32 : (o ^ 32) + 32]).digest() for o in offsets]
-    )
+    bits = _bit_string(digest)
+    reveal = compress(_CHUNKS, bits.translate(_REVEAL).encode())
+    hide = compress(_CHUNKS, bits.translate(_HIDE).encode())
+    revealed = b"".join(map(preimages.__getitem__, reveal))
+    complement = b"".join([HASH(preimages[c]).digest() for c in hide])
     # nodes packs the levels bottom-up; level L starts at node 2^(h+1) - 2^(h+1-L)
     path = bytearray()
     idx = next_leaf
@@ -265,15 +271,13 @@ def merkle_verify(pk: bytes, digest: bytes, sig: Signature) -> bool:
     leaf_index = int.from_bytes(leaf_index_b, "big")
     if leaf_index >= (1 << height):
         return False
-    hashes = bytearray()
-    for j, bit in enumerate(_digest_bits(digest)):
-        y_revealed = HASH(revealed[j * 32 : (j + 1) * 32]).digest()
-        y_other = complement[j * 32 : (j + 1) * 32]
-        if bit == 0:
-            hashes += y_revealed + y_other
-        else:
-            hashes += y_other + y_revealed
-    node = HASH(bytes(hashes)).digest()
+    ys = [HASH(revealed[c]).digest() for c in _CHUNKS[:DIGEST_BITS]]
+    # pair j holds the hash of preimage 2j first: the revealed one if bit j is 0
+    pairs = [
+        y + complement[c] if b == "0" else complement[c] + y
+        for y, c, b in zip(ys, _CHUNKS, _bit_string(digest))
+    ]
+    node = HASH(b"".join(pairs)).digest()
     idx = leaf_index
     for level in range(height):
         sibling = path[level * 32 : (level + 1) * 32]

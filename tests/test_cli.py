@@ -344,6 +344,45 @@ def test_keygen_error_exits_1(tmp_path, capsys):
         assert os.listdir(tmp_path) == []
 
 
+
+def replaced(args, option, value):
+    """args with the value of option replaced."""
+    i = args.index(option) + 1
+    return [*args[:i], value, *args[i + 1:]]
+
+
+UNUSABLE_PATHS = {
+    # case: (edit of the sign arguments, or keygen arguments; exit code; stderr)
+    "unreadable message": (lambda sign, w: replaced(sign, "--in", f"{w}/missing.txt"),
+                           1, "Error: cannot read"),
+    "key in a missing directory": (
+        lambda sign, w: replaced(sign, "--key", f"{w}/missing/key.tookey"),
+        2, "malformed key: "),
+    "keygen into a missing directory": (
+        lambda sign, w: ["keygen", "--chameleon", "dl-demo", "--height", "2",
+                         "--out", f"{w}/missing/k", "--seed", SEED_A],
+        1, "Error: cannot write"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
+def test_unusable_path_exits_cleanly(workspace, capsys, case):
+    """A file that cannot be read, locked or written ends the command with
+    its message and no traceback, spends no leaf and leaves no file behind."""
+    edit, expected_code, expected_err = UNUSABLE_PATHS[case]
+    sign = ["sign", "--key", f"{workspace}/key.tookey", "--pub", f"{workspace}/key.toopub",
+            "--in", f"{workspace}/msg.txt", "--out", f"{workspace}/msg.toosig",
+            "--seed", SEED_B]
+    key_before = (workspace / "key.tookey").read_bytes()
+    files_before = set(os.listdir(workspace))
+    code = run_main(edit(sign, workspace))
+    err = capsys.readouterr().err
+    assert code == expected_code, err
+    assert err.startswith(expected_err) and "Traceback" not in err, err
+    assert (workspace / "key.tookey").read_bytes() == key_before
+    # a sign that got as far as the lock leaves the lock file, as every sign does
+    assert set(os.listdir(workspace)) - files_before <= {"key.tookey.lock"}
+
 def test_signing_advances_persisted_state(workspace):
     for i in range(2):
         r = too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",

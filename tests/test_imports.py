@@ -1,5 +1,5 @@
 """Every name a toosign module imports is used in it (`__init__` re-exports),
-no code asks which chameleon family it holds, a process that uses only the
+every name a toosign module defines is used somewhere, no code asks which chameleon family it holds, a process that uses only the
 DL chameleon hash never loads numpy, `import toosign.cli` loads only what
 keygen, sign and verify run, and a one-shot sign or verify never builds a
 comb table."""
@@ -9,10 +9,13 @@ import os
 import pathlib
 import subprocess
 import sys
+import tokenize
+from collections import Counter
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "toosign"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "toosign"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -53,6 +56,33 @@ def test_no_unused_imports(module):
     used = used_names(tree)
     unused = {n: line for n, line in imported_names(tree).items() if n not in used}
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def defined_names(tree: ast.Module):
+    """Each module-level function, class and assigned name, once per definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_no_dead_definitions():
+    """A definition nothing names in src/, tests/ or perfbench/ is dead code.
+    `__getattr__` is exempt: Python calls the module hook by itself."""
+    definitions = Counter(
+        name for path in PACKAGE.glob("*.py")
+        for name in defined_names(ast.parse(path.read_text(), path.name))
+    )
+    mentions = Counter()
+    for path in [p for d in ("src", "tests", "perfbench") for p in (ROOT / d).rglob("*.py")]:
+        with open(path, "rb") as f:
+            mentions.update(
+                t.string for t in tokenize.tokenize(f.readline) if t.type == tokenize.NAME
+            )
+    dead = sorted(n for n, count in definitions.items() if mentions[n] <= count)
+    assert dead == ["__getattr__"], f"defined but never used: {dead}"
 
 
 FAMILY_CLASSES = {"DLInstance", "SISInstance", "DLTrapdoor", "SISTrapdoor"}

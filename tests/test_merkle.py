@@ -7,10 +7,10 @@ import time
 
 import pytest
 
-from toosign import merkle
+from toosign import encoding, merkle
 from toosign.errors import CapacityError
 from toosign.merkle import merkle_descriptor, merkle_keygen
-from toosign.registry import scheme_keygen, scheme_sign, scheme_verify
+from toosign.registry import Signature, scheme_keygen, scheme_sign, scheme_verify
 from toosign.rng import rng_from_int
 
 
@@ -57,8 +57,6 @@ def test_tampered_signature_rejected():
     sig, _ = scheme_sign(kp, _digest(b"m"), rng_from_int(0))
     bad = bytearray(sig.bytes)
     bad[-1] ^= 1
-    from toosign.registry import Signature
-
     assert not scheme_verify(
         kp.public_key, _digest(b"m"), Signature(bytes=bytes(bad), descriptor=sig.descriptor)
     )
@@ -66,10 +64,85 @@ def test_tampered_signature_rejected():
 
 def test_garbage_signature_rejected_not_raised():
     kp = scheme_keygen(merkle_descriptor(2), rng_from_int(6))
-    from toosign.registry import Signature
-
     sig = Signature(bytes=b"not a signature", descriptor=kp.descriptor)
     assert scheme_verify(kp.public_key, _digest(b"m"), sig) is False
+
+
+# SHA-256 prefixes of the signature on each leaf 0-7 of the h=3 key of seed 30
+LAMPORT_PINS = {
+    bytes(32): "dbe9e122 dbc4b9bc 2c1f8b71 813af197 1c7e5e46 4da5fa8f fd11bc0f 9ac0b828",
+    b"\xff" * 32: "d228baaf 6e5a96d2 0bc43b90 18bf791c 3a95d4b5 196f843d 23f4bc07 2b99ae39",
+    b"\x55" * 32: "933161ff 51f6f82b b49e45a5 e5ecaeed 3d694129 1297e975 dfcbd3ba 02ac0d5f",
+    b"\xaa" * 32: "34fb9724 4d1e0a2b ddff6924 c1df8662 06e62add 0adb24e7 152912dd c767b3ea",
+    b"\x80" + bytes(31): "9024d5d7 4baf4ee6 a7662eae 19bbabe6 9d3fe031 13c60104 90116769 14e315a5",
+    bytes(31) + b"\x01": "23f8e5c1 b0b1d5cf b79562c5 78e5fedc 4c59baaa f0389fab 8be3c9be 16c0be81",
+}
+
+
+def _h3_key():
+    return merkle_keygen(merkle_descriptor(3), rng_from_int(30))
+
+
+def _sign_leaf(kp, leaf: int, digest: bytes) -> Signature:
+    return merkle.merkle_sign(kp.with_state(leaf.to_bytes(8, "big")), digest, rng_from_int(0))[0]
+
+
+@pytest.mark.parametrize("digest", list(LAMPORT_PINS), ids=lambda d: d.hex()[:4] + d.hex()[-2:])
+def test_lamport_signatures_are_pinned(digest):
+    kp = _h3_key()
+    sigs = [_sign_leaf(kp, leaf, digest) for leaf in range(8)]
+    assert " ".join(hashlib.sha256(s.bytes).hexdigest()[:8] for s in sigs) == LAMPORT_PINS[digest]
+    assert all(merkle.merkle_verify(kp.public_key, digest, s) for s in sigs)
+
+
+def _chunk(field: bytes, j: int) -> bytes:
+    return field[32 * j : 32 * j + 32]
+
+
+def _put(field: bytes, j: int, chunk: bytes) -> bytes:
+    return field[: 32 * j] + chunk + field[32 * j + 32 :]
+
+
+@pytest.mark.parametrize("bit", [0, 1])
+def test_lamport_forgeries_are_rejected(bit):
+    """Digest bit j = bit (0x55 bytes: bit j is j % 2) and a leaf index whose
+    low bit is bit, so each chunk and path node is checked in both orders."""
+    kp = _h3_key()
+    digest, j, leaf = b"\x55" * 32, bit, 4 + bit
+    sig = _sign_leaf(kp, leaf, digest)
+    index, revealed, complement, path = encoding.decode_record(
+        sig.bytes, encoding.TAG_MERKLE_SIG)[1]
+    _, seed, nodes = merkle._secret_key_fields(kp.secret_key)
+
+    def verifies(fields, signed=digest):
+        blob = encoding.encode_record(encoding.TAG_MERKLE_SIG, fields)
+        return merkle.merkle_verify(kp.public_key, signed, Signature(blob, sig.descriptor))
+
+    assert verifies([index, revealed, complement, path])
+    forgeries = {
+        "chunk swapped with its complement": [
+            index, _put(revealed, j, _chunk(complement, j)),
+            _put(complement, j, _chunk(revealed, j)), path],
+        "sibling leaf index": [(leaf ^ 1).to_bytes(4, "big"), revealed, complement, path],
+    }
+    for level in range(3):  # node on the path at level L: see merkle_sign
+        own = 32 * ((2 << 3) - (2 << (3 - level)) + (leaf >> level))
+        forgeries[f"path node {level} replaced by its sibling"] = [
+            index, revealed, complement, _put(path, level, nodes[own : own + 32])]
+    for k, name in enumerate(["index", "revealed", "complement", "path"]):
+        cut = [index, revealed, complement, path]
+        cut[k] = cut[k][:-1]
+        forgeries[f"{name} one byte short"] = cut
+    accepted = [name for name, fields in forgeries.items() if verifies(fields)]
+    assert not accepted
+
+    # revealing the partner preimage instead signs the digest with bit j flipped
+    preimages = merkle._leaf_preimages(seed, leaf)
+    partner = preimages[64 * j + 32 * (1 - bit) : 64 * j + 32 * (2 - bit)]
+    other = [index, _put(revealed, j, partner),
+             _put(complement, j, hashlib.sha256(_chunk(revealed, j)).digest()), path]
+    flipped = bytes([digest[0] ^ (0x80 >> j)]) + digest[1:]
+    assert not verifies(other) and verifies(other, flipped)
 
 
 # (height, seed, SHA-256 prefixes of the public and the secret key), from
