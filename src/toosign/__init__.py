@@ -43,14 +43,12 @@ from .merkle import merkle_descriptor
 from .oracle import (
     DEFAULT_DOMAIN_TAG,
     OracleContext,
-    OracleMode,
     frame,
     production_oracle,
     programmable_oracle,
 )
 from .registry import (
     KeyPair,
-    MessageSpaceKind,
     SchemeDescriptor,
     Signature,
     register_scheme,

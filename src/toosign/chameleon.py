@@ -36,10 +36,10 @@ in constant time; this code makes no side-channel claim.
 
 DL groups.  The only DL groups are the named sets in DL_PARAM_SETS,
 constants that the test suite proves (p and q prime, p = 2q + 1, g of order
-q).  Key generation takes a group by name, and decoding accepts a key's
-(p, q, g) only by comparing it with the named sets, so an unnamed group is
-refused before any big-integer work.  A decoded public key's y must also
-lie in the order-q subgroup.
+q).  Key generation takes a group by name only, and decoding accepts a
+key's (p, q, g) only by comparing it with the named sets, so an unnamed
+group is refused before any big-integer work.  A decoded public key's y
+must also lie in the order-q subgroup.
 
 Families.  DLInstance here and SISInstance in `sis` carry their family's
 operations, and the module functions call them.  `hg` and
@@ -88,8 +88,8 @@ class CollisionVerdict(Enum):
 @dataclass(frozen=True)
 class DLTrapdoor:
     x: int
-    # x^-1 mod q, set where the trapdoor is made or decoded; never serialized
-    x_inv: int | None = field(default=None, compare=False, repr=False)
+    # x^-1 mod q, computed where the trapdoor is made or decoded; never serialized
+    x_inv: int = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -133,12 +133,6 @@ DL_PARAM_SETS: dict[str, tuple[int, int, int]] = {
 _NAMED_DL_GROUPS = frozenset(DL_PARAM_SETS.values())
 
 
-def _check_dl_group(p: int, q_grp: int, g: int) -> None:
-    """Raises DomainError unless (p, q, g) is one of the named sets."""
-    if (p, q_grp, g) not in _NAMED_DL_GROUPS:
-        raise DomainError("not a named DL group")
-
-
 def _jacobi(a: int, n: int) -> int:
     """The Jacobi symbol (a | n) for odd n > 0."""
     a %= n
@@ -154,13 +148,6 @@ def _jacobi(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def hg_dl(p: int, q_grp: int, g: int, rng: Rng) -> tuple[DLInstance, DLTrapdoor]:
-    _check_dl_group(p, q_grp, g)
-    x = 1 + rng.randbelow(q_grp - 1)
-    td = DLTrapdoor(x=x, x_inv=pow(x, -1, q_grp))
-    return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), td
-
-
 def hg(
     kind: ChameleonKind, params: dict, rng: Rng
 ) -> tuple[ChameleonInstance, ChameleonTrapdoor]:
@@ -168,7 +155,10 @@ def hg(
         group = DL_PARAM_SETS.get(params["name"])
         if group is None:
             raise DomainError(f"unknown DL group {params['name']!r}")
-        return hg_dl(*group, rng)
+        p, q_grp, g = group
+        x = 1 + rng.randbelow(q_grp - 1)
+        td = DLTrapdoor(x=x, x_inv=pow(x, -1, q_grp))
+        return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), td
     from . import sis  # numpy loads with the first SIS key
     return sis.hg_sis(params["n"], params["q"], params["m"], params["k"], rng)
 
@@ -391,12 +381,7 @@ class DLInstance:
         mi = self._scalar(m, "message")
         m_t = self._scalar(target.trace_message, "trace message")
         r_t = self._scalar(target.trace_randomness, "trace randomness")
-        x_inv = td.x_inv
-        if x_inv is None:  # a trapdoor built by hand
-            if td.x % self.q_grp == 0:
-                raise DegenerateTrapdoorError("trapdoor exponent is zero")
-            x_inv = pow(td.x, -1, self.q_grp)
-        return ((m_t - mi) * x_inv + r_t) % self.q_grp
+        return ((m_t - mi) * td.x_inv + r_t) % self.q_grp
 
     def elements_equal(self, a, b) -> bool:
         return int(a) == int(b)
@@ -550,10 +535,8 @@ def deserialize_instance(blob: bytes) -> ChameleonInstance:
     tag, fields = encoding.decode_record(blob)
     if tag == encoding.TAG_DL_INSTANCE and len(fields) == 4:
         p, q_grp, g, y = (encoding.decode_int(f) for f in fields)
-        try:
-            _check_dl_group(p, q_grp, g)
-        except DomainError as e:
-            raise FormatError(f"bad DL group: {e}") from e
+        if (p, q_grp, g) not in _NAMED_DL_GROUPS:
+            raise FormatError("bad DL group: not a named DL group")
         # for a safe prime the order-q subgroup is the quadratic residues
         if not 1 < y < p or _jacobi(y, p) != 1:
             raise FormatError("y is not in the order-q subgroup")

@@ -70,6 +70,9 @@ def encode_int(x: int) -> bytes:
 
 
 def decode_int(b: bytes) -> int:
+    """Inverse of encode_int; refuses every encoding encode_int does not write."""
+    if not b or (b[0] == 0 and len(b) > 1):
+        raise FormatError("integer encoding is empty or has a leading zero byte")
     return int.from_bytes(b, "big")
 
 

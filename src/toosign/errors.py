@@ -30,7 +30,7 @@ class SamplerError(ToosignError):
 
 
 class DegenerateTrapdoorError(ToosignError):
-    """Trapdoor unusable (x = 0) or collision with equal randomness."""
+    """A DL collision with equal randomness, which reveals no trapdoor."""
 
 
 class TrivialCollisionError(ToosignError):

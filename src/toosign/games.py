@@ -103,9 +103,7 @@ def wrap_malleable(base_descriptor: SchemeDescriptor) -> SchemeDescriptor:
     """Wraps a registered scheme, appending one ignored byte to signatures."""
     get_scheme(base_descriptor.scheme_id)
     return SchemeDescriptor(
-        scheme_id=SCHEME_ID_MALLEABLE,
-        param_blob=base_descriptor.serialize(),
-        message_space_kind=base_descriptor.message_space_kind,
+        scheme_id=SCHEME_ID_MALLEABLE, param_blob=base_descriptor.serialize()
     )
 
 
@@ -368,11 +366,11 @@ def case1_extract(t: GameTranscript):
     if cls.case != 1:
         raise GameError("transcript is not a case-1 win")
     kp = t.challenger.kp
-    base_msg = encode_range_value(kp.ch_inst, cls.c_star, kp.base.descriptor)
+    base_msg = encode_range_value(kp.ch_inst, cls.c_star)
     if not scheme_verify(kp.base.public_key, base_msg, cls.sig.base_sig):
         raise ExtractionError("extracted base forgery does not verify")
     for q in t.queries:
-        q_msg = encode_range_value(kp.ch_inst, q.c_sample.element, kp.base.descriptor)
+        q_msg = encode_range_value(kp.ch_inst, q.c_sample.element)
         if q_msg == base_msg:
             raise ExtractionError("extracted range value was already base-signed")
     return cls.c_star, cls.sig.base_sig

@@ -27,7 +27,6 @@ from . import encoding
 from .errors import CapacityError, DomainError, FormatError
 from .registry import (
     KeyPair,
-    MessageSpaceKind,
     SchemeDescriptor,
     SchemeImpl,
     Signature,
@@ -51,11 +50,7 @@ _HIDE = str.maketrans({"0": "\0\1", "1": "\1\0"})
 def merkle_descriptor(height: int) -> SchemeDescriptor:
     if not 1 <= height <= 20:
         raise DomainError("tree height must be in [1, 20]")
-    return SchemeDescriptor(
-        scheme_id=SCHEME_ID_MERKLE,
-        param_blob=bytes([height]),
-        message_space_kind=MessageSpaceKind.FIXED_WIDTH_DIGEST,
-    )
+    return SchemeDescriptor(scheme_id=SCHEME_ID_MERKLE, param_blob=bytes([height]))
 
 
 def _leaf_preimages(seed: bytes, leaf: int) -> bytes:

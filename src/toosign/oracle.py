@@ -1,27 +1,22 @@
 """The hash-oracle layer.
 
-Production mode is a domain-separated SHAKE-256 evaluated into the chameleon
-message space.  The programmable mode is a test double: a lazy table filled
-from a seed-derived stream, and point reprogramming.  Production signing
-never reprograms; only the reduction harness does.
+An oracle built without a seed is the production one: a domain-separated
+SHAKE-256 evaluated into the chameleon message space.  An oracle built with
+a seed is programmable, a test double: a lazy table filled from a
+seed-derived stream, and point reprogramming.  Production signing never
+reprograms; only the reduction harness does.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from enum import Enum
 
 from .chameleon import ChameleonInstance, sample_message
 from .errors import FormatError, UnsupportedOperationError
 from .rng import Rng
 
 DEFAULT_DOMAIN_TAG = b"TOO-RO-v1"
-
-
-class OracleMode(Enum):
-    PRODUCTION = "production"
-    PROGRAMMABLE = "programmable"
 
 
 def frame(message: bytes, sig: bytes) -> bytes:
@@ -33,29 +28,26 @@ def frame(message: bytes, sig: bytes) -> bytes:
 
 @dataclass
 class OracleContext:
-    mode: OracleMode
     range_instance: ChameleonInstance  # output space = this chameleon's message space
     domain_tag: bytes = DEFAULT_DOMAIN_TAG
-    seed: bytes | None = None  # programmable only
+    seed: bytes | None = None  # programmable exactly when set
     _table: dict = field(default_factory=dict)
     _stream: Rng | None = None
 
     def __post_init__(self):
-        if self.mode is OracleMode.PROGRAMMABLE:
-            if self.seed is None:
-                raise ValueError("programmable oracle needs a seed")
+        if self.seed is not None:
             self._stream = Rng(self.seed)
 
     def fresh_value(self):
         """Next uniform message-space element from the seed-derived stream."""
-        if self.mode is not OracleMode.PROGRAMMABLE:
+        if self._stream is None:
             raise UnsupportedOperationError("fresh_value needs the programmable oracle")
         return sample_message(self.range_instance, self._stream)
 
     # -- the oracle interface ----------------------------------------------
 
     def eval(self, data: bytes):
-        if self.mode is OracleMode.PRODUCTION:
+        if self._stream is None:
             xof = hashlib.shake_256(self.domain_tag + data)
             return self.range_instance.message_from_xof(xof)
         if data not in self._table:
@@ -63,7 +55,7 @@ class OracleContext:
         return self._table[data]
 
     def program(self, data: bytes, value) -> None:
-        if self.mode is not OracleMode.PROGRAMMABLE:
+        if self._stream is None:
             raise UnsupportedOperationError("cannot reprogram the production oracle")
         self._table[data] = value
 
@@ -71,12 +63,8 @@ class OracleContext:
 def production_oracle(
     range_instance: ChameleonInstance, domain_tag: bytes = DEFAULT_DOMAIN_TAG
 ) -> OracleContext:
-    return OracleContext(
-        mode=OracleMode.PRODUCTION, range_instance=range_instance, domain_tag=domain_tag
-    )
+    return OracleContext(range_instance=range_instance, domain_tag=domain_tag)
 
 
 def programmable_oracle(range_instance: ChameleonInstance, seed: bytes) -> OracleContext:
-    return OracleContext(
-        mode=OracleMode.PROGRAMMABLE, range_instance=range_instance, seed=seed
-    )
+    return OracleContext(range_instance=range_instance, seed=seed)

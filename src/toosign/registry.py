@@ -10,7 +10,6 @@ the caller persists it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from enum import Enum
 from typing import Callable, Optional
 
 from . import encoding
@@ -18,25 +17,20 @@ from .errors import FormatError, RegistryError
 from .rng import Rng
 
 
-class MessageSpaceKind(Enum):
-    ARBITRARY_BYTES = "arbitrary-bytes"
-    FIXED_WIDTH_DIGEST = "fixed-width-digest"
+# Every base scheme signs a fixed-width digest of the range value, and a
+# descriptor's third field says so.  It is the only value the field takes.
+MESSAGE_SPACE = b"fixed-width-digest"
 
 
 @dataclass(frozen=True)
 class SchemeDescriptor:
     scheme_id: int
     param_blob: bytes
-    message_space_kind: MessageSpaceKind
 
     def serialize(self) -> bytes:
         return encoding.encode_record(
             encoding.TAG_DESCRIPTOR,
-            [
-                bytes([self.scheme_id]),
-                self.param_blob,
-                self.message_space_kind.value.encode(),
-            ],
+            [bytes([self.scheme_id]), self.param_blob, MESSAGE_SPACE],
         )
 
     @staticmethod
@@ -44,13 +38,9 @@ class SchemeDescriptor:
         _, fields = encoding.decode_record(blob, encoding.TAG_DESCRIPTOR)
         if len(fields) != 3 or len(fields[0]) != 1:
             raise FormatError("descriptor needs a one-byte scheme id and two fields")
-        try:
-            kind = MessageSpaceKind(fields[2].decode())
-        except ValueError as e:  # UnicodeDecodeError included
-            raise FormatError("unknown message space kind") from e
-        return SchemeDescriptor(
-            scheme_id=fields[0][0], param_blob=fields[1], message_space_kind=kind
-        )
+        if fields[2] != MESSAGE_SPACE:
+            raise FormatError("unknown message space kind")
+        return SchemeDescriptor(scheme_id=fields[0][0], param_blob=fields[1])
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ SISInstance is the lattice family of `chameleon`.  Only this module and
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,8 +45,13 @@ class SISParams:
     def norm_bound(self) -> float:
         return self.s * np.sqrt(self.m)
 
+    def is_short(self, r: np.ndarray) -> bool:
+        """||r|| <= s sqrt(m)."""
+        return float(np.linalg.norm(r)) <= self.norm_bound
 
-def derive_params(n: int, q: int, m: int, k: int, s: float | None = None) -> SISParams:
+
+def derive_params(n: int, q: int, m: int, k: int) -> SISParams:
+    """The parameters of (n, q, m, k), with the Gaussian width s = 2.5 q."""
     if n < 1 or q < 2 or k < 1:
         raise DimensionError("need n >= 1, q >= 2, k >= 1")
     if m < 2 * n:
@@ -66,9 +70,7 @@ def derive_params(n: int, q: int, m: int, k: int, s: float | None = None) -> SIS
             b = mid
     w = n * t
     m_bar = m - w
-    if s is None:
-        s = 2.5 * q
-    return SISParams(n=n, q=q, m=m, k=k, s=float(s), t=t, b=b, m_bar=m_bar, w=w)
+    return SISParams(n=n, q=q, m=m, k=k, s=2.5 * q, t=t, b=b, m_bar=m_bar, w=w)
 
 
 def gadget_matrix(params: SISParams) -> np.ndarray:
@@ -130,7 +132,7 @@ def sample_preimage(
         v = (syndrome - B @ p) % q
         z = gadget_decompose(params, v)
         r = p + lift @ z
-        if float(np.linalg.norm(r)) <= params.norm_bound:
+        if params.is_short(r):
             return r
     raise SamplerError("preimage sampler exceeded retry budget")
 
@@ -164,12 +166,14 @@ class SISInstance:
 
     def hash(self, m, r) -> np.ndarray:
         marr = self._bits(m)
+        params = self.params
         rarr = np.asarray(r, dtype=np.int64)
-        if rarr.shape != (self.params.m,):
+        if rarr.shape != (params.m,) or not params.is_short(rarr):
             raise DomainError(
-                f"randomness must be an integer vector of length {self.params.m}"
+                f"randomness must be an integer vector of length {params.m} "
+                f"and norm at most s sqrt(m)"
             )
-        return (self.A @ marr + self.B @ rarr) % self.params.q
+        return (self.A @ marr + self.B @ rarr) % params.q
 
     def trapdoor_hash(self, td: SISTrapdoor, m, r) -> np.ndarray:
         """The gadget trapdoor gives no faster way to hash: this is hash(m, r)."""
@@ -183,7 +187,7 @@ class SISInstance:
         gauss = _gaussian(params.s)
         for _ in range(100):
             r = gauss.sample_vector(rng, params.m)
-            if float(np.linalg.norm(r)) <= params.norm_bound:
+            if params.is_short(r):
                 return r
         raise SamplerError("randomness sampler exceeded retry budget")
 
@@ -310,12 +314,11 @@ def decode_instance(fields: list[bytes]) -> SISInstance:
     A = unpack_matrix(fields[5], n, k, q)
     B = unpack_matrix(fields[6], n, m, q)
     try:
-        s = float(fields[4].decode())
-        params = derive_params(n, q, m, k, s)
-    except (ValueError, DimensionError) as e:  # UnicodeDecodeError included
+        params = derive_params(n, q, m, k)
+    except (DimensionError, OverflowError) as e:  # 2.5 q overflows a float
         raise FormatError(f"bad SIS parameters: {e}") from e
-    if not 0 < s < math.inf:
-        raise FormatError("Gaussian width must be positive and finite")
+    if fields[4] != repr(params.s).encode():
+        raise FormatError("Gaussian width field is not repr(2.5 q)")
     return SISInstance(params=params, A=A, B=B)
 
 

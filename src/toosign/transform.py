@@ -18,7 +18,6 @@ from .errors import FormatError, ToosignError
 from .oracle import OracleContext, frame
 from .registry import (
     KeyPair,
-    MessageSpaceKind,
     SchemeDescriptor,
     Signature,
     scheme_keygen,
@@ -119,14 +118,9 @@ def deserialize_signature(
     )
 
 
-def encode_range_value(
-    inst: ChameleonInstance, elem, base_descriptor: SchemeDescriptor
-) -> bytes:
-    """Range value C as a base-scheme message (digested for fixed-width schemes)."""
-    canonical = inst.serialize_element(elem)
-    if base_descriptor.message_space_kind is MessageSpaceKind.FIXED_WIDTH_DIGEST:
-        return hashlib.sha256(canonical).digest()
-    return canonical
+def encode_range_value(inst: ChameleonInstance, elem) -> bytes:
+    """Range value C as a base-scheme message: the digest of its encoding."""
+    return hashlib.sha256(inst.serialize_element(elem)).digest()
 
 
 def g_prime(
@@ -144,7 +138,7 @@ def sign_range(
     kp: TransformedKeyPair, elem, rng: Rng
 ) -> tuple[Signature, TransformedKeyPair]:
     """Base-sign the range value C, returning the key pair with advanced state."""
-    base_msg = encode_range_value(kp.ch_inst, elem, kp.base.descriptor)
+    base_msg = encode_range_value(kp.ch_inst, elem)
     base_sig, new_state = scheme_sign(kp.base, base_msg, rng)
     return base_sig, replace(kp, base=kp.base.with_state(new_state))
 
@@ -179,7 +173,7 @@ def v_prime(
     try:
         m = oracle.eval(frame(message, sig.base_sig.bytes))
         c = chameleon.ch_hash(pk.ch_inst, m, sig.randomness)
-        base_msg = encode_range_value(pk.ch_inst, c, pk.base_descriptor)
+        base_msg = encode_range_value(pk.ch_inst, c)
         return scheme_verify(pk.base_pk, base_msg, sig.base_sig)
     except ToosignError:
         return False

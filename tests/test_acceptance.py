@@ -284,7 +284,7 @@ def test_case1_extractor(report):
         if not t.verdict or classify_forgery(t).case != 1:
             continue
         c_star, base_sig = case1_extract(t)  # re-verifies and checks freshness
-        base_msg = encode_range_value(chal.kp.ch_inst, c_star, chal.kp.base.descriptor)
+        base_msg = encode_range_value(chal.kp.ch_inst, c_star)
         successes += scheme_verify(chal.kp.base.public_key, base_msg, base_sig)
     report(successes == 1000, f"{successes}/1000 extractions verify and are fresh")
 

@@ -28,8 +28,8 @@ SUBGROUP = sorted(pow(G, i, P) for i in range(Q))
 
 
 def fixed_instance():
-    # x = 3, so y = 4^3 mod 23 = 18
-    return DLInstance(p=P, q_grp=Q, g=G, y=18), DLTrapdoor(x=3)
+    # x = 3, so y = 4^3 mod 23 = 18, and x^-1 = 4 mod 11
+    return DLInstance(p=P, q_grp=Q, g=G, y=18), DLTrapdoor(x=3, x_inv=4)
 
 
 def test_worked_example_values():
@@ -99,10 +99,10 @@ def test_domain_checks():
 
 
 def test_rejects_bad_group_parameters():
-    with pytest.raises(DomainError):
-        chameleon.hg_dl(p=15, q_grp=7, g=2, rng=rng_from_int(0))  # p not prime
-    with pytest.raises(DomainError):
-        chameleon.hg_dl(p=23, q_grp=7, g=4, rng=rng_from_int(0))  # p != 2q+1
+    with pytest.raises(FormatError):  # p not prime
+        chameleon.deserialize_instance(DLInstance(p=15, q_grp=7, g=2, y=4).serialize())
+    with pytest.raises(FormatError):  # p != 2q+1
+        chameleon.deserialize_instance(DLInstance(p=23, q_grp=7, g=4, y=18).serialize())
 
 
 def test_numpy_integer_scalars_are_accepted():
@@ -224,7 +224,8 @@ def test_generator_comb_row_and_limb_boundaries():
 
 def test_dl_hash_matches_pow_before_and_after_the_tables():
     """First use: no table; second use: builds it; then the comb."""
-    inst, td = DLInstance(P2048, Q2048, G2048, Y2048), DLTrapdoor(x=X2048 % Q2048)
+    x = X2048 % Q2048
+    inst, td = DLInstance(P2048, Q2048, G2048, Y2048), DLTrapdoor(x, pow(x, -1, Q2048))
 
     def folded(m, r):
         return inst.trapdoor_hash(td, m, r)
@@ -430,8 +431,9 @@ def test_unnamed_groups_are_refused():
         (P2048, Q2048 - 1, G2048),
         (P2048, Q2048, P2048 - 1),  # order 2
     ]:
-        with pytest.raises(DomainError):
-            chameleon.hg_dl(p, q, g, rng_from_int(0))
+        # key generation takes only names: decoding is where a group comes in
+        with pytest.raises(FormatError):
+            chameleon.deserialize_instance(DLInstance(p, q, g, 4).serialize())
 
 
 def test_decoding_checks_the_group_and_y():

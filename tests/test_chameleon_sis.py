@@ -7,6 +7,7 @@ from toosign import chameleon, encoding
 from toosign.chameleon import ChameleonKind, CollisionVerdict, RangeSample
 from toosign.errors import (
     DimensionError,
+    DomainError,
     FormatError,
     SamplerError,
     TrivialCollisionError,
@@ -46,7 +47,9 @@ def test_gadget_base_for_one_digit_is_q():
     assert derive_params(n=1, q=2**40, m=2, k=1).b == 2**40
 
 
-@pytest.mark.parametrize("width", [b"inf", b"nan", b"-1.0", b"0", b"\xff"])
+@pytest.mark.parametrize(
+    "width", [b"inf", b"nan", b"-1.0", b"0", b"\xff", b"514.0", b"642.50"]
+)
 def test_bad_gaussian_width_raises_format_error(width):
     inst, _ = make_instance()
     tag, fields = encoding.decode_record(inst.serialize())
@@ -64,6 +67,17 @@ def test_bad_gaussian_width_raises_format_error(width):
 )
 def test_bad_instance_parameters_raise_format_error(q, A, B):
     fields = [b"\x01", q, b"\x02", b"\x01", b"1.0", A, B]  # n, q, m, k, s, A, B
+    with pytest.raises(FormatError):
+        chameleon.deserialize_instance(
+            encoding.encode_record(encoding.TAG_SIS_INSTANCE, fields)
+        )
+
+
+def test_width_of_a_huge_q_raises_format_error():
+    """q = 2^1100 with all-zero matrices: 2.5 q overflows a float."""
+    q = 1 << 1100
+    fields = [b"\x01", encoding.encode_int(q), b"\x02", b"\x01", b"inf",
+              bytes(138), bytes(276)]
     with pytest.raises(FormatError):
         chameleon.deserialize_instance(
             encoding.encode_record(encoding.TAG_SIS_INSTANCE, fields)
@@ -102,6 +116,18 @@ def test_hash_inversion_round_trip():
         r_new = chameleon.ch_invert(inst, td, m_new, sample, rng)
         assert np.array_equal(chameleon.ch_hash(inst, m_new, r_new), sample.element)
         assert float(np.linalg.norm(r_new)) <= inst.params.norm_bound
+
+
+def test_hash_refuses_randomness_beyond_the_norm_bound():
+    """r + 10q e_1 hashes like r mod q, but is no longer short."""
+    inst, td = make_instance()
+    rng = rng_from_int(4)
+    sample = chameleon.sample_range(inst, rng)
+    m, r = sample.trace_message, sample.trace_randomness.copy()
+    r[0] += 10 * inst.params.q if r[0] >= 0 else -10 * inst.params.q
+    assert float(np.linalg.norm(r)) > inst.params.norm_bound
+    with pytest.raises(DomainError):
+        chameleon.ch_hash(inst, m, r)
 
 
 def test_inversion_needs_rng():

@@ -74,6 +74,22 @@ def test_verify_flags_malformed_signature(workspace):
     assert r.returncode == 2
 
 
+def test_verify_flags_padded_dl_randomness(workspace):
+    """A zero byte in front of the randomness integer is malformed (exit 2):
+    a signature has one encoding, so padding makes no second signature."""
+    assert too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",
+                    "--in", "msg.txt", "--out", "msg.toosig", "--seed", SEED_B,
+                    cwd=workspace).returncode == 0
+    sig = (workspace / "msg.toosig").read_bytes()
+    tag, (base, record) = encoding.decode_record(sig, encoding.TAG_TRANSFORMED_SIG)
+    _, (r,) = encoding.decode_record(record, encoding.TAG_RANDOMNESS)
+    padded = encoding.encode_record(encoding.TAG_RANDOMNESS, [b"\x00" + r])
+    (workspace / "padded.toosig").write_bytes(encoding.encode_record(tag, [base, padded]))
+    r = too_sign("verify", "--pub", "key.toopub", "--in", "msg.txt",
+                 "--sig", "padded.toosig", cwd=workspace)
+    assert r.returncode == 2 and "Traceback" not in r.stderr, r.stderr
+
+
 def test_truncated_public_key_is_malformed(workspace):
     """A 5-byte public key is malformed input (exit 2) for verify and sign."""
     assert too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",

@@ -73,6 +73,35 @@ def test_damaged_blob_decodes_or_raises_format_error(case):
 
 
 @st.composite
+def signature_blobs(draw):
+    """A valid signature record with its randomness field redrawn: bytes of
+    about the valid length, or the valid bytes behind a prefix."""
+    ch = draw(st.sampled_from(sorted(CHAMELEONS)))
+    _, (base, record) = encoding.decode_record(VALID[ch][1]["sig"])
+    _, (r,) = encoding.decode_record(record)
+    r = draw(st.one_of(
+        st.binary(min_size=len(r) - 1, max_size=len(r) + 1),
+        st.binary(min_size=1, max_size=2).map(lambda prefix: prefix + r),
+    ))
+    record = encoding.encode_record(encoding.TAG_RANDOMNESS, [r])
+    return ch, encoding.encode_record(encoding.TAG_TRANSFORMED_SIG, [base, record])
+
+
+@settings(max_examples=300, deadline=None)
+@given(signature_blobs())
+def test_accepted_signature_reserializes_to_its_own_bytes(case):
+    """Every blob the signature decoder accepts is the one encoding of what
+    it decodes to, so no signature has a second byte form."""
+    ch, blob = case
+    kp, _ = VALID[ch]
+    try:
+        sig = deserialize_signature(blob, kp.ch_inst, kp.base.descriptor)
+    except FormatError:
+        return
+    assert sig.serialize(kp.ch_inst) == blob
+
+
+@st.composite
 def damaged_dl_public_key(draw):
     """A dl-demo public key with one byte overwritten, or with one number of
     its chameleon instance (p, q, g or y) replaced."""

@@ -1,8 +1,9 @@
 """Unforgeability games: adversaries, hybrids, classification, extraction."""
 
+import numpy as np
 import pytest
 
-from toosign import chameleon, games
+from toosign import chameleon, encoding, games
 from toosign.chameleon import ChameleonKind, CollisionVerdict
 from toosign.errors import GameError
 from toosign.games import (
@@ -28,6 +29,7 @@ from toosign.games import (
 )
 from toosign.merkle import merkle_descriptor
 from toosign.rng import rng_from_int
+from toosign.transform import TransformedPublicKey
 
 SIS_PARAMS = {"n": 4, "q": 257, "m": 12, "k": 8}
 DL_DEMO = {"name": "dl-demo"}
@@ -105,6 +107,82 @@ def test_mauling_loses_against_transform():
         assert t.verdict is False
 
 
+def pad_randomness(sig_bytes: bytes) -> bytes:
+    """The signature with a zero byte in front of its DL randomness integer."""
+    tag, (base, record) = encoding.decode_record(sig_bytes, encoding.TAG_TRANSFORMED_SIG)
+    _, (r,) = encoding.decode_record(record, encoding.TAG_RANDOMNESS)
+    padded = encoding.encode_record(encoding.TAG_RANDOMNESS, [b"\x00" + r])
+    return encoding.encode_record(tag, [base, padded])
+
+
+class PaddingMauler(ReplayAdversary):
+    """Resubmits a DL signature with the same r in bytes s' never writes."""
+
+    message = b"pad me"
+
+    def forge(self, sig_bytes):
+        return super().forge(pad_randomness(sig_bytes))
+
+
+class ShiftMauler(ReplayAdversary):
+    """Moves the first entry of a SIS signature's randomness `shift` further
+    from zero: the hash mod q is unchanged when q divides the shift."""
+
+    message = b"shift me"
+
+    def __init__(self, shift: int):
+        self.shift = shift
+
+    def start(self, pk_bytes, rng):
+        super().start(pk_bytes, rng)
+        self.inst = TransformedPublicKey.deserialize(pk_bytes).ch_inst
+
+    def forge(self, sig_bytes):
+        tag, (base, record) = encoding.decode_record(
+            sig_bytes, encoding.TAG_TRANSFORMED_SIG
+        )
+        r = self.inst.deserialize_randomness(record)
+        r[0] += self.shift if r[0] >= 0 else -self.shift
+        shifted = encoding.encode_record(tag, [base, self.inst.serialize_randomness(r)])
+        return super().forge(shifted)
+
+
+@pytest.mark.parametrize("group", ["dl-demo", "dl-2048"])
+def test_padded_dl_randomness_loses_strong_game(group):
+    for seed in range(3):
+        chal, rng = transformed(seed, ch=ChameleonKind.DL, params={"name": group})
+        t = run_game(GameKind.SU, chal, PaddingMauler(), budget=4, rng=rng)
+        assert t.forgery_sig_bytes != t.queries[0].sig_bytes
+        assert t.verdict is False
+
+
+def test_sis_randomness_beyond_the_norm_bound_loses_strong_game():
+    for seed in range(5):
+        chal, rng = transformed(seed)
+        shift = 10 * chal.kp.ch_inst.params.q  # |r_1| >= 10 q > s sqrt(m)
+        t = run_game(GameKind.SU, chal, ShiftMauler(shift), budget=4, rng=rng)
+        assert t.verdict is False
+
+
+def test_sis_desk_collisions_are_trivial_to_find():
+    """On sis-desk s sqrt(m) ~ 2226 exceeds q = 257, so r + q e_1 stays short
+    and opens the same range value: a valid collision that costs nothing.
+
+    The reduction holds (each win is a case-2 collision, z = q e_1 up to
+    sign), but the parameter set gives no collision resistance.
+    """
+    for seed in range(20):
+        chal, rng = transformed(seed)
+        p = chal.kp.ch_inst.params
+        assert p.norm_bound > p.q
+        t = run_game(GameKind.SU, chal, ShiftMauler(p.q), budget=4, rng=rng)
+        assert t.verdict is True
+        pair_star, pair_i, verdict = case2_extract(t)
+        assert verdict is CollisionVerdict.VALID
+        z = chameleon.sis_collision_to_short_vector(chal.kp.ch_inst, pair_star, pair_i)
+        assert np.abs(z).tolist() == [0] * p.k + [p.q] + [0] * (p.m - 1)
+
+
 def test_case1_win_classifies_and_extracts():
     chal, rng = transformed(4)
     t = run_game(GameKind.SU, chal, CaseOneForger(chal), budget=4, rng=rng)
@@ -114,7 +192,7 @@ def test_case1_win_classifies_and_extracts():
     from toosign.registry import scheme_verify
     from toosign.transform import encode_range_value
 
-    base_msg = encode_range_value(chal.kp.ch_inst, c_star, chal.kp.base.descriptor)
+    base_msg = encode_range_value(chal.kp.ch_inst, c_star)
     assert scheme_verify(chal.kp.base.public_key, base_msg, base_sig)
 
 

@@ -221,11 +221,10 @@ TRANSFORM_ONLY = """
 from toosign.oracle import production_oracle
 from toosign.rng import rng_from_int
 from toosign.transform import (
-    ChameleonKind, MessageSpaceKind, SchemeDescriptor, g_prime, public_key_of, s_prime,
-    v_prime,
+    ChameleonKind, SchemeDescriptor, g_prime, public_key_of, s_prime, v_prime,
 )
 
-merkle_h2 = SchemeDescriptor(1, bytes([2]), MessageSpaceKind.FIXED_WIDTH_DIGEST)
+merkle_h2 = SchemeDescriptor(1, bytes([2]))
 kp = g_prime(merkle_h2, ChameleonKind.DL, {"name": "dl-demo"}, rng_from_int(1))
 sig, _ = s_prime(kp, b"message", production_oracle(kp.ch_inst), rng_from_int(2))
 assert v_prime(public_key_of(kp), b"message", sig, production_oracle(kp.ch_inst))
