@@ -34,12 +34,13 @@ first: one group's g and 7 keys take about 3.1 MB on the 2048-bit group,
 and 8 generators at most 7.6 MB.  Neither builtin pow nor these passes run
 in constant time; this code makes no side-channel claim.
 
-DL groups.  The only DL groups are the named sets in DL_PARAM_SETS,
-constants that the test suite proves (p and q prime, p = 2q + 1, g of order
-q).  Key generation takes a group by name only, and decoding accepts a
-key's (p, q, g) only by comparing it with the named sets, so an unnamed
-group is refused before any big-integer work.  A decoded public key's y
-must also lie in the order-q subgroup.
+Named sets.  The only DL groups and lattice sets are the named sets in
+DL_PARAM_SETS, constants that the test suite proves (p and q prime,
+p = 2q + 1, g of order q), and SIS_PARAM_SETS.  Key generation takes a DL
+group by name and an (n, q, m, k) only if it is named, and decoding accepts
+a key's (p, q, g) or (n, q, m, k) only by comparing it with the named sets,
+so an unnamed set is refused before any big-integer work or numpy import.
+A decoded public key's y must also lie in the order-q subgroup.
 
 Families.  DLInstance here and SISInstance in `sis` carry their family's
 operations, and the module functions call them.  `hg` and
@@ -126,11 +127,12 @@ DL_PARAM_SETS: dict[str, tuple[int, int, int]] = {
 }
 
 
+# name -> (n, q, m, k); sis-desk has no collision resistance (see the README)
+SIS_PARAM_SETS: dict[str, tuple[int, int, int, int]] = {"sis-desk": (4, 257, 12, 8)}
+
+
 # ---------------------------------------------------------------------------
 # key generation
-
-
-_NAMED_DL_GROUPS = frozenset(DL_PARAM_SETS.values())
 
 
 def _jacobi(a: int, n: int) -> int:
@@ -159,8 +161,11 @@ def hg(
         x = 1 + rng.randbelow(q_grp - 1)
         td = DLTrapdoor(x=x, x_inv=pow(x, -1, q_grp))
         return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), td
+    dims = tuple(params[d] for d in "nqmk")
+    if dims not in SIS_PARAM_SETS.values():
+        raise DomainError(f"unnamed SIS parameter set (n, q, m, k) = {dims}")
     from . import sis  # numpy loads with the first SIS key
-    return sis.hg_sis(params["n"], params["q"], params["m"], params["k"], rng)
+    return sis.hg_sis(*dims, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -535,15 +540,18 @@ def deserialize_instance(blob: bytes) -> ChameleonInstance:
     tag, fields = encoding.decode_record(blob)
     if tag == encoding.TAG_DL_INSTANCE and len(fields) == 4:
         p, q_grp, g, y = (encoding.decode_int(f) for f in fields)
-        if (p, q_grp, g) not in _NAMED_DL_GROUPS:
+        if (p, q_grp, g) not in DL_PARAM_SETS.values():
             raise FormatError("bad DL group: not a named DL group")
         # for a safe prime the order-q subgroup is the quadratic residues
         if not 1 < y < p or _jacobi(y, p) != 1:
             raise FormatError("y is not in the order-q subgroup")
         return DLInstance(p=p, q_grp=q_grp, g=g, y=y)
     if tag == encoding.TAG_SIS_INSTANCE and len(fields) == 7:
+        dims = tuple(encoding.decode_int(f) for f in fields[:4])
+        if dims not in SIS_PARAM_SETS.values():
+            raise FormatError("bad SIS parameters: not a named lattice set")
         from . import sis  # numpy loads with the first SIS key
-        return sis.decode_instance(fields)
+        return sis.decode_instance(*dims, fields[4:])
     raise FormatError(
         f"not a chameleon instance record (tag {tag}, {len(fields)} fields)"
     )

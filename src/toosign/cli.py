@@ -21,7 +21,7 @@ import sys
 from typing import NoReturn
 
 from . import merkle
-from .chameleon import ChameleonKind
+from .chameleon import SIS_PARAM_SETS, ChameleonKind
 from .encoding import armor as to_armor
 from .encoding import dearmor
 from .errors import CapacityError, FormatError, ToosignError
@@ -117,15 +117,15 @@ def _seed_rng(seed: bytes | None) -> Rng:
     return Rng(seed)
 
 
-def _chameleon_params(name: str, n: int, q: int, m: int, k: int):
-    if name == "sis":
-        return ChameleonKind.SIS, {"n": n, "q": q, "m": m, "k": k}
+def _chameleon_params(name: str):
+    if name == "sis":  # sis-desk, as dl is dl-2048
+        return ChameleonKind.SIS, dict(zip("nqmk", SIS_PARAM_SETS["sis-desk"]))
     return ChameleonKind.DL, {"name": DL_GROUPS[name]}
 
 
-def keygen(scheme, height, chameleon, n, q, m, k, out, seed, armor):
+def keygen(scheme, height, chameleon, out, seed, armor):
     """Generate a transformed key pair (PREFIX.toopub, PREFIX.tookey)."""
-    kind, params = _chameleon_params(chameleon, n, q, m, k)
+    kind, params = _chameleon_params(chameleon)
     kp = g_prime(BASE_SCHEMES[scheme](height), kind, params, _seed_rng(seed))
     try:
         _write(out + ".toopub", kp.public_bytes(), armor)
@@ -204,13 +204,13 @@ def verify(pub, infile, sig, armor, ro_tag):
     sys.exit(EXIT_REJECT)
 
 
-def bench(chameleon, n, q, m, k, height, seed):
+def bench(chameleon, height, seed):
     """Measure transform size overhead against the closed-form predictions."""
     import json
 
     from .bench import overhead_report
 
-    kind, params = _chameleon_params(chameleon, n, q, m, k)
+    kind, params = _chameleon_params(chameleon)
     rng = _seed_rng(seed)
     report = overhead_report(merkle_descriptor(height), kind, params, rng.seed)
     print(json.dumps(report, sort_keys=True, indent=2))
@@ -235,12 +235,12 @@ _ADVERSARIES = {
 }
 
 
-def game(kind, variant, adversary, target, seeds, chameleon, height, budget, report_fmt):
-    """Run a seeded sweep of unforgeability games and report statistics."""
+def game(kind, variant, adversary, target, seeds, chameleon, height, budget):
+    """Run a seeded sweep of unforgeability games and print a JSON report."""
     import json
 
     games = _games()
-    ch_kind, ch_params = _chameleon_params(chameleon, 4, 257, 12, 8)
+    ch_kind, ch_params = _chameleon_params(chameleon)
     base = games.wrap_malleable(merkle_descriptor(height))
 
     if target == "raw":
@@ -286,19 +286,12 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p.add_argument
 
-    def sis_options(option):
-        option("--n", type=int, default=4, help=DEFAULT)
-        option("--q", type=int, default=257, help=DEFAULT)
-        option("--m", type=int, default=12, help=DEFAULT)
-        option("--k", type=int, default=8, help=DEFAULT)
-
     option = command(keygen)
     option("--scheme", default="merkle", type=_known("base scheme", BASE_SCHEMES),
            help=DEFAULT)
     option("--height", type=int, default=4, help=f"Merkle tree height {DEFAULT}")
     option("--chameleon", default="dl", type=CHAMELEON,
            help=f"dl | dl-demo | sis {DEFAULT}")
-    sis_options(option)
     option("--out", required=True, help="output path prefix")
     option("--seed", type=_seed, help="32-byte hex seed (printed if absent)")
     option("--armor", action="store_true", help="write hex text instead of binary")
@@ -321,7 +314,6 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
 
     option = command(bench)
     option("--chameleon", default="sis", type=CHAMELEON, help=DEFAULT)
-    sis_options(option)
     option("--height", type=int, default=2, help=DEFAULT)
     option("--seed", type=_seed)
 
@@ -334,7 +326,6 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
     option("--chameleon", default="dl-demo", type=CHAMELEON, help=DEFAULT)
     option("--height", type=int, default=2, help=DEFAULT)
     option("--budget", type=int, default=4, help=DEFAULT)
-    option("--report", dest="report_fmt", choices=["json"], default="json")
     return parser
 
 

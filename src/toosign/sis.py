@@ -265,9 +265,7 @@ class SISInstance:
         return bytes(int(b) for b in np.asarray(m, dtype=np.int64))
 
     def serialize_randomness(self, r) -> bytes:
-        body = _pack_ints(
-            np.asarray(r, dtype=np.int64), _randomness_width(self.params), signed=True
-        )
+        body = _pack_ints(np.asarray(r, dtype=np.int64), _randomness_dtype(self.params))
         return encoding.encode_record(encoding.TAG_RANDOMNESS, [body])
 
     def deserialize_randomness(self, blob: bytes) -> np.ndarray:
@@ -275,22 +273,20 @@ class SISInstance:
         if len(fields) != 1:
             raise FormatError("randomness record needs exactly one field")
         p = self.params
-        return _unpack_ints(
-            fields[0], p.m, _randomness_width(p), "randomness vector", signed=True
-        )
+        return _unpack_ints(fields[0], p.m, _randomness_dtype(p), "randomness vector")
 
     def overhead_elements(self, td: SISTrapdoor, r) -> tuple[dict, dict, dict]:
         """(parameters, predicted, measured): the Z_q elements the hash adds
         to the public key, the secret key and a signature."""
         p = self.params
-        width = _entry_width(p.q)
+        width = _entry_dtype(p.q).itemsize
         _, ifields = encoding.decode_record(self.serialize())
         _, tfields = encoding.decode_record(self.serialize_trapdoor(td))
         _, rfields = encoding.decode_record(self.serialize_randomness(r))
         measured = {
             "pk": (len(ifields[5]) + len(ifields[6])) // width,
             "sk": len(tfields[0]) // width,
-            "sig": len(rfields[0]) // _randomness_width(p),
+            "sig": len(rfields[0]) // _randomness_dtype(p).itemsize,
         }
         predicted = {"pk": p.n * (p.k + p.m), "sk": p.m**2, "sig": p.m}
         return {"kind": "sis", "n": p.n, "q": p.q, "m": p.m, "k": p.k}, predicted, measured
@@ -307,57 +303,51 @@ def hg_sis(n: int, q: int, m: int, k: int, rng: Rng) -> tuple[SISInstance, SISTr
     return inst, SISTrapdoor(R=R)
 
 
-def decode_instance(fields: list[bytes]) -> SISInstance:
-    """The instance held by the seven fields of an SIS instance record."""
-    n, q, m, k = (encoding.decode_int(f) for f in fields[:4])
-    # the matrix lengths bound n, m, k and q before any parameter work
-    A = unpack_matrix(fields[5], n, k, q)
-    B = unpack_matrix(fields[6], n, m, q)
-    try:
-        params = derive_params(n, q, m, k)
-    except (DimensionError, OverflowError) as e:  # 2.5 q overflows a float
-        raise FormatError(f"bad SIS parameters: {e}") from e
-    if fields[4] != repr(params.s).encode():
+def decode_instance(n: int, q: int, m: int, k: int, fields: list[bytes]) -> SISInstance:
+    """The instance of the named set (n, q, m, k) held by the width, A and B
+    fields of an SIS instance record."""
+    params = derive_params(n, q, m, k)
+    if fields[0] != repr(params.s).encode():
         raise FormatError("Gaussian width field is not repr(2.5 q)")
-    return SISInstance(params=params, A=A, B=B)
+    A = unpack_matrix(fields[1], n, k, q)
+    return SISInstance(params=params, A=A, B=unpack_matrix(fields[2], n, m, q))
 
 
-# matrix and randomness codecs: matrices are row-major; entries use the
-# minimal whole-byte width covering [0, q)
+# matrix and randomness codecs: matrices are row-major, with unsigned entries
+# of the minimal whole-byte width covering [0, q); widths are 1 or 2 bytes on
+# every set in use
 
 
-def _entry_width(q: int) -> int:
-    return ((q - 1).bit_length() + 7) // 8 or 1
+@lru_cache(maxsize=32)
+def _entry_dtype(q: int) -> np.dtype:
+    return np.dtype(f">u{((q - 1).bit_length() + 7) // 8 or 1}")
 
 
-def _pack_ints(values: np.ndarray, width: int, signed: bool = False) -> bytes:
-    return b"".join([v.to_bytes(width, "big", signed=signed) for v in values.tolist()])
+@lru_cache(maxsize=32)
+def _randomness_dtype(params: SISParams) -> np.dtype:
+    bound = int(params.norm_bound) + 1
+    return np.dtype(f">i{(bound.bit_length() + 1 + 7) // 8}")
 
 
-def _unpack_ints(
-    blob: bytes, count: int, width: int, what: str, signed: bool = False
-) -> np.ndarray:
-    if len(blob) != count * width:
+def _pack_ints(values: np.ndarray, dtype: np.dtype) -> bytes:
+    packed = values.astype(dtype)
+    if not (packed == values).all():
+        raise FormatError(f"an entry does not fit in {dtype.itemsize} bytes")
+    return packed.tobytes()
+
+
+def _unpack_ints(blob: bytes, count: int, dtype: np.dtype, what: str) -> np.ndarray:
+    if len(blob) != count * dtype.itemsize:
         raise FormatError(f"{what} has wrong length")
-    ints = [
-        int.from_bytes(blob[i * width : (i + 1) * width], "big", signed=signed)
-        for i in range(count)
-    ]
-    try:
-        return np.array(ints, dtype=np.int64)
-    except OverflowError as e:
-        raise FormatError(f"{what} has an entry outside int64") from e
+    return np.frombuffer(blob, dtype=dtype).astype(np.int64)
 
 
 def pack_matrix(M: np.ndarray, q: int) -> bytes:
-    return _pack_ints(np.asarray(M, dtype=np.int64).reshape(-1) % q, _entry_width(q))
+    return _pack_ints(np.asarray(M, dtype=np.int64).reshape(-1) % q, _entry_dtype(q))
 
 
 def unpack_matrix(blob: bytes, rows: int, cols: int, q: int) -> np.ndarray:
-    flat = _unpack_ints(blob, rows * cols, _entry_width(q), "matrix blob")
+    flat = _unpack_ints(blob, rows * cols, _entry_dtype(q), "matrix blob")
+    if flat.max() >= q:  # each matrix has one encoding
+        raise FormatError("matrix blob has an entry outside [0, q)")
     return flat.reshape(rows, cols)
-
-
-def _randomness_width(params: SISParams) -> int:
-    bound = int(params.norm_bound) + 1
-    return (bound.bit_length() + 1 + 7) // 8

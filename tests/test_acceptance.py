@@ -34,10 +34,11 @@ from toosign.games import (
 from toosign.gaussian import DiscreteGaussian
 from toosign.merkle import merkle_descriptor
 from toosign.oracle import production_oracle
-from toosign.registry import scheme_verify
+from toosign.registry import scheme_keygen, scheme_verify
 from toosign.rng import Rng, rng_from_int
-from toosign.sis import derive_params
+from toosign.sis import derive_params, hg_sis
 from toosign.transform import (
+    TransformedKeyPair,
     encode_range_value,
     g_prime,
     public_key_of,
@@ -46,7 +47,6 @@ from toosign.transform import (
 )
 
 SIS_DESK = {"n": 4, "q": 257, "m": 12, "k": 8}
-SIS_TINY = {"n": 2, "q": 7, "m": 8, "k": 2}
 DL_DEMO = {"name": "dl-demo"}
 
 
@@ -144,7 +144,8 @@ def test_uniformity(report):
         for m in range(11)
     )
 
-    sinst, _ = chameleon.hg(ChameleonKind.SIS, SIS_TINY, rng_from_int(5))
+    # n2 q7 m8 k2, a set too small to name: hg_sis on the stream hg would pass
+    sinst, _ = hg_sis(2, 7, 8, 2, rng_from_int(5))
     p = sinst.params
     n_samples = 100_000
     rng = rng_from_int(6)
@@ -304,14 +305,17 @@ def test_malleability_closure(report):
         raw_wins += t.verdict
 
     # k = 32 message bits: the desk k = 8 leaves only 2^8 oracle outputs, so
-    # a maul survives at the expected ~2^-8 rate; 32 bits makes it negligible
-    sis_wide = dict(SIS_DESK, k=32)
-    kp = g_prime(desc, ChameleonKind.SIS, sis_wide, rng_from_int(10))
+    # a maul survives at the expected ~2^-8 rate; 32 bits makes it negligible.
+    # The set is not named, so the key is built from the forks g_prime takes.
+    keygen_rng = rng_from_int(10)
+    inst, td = hg_sis(4, 257, 12, 32, keygen_rng.fork(b"chameleon-hg"))
+    base = scheme_keygen(desc, keygen_rng.fork(b"base-keygen"))
+    kp = TransformedKeyPair(base=base, ch_inst=inst, ch_td=td)
     hardened_wins = 0
     for seed in range(1000):
         master = rng_from_int(seed)
         chal = make_transformed_challenger(
-            ChallengerVariant.HYD0, desc, ChameleonKind.SIS, sis_wide,
+            ChallengerVariant.HYD0, desc, ChameleonKind.SIS, None,
             master, keypair=kp,
         )
         t = run_game(

@@ -58,30 +58,56 @@ def test_bad_gaussian_width_raises_format_error(width):
         chameleon.deserialize_instance(encoding.encode_record(tag, fields))
 
 
-@pytest.mark.parametrize(
-    "q, A, B",
-    [
-        (b"\x01", b"\x00", b"\x00\x00"),  # q < 2
-        (b"\x01" + bytes(8), b"\xff" * 9, b"\xff" * 18),  # entries beyond int64
-    ],
-)
-def test_bad_instance_parameters_raise_format_error(q, A, B):
-    fields = [b"\x01", q, b"\x02", b"\x01", b"1.0", A, B]  # n, q, m, k, s, A, B
-    with pytest.raises(FormatError):
-        chameleon.deserialize_instance(
-            encoding.encode_record(encoding.TAG_SIS_INSTANCE, fields)
-        )
+UNNAMED_SETS = {
+    # id: (n, q, m, k) of an SIS instance record that no named set has
+    "q-below-2": (1, 1, 2, 1),
+    "q-beyond-int64": (1, 2**64, 2, 1),
+    "q-of-1100-bits": (1, 2**1100, 2, 1),  # 2.5 q overflows a float
+    "k-off-by-one": (4, 257, 12, 9),
+    "tiny-test-set": tuple(TINY.values()),
+    "k-32-test-set": (4, 257, 12, 32),
+}
 
 
-def test_width_of_a_huge_q_raises_format_error():
-    """q = 2^1100 with all-zero matrices: 2.5 q overflows a float."""
-    q = 1 << 1100
-    fields = [b"\x01", encoding.encode_int(q), b"\x02", b"\x01", b"inf",
-              bytes(138), bytes(276)]
+@pytest.mark.parametrize("dims", UNNAMED_SETS.values(), ids=UNNAMED_SETS.keys())
+def test_unnamed_sets_are_refused_on_decoding(dims):
+    """A record whose (n, q, m, k) is not a named set is refused before its
+    width or matrices are read."""
+    inst, _ = make_instance()
+    tag, fields = encoding.decode_record(inst.serialize())
+    fields[:4] = [encoding.encode_int(v) for v in dims]
+    with pytest.raises(FormatError, match="not a named lattice set"):
+        chameleon.deserialize_instance(encoding.encode_record(tag, fields))
+
+
+def test_hg_refuses_unnamed_sets():
+    with pytest.raises(DomainError):
+        make_instance(dict(DESK, k=9))
+    assert chameleon.SIS_PARAM_SETS == {"sis-desk": tuple(DESK.values())}
+
+
+@pytest.mark.parametrize("field, entry", [(5, 0), (6, 11)], ids=["A", "B"])
+def test_matrix_entry_of_q_or_more_is_refused(field, entry):
+    """Each matrix has one encoding: an entry plus q is not the same entry."""
+    inst, _ = make_instance()
+    tag, fields = encoding.decode_record(inst.serialize())
+    blob = bytearray(fields[field])
+    value = int.from_bytes(blob[2 * entry : 2 * entry + 2], "big") + inst.params.q
+    blob[2 * entry : 2 * entry + 2] = value.to_bytes(2, "big")
+    fields[field] = bytes(blob)
+    with pytest.raises(FormatError, match="outside"):
+        chameleon.deserialize_instance(encoding.encode_record(tag, fields))
+
+
+def test_randomness_that_does_not_fit_its_width_is_refused():
+    """Packing never wraps: sis-desk randomness has 2-byte entries."""
+    inst, _ = make_instance()
+    r = np.zeros(inst.params.m, dtype=np.int64)
+    r[0] = 2**15
     with pytest.raises(FormatError):
-        chameleon.deserialize_instance(
-            encoding.encode_record(encoding.TAG_SIS_INSTANCE, fields)
-        )
+        inst.serialize_randomness(r)
+    r[0] = -(2**15)
+    assert inst.deserialize_randomness(inst.serialize_randomness(r))[0] == -(2**15)
 
 
 def test_too_small_m_rejected():

@@ -140,14 +140,18 @@ def sign_refused(workspace, key, pub):
     assert set(os.listdir(workspace)) - files_before <= {key + ".lock"}
 
 
+def sis_key(workspace):
+    """Writes the sis-desk key pair sk.toopub, sk.tookey; returns its params."""
+    assert too_sign("keygen", "--chameleon", "sis", "--height", "1",
+                    "--out", "sk", "--seed", SEED_A, cwd=workspace).returncode == 0
+    pk = transform.TransformedPublicKey.deserialize((workspace / "sk.toopub").read_bytes())
+    return pk.ch_inst.params
+
+
 def test_tampered_sis_trapdoor_is_malformed(workspace):
     """A SIS trapdoor whose R no longer matches B spends no leaf: signing
     with it would release a signature that no verifier accepts."""
-    assert too_sign("keygen", "--chameleon", "sis", "--height", "1",
-                    "--out", "sk", "--seed", SEED_A, cwd=workspace).returncode == 0
-    kp = transform.keypair_from_secret((workspace / "sk.tookey").read_bytes(),
-                                       (workspace / "sk.toopub").read_bytes())
-    p = kp.ch_inst.params
+    p = sis_key(workspace)
     width = 2  # q = 257
     at = width * p.m_bar  # T[0, m_bar] = R[0, 0], which is 1 or q - 1
 
@@ -160,6 +164,49 @@ def test_tampered_sis_trapdoor_is_malformed(workspace):
         lambda record: edit_record(record, encoding.TAG_SIS_TRAPDOOR, 0, negate_entry),
     )
     (workspace / "bad.tookey").write_bytes(sk)
+    sign_refused(workspace, "bad.tookey", "sk.toopub")
+
+
+def plus_q(blob, at, q):
+    """blob with its 2-byte matrix entry at byte `at` raised by q."""
+    entry = int.from_bytes(blob[at : at + 2], "big") + q
+    return blob[:at] + entry.to_bytes(2, "big") + blob[at + 2 :]
+
+
+def test_sis_public_key_entry_plus_q_is_malformed(workspace):
+    """A[0, 0] + q is the same entry mod q, but a second encoding of the key:
+    verify exits 2 on it, where it accepts the signature under the real key."""
+    p = sis_key(workspace)
+    assert too_sign("sign", "--key", "sk.tookey", "--pub", "sk.toopub", "--in", "msg.txt",
+                    "--out", "msg.toosig", "--seed", SEED_B, cwd=workspace).returncode == 0
+    pk = edit_record(
+        (workspace / "sk.toopub").read_bytes(), encoding.TAG_TRANSFORMED_PK, 2,
+        lambda record: edit_record(record, encoding.TAG_SIS_INSTANCE, 5,
+                                   lambda a: plus_q(a, 0, p.q)),
+    )
+    (workspace / "bad.toopub").write_bytes(pk)
+    for pub, code in (("sk.toopub", 0), ("bad.toopub", 2)):
+        r = too_sign("verify", "--pub", pub, "--in", "msg.txt", "--sig", "msg.toosig",
+                     cwd=workspace)
+        assert r.returncode == code and "Traceback" not in r.stderr, r.stderr
+
+
+def test_sis_trapdoor_entry_plus_q_is_malformed(workspace):
+    """An R entry of q + 1 once decoded as +1; now the key is malformed and
+    sign spends no leaf."""
+    p = sis_key(workspace)
+    sk = (workspace / "sk.tookey").read_bytes()
+    _, sk_fields = encoding.decode_record(sk, encoding.TAG_TRANSFORMED_SK)
+    _, (T,) = encoding.decode_record(sk_fields[2], encoding.TAG_SIS_TRAPDOOR)
+    # the first entry of the R block of T = [[I, R], [0, I]] that is +1
+    at = next(2 * (row * p.m + col) for row in range(p.m_bar) for col in range(p.m_bar, p.m)
+              if T[2 * (row * p.m + col) : 2 * (row * p.m + col) + 2] == b"\x00\x01")
+    bad = edit_record(
+        sk, encoding.TAG_TRANSFORMED_SK, 2,
+        lambda record: edit_record(record, encoding.TAG_SIS_TRAPDOOR, 0,
+                                   lambda t: plus_q(t, at, p.q)),
+    )
+    (workspace / "bad.tookey").write_bytes(bad)
     sign_refused(workspace, "bad.tookey", "sk.toopub")
 
 
@@ -350,7 +397,6 @@ def test_keygen_error_exits_1(tmp_path, capsys):
     for args in (
         ["keygen", "--out", str(tmp_path / "k"), "--height", "30", "--seed", SEED_A],
         ["bench", "--height", "0", "--seed", SEED_A],
-        ["bench", "--chameleon", "sis", "--n", "0", "--seed", SEED_A],
         ["game", "--adversary", "replay", "--height", "0"],
         ["game", "--adversary", "replay", "--budget", "-1"],
     ):
@@ -563,8 +609,7 @@ def test_raw_target_refuses_transformed_only_adversary(adversary, capsys):
 CLI_SURFACE = {
     "keygen": {
         "--help": (None, argparse.SUPPRESS), "--scheme": (None, "merkle"),
-        "--height": (None, 4), "--chameleon": (None, "dl"), "--n": (None, 4),
-        "--q": (None, 257), "--m": (None, 12), "--k": (None, 8), "--out": (None, None),
+        "--height": (None, 4), "--chameleon": (None, "dl"), "--out": (None, None),
         "--seed": (None, None), "--armor": (None, False),
     },
     "sign": {
@@ -578,7 +623,6 @@ CLI_SURFACE = {
     },
     "bench": {
         "--help": (None, argparse.SUPPRESS), "--chameleon": (None, "sis"),
-        "--n": (None, 4), "--q": (None, 257), "--m": (None, 12), "--k": (None, 8),
         "--height": (None, 2), "--seed": (None, None),
     },
     "game": {
@@ -587,7 +631,6 @@ CLI_SURFACE = {
         "--adversary": (["case1", "case2", "garbage", "lucky", "mauling", "replay"], None),
         "--target": (["transformed", "raw"], "transformed"), "--seeds": (None, 100),
         "--chameleon": (None, "dl-demo"), "--height": (None, 2), "--budget": (None, 4),
-        "--report": (["json"], "json"),
     },
 }
 

@@ -1,8 +1,9 @@
 """Every name a toosign module imports is used in it (`__init__` re-exports),
-every name a toosign module defines is used somewhere, no code asks which chameleon family it holds, a process that uses only the
-DL chameleon hash never loads numpy, `import toosign.cli` loads only what
-keygen, sign and verify run, and a one-shot sign or verify never builds a
-comb table."""
+every name a toosign module defines is used somewhere, no code asks which
+chameleon family it holds, a process that uses only the DL chameleon hash
+never loads numpy, nor does one that refuses an unnamed lattice set,
+`import toosign.cli` loads only what keygen, sign and verify run, and a
+one-shot sign or verify never builds a comb table."""
 
 import ast
 import os
@@ -169,6 +170,37 @@ def run_child(script: str) -> subprocess.CompletedProcess:
 
 def test_dl_only_process_never_loads_numpy():
     r = run_child(DL_ONLY)
+    assert r.returncode == 0, r.stderr
+
+
+UNNAMED_SIS_VERIFY = """
+import sys
+from toosign import cli
+
+code = None
+try:
+    cli.main(["verify", "--pub", PUB, "--in", PUB, "--sig", PUB])
+except SystemExit as e:
+    code = e.code
+assert code == 2, f"verify exited {code}"
+assert "numpy" not in sys.modules, "refusing an unnamed SIS set loaded numpy"
+"""
+
+
+def test_unnamed_sis_set_is_refused_before_numpy_loads(tmp_path):
+    """`too-sign verify` on a public key with sis-desk's k raised to 9 exits
+    2 (malformed) in a process that never loads numpy."""
+    from toosign import chameleon, encoding, merkle, rng, transform
+
+    kp = transform.g_prime(merkle.merkle_descriptor(1), chameleon.ChameleonKind.SIS,
+                           {"n": 4, "q": 257, "m": 12, "k": 8}, rng.rng_from_int(5))
+    _, pk_fields = encoding.decode_record(kp.public_bytes(), encoding.TAG_TRANSFORMED_PK)
+    _, inst = encoding.decode_record(pk_fields[2], encoding.TAG_SIS_INSTANCE)
+    inst[3] = encoding.encode_int(9)
+    pk_fields[2] = encoding.encode_record(encoding.TAG_SIS_INSTANCE, inst)
+    pub = tmp_path / "unnamed.toopub"
+    pub.write_bytes(encoding.encode_record(encoding.TAG_TRANSFORMED_PK, pk_fields))
+    r = run_child(f"PUB = {str(pub)!r}" + UNNAMED_SIS_VERIFY)
     assert r.returncode == 0, r.stderr
 
 
