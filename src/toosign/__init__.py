@@ -27,7 +27,6 @@ from .chameleon import (
 )
 from .errors import (
     CapacityError,
-    DegenerateTrapdoorError,
     DimensionError,
     DomainError,
     ExtractionError,

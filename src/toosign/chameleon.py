@@ -59,12 +59,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import encoding
-from .errors import (
-    DegenerateTrapdoorError,
-    DomainError,
-    FormatError,
-    TrivialCollisionError,
-)
+from .errors import DomainError, FormatError, TrivialCollisionError
 from .rng import Rng
 
 if TYPE_CHECKING:  # sis imports numpy
@@ -154,14 +149,14 @@ def hg(
     kind: ChameleonKind, params: dict, rng: Rng
 ) -> tuple[ChameleonInstance, ChameleonTrapdoor]:
     if kind is ChameleonKind.DL:
-        group = DL_PARAM_SETS.get(params["name"])
+        group = DL_PARAM_SETS.get(params.get("name"))
         if group is None:
-            raise DomainError(f"unknown DL group {params['name']!r}")
+            raise DomainError(f"unknown DL group {params.get('name')!r}")
         p, q_grp, g = group
         x = 1 + rng.randbelow(q_grp - 1)
         td = DLTrapdoor(x=x, x_inv=pow(x, -1, q_grp))
         return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), td
-    dims = tuple(params[d] for d in "nqmk")
+    dims = tuple(params.get(d) for d in "nqmk")
     if dims not in SIS_PARAM_SETS.values():
         raise DomainError(f"unnamed SIS parameter set (n, q, m, k) = {dims}")
     from . import sis  # numpy loads with the first SIS key
@@ -515,8 +510,6 @@ def dl_recover_trapdoor(inst: DLInstance, pair1, pair2) -> int:
     if check_collision(inst, pair1, pair2) is not CollisionVerdict.VALID:
         raise DomainError("not a valid collision")
     (m1, r1), (m2, r2) = pair1, pair2
-    if r1 == r2:
-        raise DegenerateTrapdoorError("collision with equal randomness")
     x = (m1 - m2) * pow(r2 - r1, -1, inst.q_grp) % inst.q_grp
     assert pow(inst.g, x, inst.p) == inst.y
     return x

@@ -29,10 +29,6 @@ class SamplerError(ToosignError):
     """A bounded-retry sampler exceeded its retry budget."""
 
 
-class DegenerateTrapdoorError(ToosignError):
-    """A DL collision with equal randomness, which reveals no trapdoor."""
-
-
 class TrivialCollisionError(ToosignError):
     """Collision pair with identical inputs; carries no information."""
 

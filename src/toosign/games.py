@@ -91,7 +91,6 @@ def _malleable_verify(pk: bytes, message: bytes, sig: Signature) -> bool:
 register_scheme(
     SchemeImpl(
         scheme_id=SCHEME_ID_MALLEABLE,
-        name="malleable-wrapper",
         keygen=_malleable_keygen,
         sign=_malleable_sign,
         verify=_malleable_verify,

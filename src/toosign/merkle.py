@@ -10,18 +10,19 @@ verifying cut 32-byte chunks with one shared table of slice objects.
 Key generation splits the leaves into contiguous ranges, one per usable core
 and at least _LEAVES_PER_WORKER leaves each.  The caller computes the first
 range and a forked child each other one, so a tree of fewer than twice that
-many leaves never forks.  The children only hash: the seed is drawn before
-they start, and a range whose child fails is computed by the caller.  The
-keys are byte-identical to a serial keygen.
+many leaves never forks.  Each child writes its keys into its slice of one
+anonymous shared map and exits.  The children only hash: the seed is drawn
+before they start, and a range whose fork or child fails is computed by the
+caller.  The keys are byte-identical to a serial keygen.
 """
 
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import threading
 from itertools import compress
-from typing import BinaryIO
 
 from . import encoding
 from .errors import CapacityError, DomainError, FormatError
@@ -88,62 +89,47 @@ def _worker_count(leaves: int) -> int:
     return min(cores, most)
 
 
-def _fork_range(seed: bytes, start: int, stop: int) -> tuple[int, BinaryIO]:
-    """(pid, read end of a pipe) of a child that writes _leaf_range(seed,
-    start, stop) to the pipe and exits 0; OSError if no child could be made."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child never returns: _exit skips buffers and handlers
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(_leaf_range(seed, start, stop))
-            os._exit(0)
-        finally:
-            os._exit(1)
-    os.close(write_fd)
-    return pid, open(read_fd, "rb")
-
-
 def _leaf_keys(seed: bytes, leaves: int) -> bytes:
     """The public keys of all leaves, packed in order; see the module
-    docstring for how the work is split.  Every child is reaped and every
-    pipe closed before this returns or raises; a child not read to the end
-    is killed first."""
+    docstring for how the work is split.  Every child is reaped before this
+    returns or raises, and killed first only if the caller's own work raised."""
     workers = _worker_count(leaves)
     bounds = [leaves * i // workers for i in range(workers + 1)]
-    ranges = list(zip(bounds[1:-1], bounds[2:]))  # the children's ranges
-    children = {}  # start -> (pid, pipe)
-    output = {}  # start -> what its child wrote, read to the end
-    try:
-        for start, stop in ranges:
-            try:
-                children[start] = _fork_range(seed, start, stop)
-            except OSError:
-                pass
-        parts = [_leaf_range(seed, 0, bounds[1])]
-        for start, (_, pipe) in children.items():
-            output[start] = pipe.read()
-    finally:
-        for start, (pid, pipe) in children.items():
-            pipe.close()
-            if start not in output:
-                from signal import SIGKILL
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+    own = ranges[:1]  # the caller's ranges: the first and each one not forked
+    children = {}  # pid -> the range its child writes
+    with mmap.mmap(-1, 32 * leaves) as keys:  # anonymous, so shared across fork
 
+        def fill(start: int, stop: int) -> None:
+            keys[32 * start : 32 * stop] = _leaf_range(seed, start, stop)
+
+        try:
+            for start, stop in ranges[1:]:
+                try:
+                    pid = os.fork()
+                except OSError:
+                    own.append((start, stop))
+                    continue
+                if pid == 0:  # the child never returns: _exit skips buffers and handlers
+                    try:
+                        fill(start, stop)
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+                children[pid] = (start, stop)
+            for start, stop in own:
+                fill(start, stop)
+        except BaseException:
+            from signal import SIGKILL
+
+            for pid in children:
                 os.kill(pid, SIGKILL)
-            if os.waitpid(pid, 0)[1]:
-                output.pop(start, None)
-    for start, stop in ranges:
-        part = output.get(start, b"")
-        if len(part) != 32 * (stop - start):
-            part = _leaf_range(seed, start, stop)
-        parts.append(part)
-    return b"".join(parts)
+            raise
+        finally:
+            failed = [r for pid, r in children.items() if os.waitpid(pid, 0)[1]]
+        for start, stop in failed:
+            fill(start, stop)
+        return keys[:]
 
 
 def _build_tree(leaf_pubs: list[bytes]) -> list[list[bytes]]:
@@ -287,7 +273,6 @@ def merkle_verify(pk: bytes, digest: bytes, sig: Signature) -> bool:
 register_scheme(
     SchemeImpl(
         scheme_id=SCHEME_ID_MERKLE,
-        name="lamport-merkle",
         keygen=merkle_keygen,
         sign=merkle_sign,
         verify=merkle_verify,

@@ -65,7 +65,6 @@ class SchemeImpl:
     """Registered implementation of one base signature scheme."""
 
     scheme_id: int
-    name: str
     keygen: Callable[[SchemeDescriptor, Rng], KeyPair]
     sign: Callable[[KeyPair, bytes, Rng], tuple[Signature, Optional[bytes]]]
     verify: Callable[[bytes, bytes, Signature], bool]

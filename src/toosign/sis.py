@@ -40,14 +40,15 @@ class SISParams:
     b: int  # gadget base
     m_bar: int
     w: int
+    norm_bound_sq: int  # floor(s^2 m): ||r||^2 is an integer
 
     @property
     def norm_bound(self) -> float:
         return self.s * np.sqrt(self.m)
 
     def is_short(self, r: np.ndarray) -> bool:
-        """||r|| <= s sqrt(m)."""
-        return float(np.linalg.norm(r)) <= self.norm_bound
+        """||r|| <= s sqrt(m), without floats."""
+        return int(r @ r) <= self.norm_bound_sq
 
 
 def derive_params(n: int, q: int, m: int, k: int) -> SISParams:
@@ -70,7 +71,10 @@ def derive_params(n: int, q: int, m: int, k: int) -> SISParams:
             b = mid
     w = n * t
     m_bar = m - w
-    return SISParams(n=n, q=q, m=m, k=k, s=2.5 * q, t=t, b=b, m_bar=m_bar, w=w)
+    return SISParams(
+        n=n, q=q, m=m, k=k, s=2.5 * q, t=t, b=b, m_bar=m_bar, w=w,
+        norm_bound_sq=25 * q * q * m // 4,  # s = 5q/2
+    )
 
 
 def gadget_matrix(params: SISParams) -> np.ndarray:

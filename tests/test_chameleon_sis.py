@@ -1,5 +1,7 @@
 """Lattice chameleon hash: gadget trapdoor, preimage sampling, collisions."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,21 @@ def test_hg_refuses_unnamed_sets():
     assert chameleon.SIS_PARAM_SETS == {"sis-desk": tuple(DESK.values())}
 
 
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        (ChameleonKind.SIS, {"name": "sis-desk"}),
+        (ChameleonKind.DL, {}),
+        (ChameleonKind.SIS, {"n": 4, "q": 257, "m": 12}),
+    ],
+    ids=["sis-by-name", "dl-without-name", "sis-without-k"],
+)
+def test_hg_refuses_params_it_does_not_take(kind, params):
+    """A missing key is a DomainError like an unnamed set, not a KeyError."""
+    with pytest.raises(DomainError):
+        chameleon.hg(kind, params, rng_from_int(0))
+
+
 @pytest.mark.parametrize("field, entry", [(5, 0), (6, 11)], ids=["A", "B"])
 def test_matrix_entry_of_q_or_more_is_refused(field, entry):
     """Each matrix has one encoding: an entry plus q is not the same entry."""
@@ -154,6 +171,26 @@ def test_hash_refuses_randomness_beyond_the_norm_bound():
     assert float(np.linalg.norm(r)) > inst.params.norm_bound
     with pytest.raises(DomainError):
         chameleon.ch_hash(inst, m, r)
+
+
+def _vector_of_squared_norm(total: int, length: int) -> np.ndarray:
+    """A greedy integer vector r with r @ r == total."""
+    entries = []
+    while total:
+        entries.append(math.isqrt(total))
+        total -= entries[-1] ** 2
+    assert len(entries) <= length
+    return np.array(entries + [0] * (length - len(entries)), dtype=np.int64)
+
+
+def test_is_short_is_exact_at_the_bound():
+    """||r||^2 = floor(s^2 m) is short and one more is not, as by the float norm."""
+    p = derive_params(**DESK)
+    assert p.norm_bound_sq == math.floor(p.s**2 * p.m)
+    for total, short in [(p.norm_bound_sq, True), (p.norm_bound_sq + 1, False)]:
+        r = _vector_of_squared_norm(total, p.m)
+        assert p.is_short(r) is short
+        assert bool(np.linalg.norm(r) <= p.norm_bound) is short
 
 
 def test_inversion_needs_rng():

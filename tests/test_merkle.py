@@ -212,6 +212,27 @@ def test_a_dying_child_is_replaced_by_the_parent(monkeypatch):
     assert forks
 
 
+def test_a_failed_fork_after_a_child_is_computed_by_the_parent(monkeypatch):
+    """One range comes from a child, the caller computes the first and the
+    one whose fork failed (341/341/342 leaves at height 10)."""
+    _report_cores(monkeypatch, 3)
+    forks = []
+    fork = os.fork
+
+    def fork_once():
+        if forks:
+            raise OSError("no more processes")
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    height, seed, pk, sk = TALL_TREES[3]
+    assert _fingerprint(height, seed) == (pk, sk)
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_no_child_outlives_keygen(monkeypatch):
     forks = _count_forks(monkeypatch)
     height, seed, pk, sk = TALL_TREES[3]
