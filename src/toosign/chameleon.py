@@ -16,23 +16,23 @@ reveals x together with the trace, so it is never kept.  x^-1 mod q, which
 every inversion needs, is computed once per trapdoor, where the trapdoor is
 made or decoded, and is never serialized.
 
-Exponentiations with exponents of 256 bits or more use a Lim-Lee comb, in
-one of two layouts chosen by the base's role.  The generator g, which every
-key of a group shares and which every sign and verify raises, splits its
-exponent into 3 limbs of 10 rows: 3 tables of 1024 products, about 0.95 MB
-and 69 columns on a 2048-bit group.  A key's y splits into 4 limbs of 8
-rows: 4 tables of 256 products, about 315 kB and 64 columns.  One column
-loop serves every limb of every base of a hash, with y's columns lined up
-with g's last ones: g^m y^r on the 2048-bit group takes 69 squarings, at
-most 207 products for g and 256 for y.  The first exponentiation of a base
-in a layout in a process does not build its table, so a one-shot process
-never pays for one; the second builds it (about 70 ms for g, 50 ms for y).
+Exponentiations with exponents of 256 bits or more use a Lim-Lee comb of
+one layout for every base: the exponent splits into 3 limbs of 10 rows, 3
+tables of 1024 products, about 0.95 MB and 69 columns on a 2048-bit group.
+One column loop serves every limb of every base of a hash: g^m y^r on the
+2048-bit group takes 69 squarings and 414 products, one per limb per
+column whatever the exponent's digits.  Every table entry carries a factor
+c != 1, a power of the base that one more product per base cancels, so no
+entry is 1 or short and no product leaves the accumulator as it was.  The
+first exponentiation of a base in a process does not build its table, so
+a one-shot process never pays for one; the second builds it (about 70 ms).
 Two or more bases seen for the first time in one call share one
 interleaved sliding-window pass and so its squarings; a lone one takes
-builtin pow.  At most 8 bases keep tables, least recently used evicted
-first: one group's g and 7 keys take about 3.1 MB on the 2048-bit group,
-and 8 generators at most 7.6 MB.  Neither builtin pow nor these passes run
-in constant time; this code makes no side-channel claim.
+builtin pow.  Two bases keep tables, least recently used evicted first: a
+group's g and the key in use.  A process that alternates among more keys
+takes the first-use paths on every call.  Neither builtin pow, the window
+pass nor CPython's integer arithmetic runs in constant time; this code
+makes no side-channel claim.
 
 Named sets.  The only DL groups and lattice sets are the named sets in
 DL_PARAM_SETS, constants that the test suite proves (p and q prime,
@@ -56,7 +56,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, Union
 
 from . import encoding
 from .errors import DomainError, FormatError, TrivialCollisionError
@@ -148,16 +148,20 @@ def _jacobi(a: int, n: int) -> int:
 def hg(
     kind: ChameleonKind, params: dict, rng: Rng
 ) -> tuple[ChameleonInstance, ChameleonTrapdoor]:
+    if not isinstance(params, dict):
+        raise DomainError(f"params must be a dict, not {type(params).__name__}")
     if kind is ChameleonKind.DL:
-        group = DL_PARAM_SETS.get(params.get("name"))
-        if group is None:
-            raise DomainError(f"unknown DL group {params.get('name')!r}")
-        p, q_grp, g = group
+        name = params.get("name")
+        if not isinstance(name, str) or name not in DL_PARAM_SETS:
+            raise DomainError(f"unknown DL group {name!r}")
+        p, q_grp, g = DL_PARAM_SETS[name]
         x = 1 + rng.randbelow(q_grp - 1)
         td = DLTrapdoor(x=x, x_inv=pow(x, -1, q_grp))
         return DLInstance(p=p, q_grp=q_grp, g=g, y=pow(g, x, p)), td
+    if kind is not ChameleonKind.SIS:
+        raise DomainError(f"unknown chameleon kind {kind!r}")
     dims = tuple(params.get(d) for d in "nqmk")
-    if dims not in SIS_PARAM_SETS.values():
+    if dims not in SIS_PARAM_SETS.values() or not all(type(d) is int for d in dims):
         raise DomainError(f"unnamed SIS parameter set (n, q, m, k) = {dims}")
     from . import sis  # numpy loads with the first SIS key
     return sis.hg_sis(*dims, rng)
@@ -167,56 +171,52 @@ def hg(
 # exponentiation
 
 
-class _CombLayout(NamedTuple):
-    """A base's comb: one table per limb of the 2^rows products of its rows
-    (rows <= 16, so that _comb_columns fits an index in 16 bits)."""
-
-    limbs: int
-    rows: int
-
-
-# The generator, shared by every key of a group, gets the larger comb.
-_GENERATOR_COMB = _CombLayout(limbs=3, rows=10)  # 3 x 1024 products per base
-_KEY_COMB = _CombLayout(limbs=4, rows=8)  # 4 x 256 products per base
+# Every base's comb: one table per limb of the 2^rows products of its rows
+# (rows <= 16, so that _comb_columns fits an index in 16 bits).
+_COMB_LIMBS, _COMB_ROWS = 3, 10  # 3 x 1024 products per base
 _COMB_MIN_BITS = 256  # below this, a comb column is too short to beat pow
-_COMB_CACHE_SIZE = 8  # bases; on a 2048-bit group a comb is 0.95 MB or 315 kB
+_COMB_CACHE_SIZE = 2  # bases: g and the key in use, 0.95 MB each at 2048 bits
 _WINDOW_BITS = 5  # the joint first-use pass multiplies in up to 5 bits at a time
-# (base, p, bits, layout) -> the comb's tables, or None after the first use
-_comb_cache: OrderedDict[tuple, list[list[int]] | None] = OrderedDict()
+_Comb = tuple[list[list[int]], int]  # a base's tables, and their correction
+# (base, p, bits) -> the base's comb, or None after the first use
+_comb_cache: OrderedDict[tuple, _Comb | None] = OrderedDict()
 _comb_lock = threading.Lock()
 # _comb_columns reads binary digits as 16-bit characters in native order
 _DIGIT_CODEC = "utf-16-le" if sys.byteorder == "little" else "utf-16-be"
 
 
-def _comb_width(bits: int, layout: _CombLayout) -> int:
+def _comb_width(bits: int) -> int:
     """Columns of the comb: the bits split into limbs * rows rows."""
-    return -(-bits // (layout.limbs * layout.rows))
+    return -(-bits // (_COMB_LIMBS * _COMB_ROWS))
 
 
-def _comb_table(b: int, p: int, a: int, layout: _CombLayout) -> list[list[int]]:
-    """Per limb l, entry j is the product of b^(2^(a*(rows*l + i))) over the
-    rows i set in j."""
-    limbs, rows = layout
+def _comb_table(b: int, p: int, a: int) -> _Comb:
+    """The comb of b: per limb l, entry j is c times the product of
+    b^(2^(a*(rows*l + i))) over the rows i set in j; and c^-(limbs*(2^a - 1))
+    mod p, which cancels the c^(2^a - 1) per limb that the column loop
+    gathers.  c = b^(2^(a*limbs*rows)), the row power after the last, keeps
+    every entry, 0 included, from being 1 or short."""
     row_powers = [b]
-    for _ in range(limbs * rows - 1):
+    for _ in range(_COMB_LIMBS * _COMB_ROWS):
         x = row_powers[-1]
         for _ in range(a):
             x = x * x % p
         row_powers.append(x)
+    c = row_powers.pop()
     tables = []
-    for limb in range(limbs):
-        powers = row_powers[limb * rows : (limb + 1) * rows]
-        table = [1] * (1 << rows)
-        for j in range(1, 1 << rows):
+    for limb in range(_COMB_LIMBS):
+        powers = row_powers[limb * _COMB_ROWS : (limb + 1) * _COMB_ROWS]
+        table = [c] * (1 << _COMB_ROWS)
+        for j in range(1, 1 << _COMB_ROWS):
             low = j & -j
             table[j] = table[j ^ low] * powers[low.bit_length() - 1] % p
         tables.append(table)
-    return tables
+    return tables, pow(c, -_COMB_LIMBS * ((1 << a) - 1), p)
 
 
-def _comb_columns(e: int, a: int, layout: _CombLayout, width: int) -> list[memoryview]:
+def _comb_columns(e: int, a: int) -> list[memoryview]:
     """Per limb, the table index of each of its a columns, most significant
-    column first, behind width - a zero columns.
+    column first.
 
     e splits into rows e = sum_i e_i 2^(a*i) of a bits each, and limb l
     holds rows l*rows to l*rows + rows - 1; bit i of index k of limb l is
@@ -224,40 +224,35 @@ def _comb_columns(e: int, a: int, layout: _CombLayout, width: int) -> list[memor
     16-bit characters and cut into rows; each row's ASCII zeros come off
     and it is shifted into bit i of every character.
     """
-    limbs, rows = layout
-    n = a * limbs * rows
+    n = a * _COMB_LIMBS * _COMB_ROWS
     digits = format(e, f"0{n}b").encode(_DIGIT_CODEC)
     zeros = int.from_bytes(("0" * a).encode(_DIGIT_CODEC), sys.byteorder)
-    pad = bytes(2 * (width - a))
     out = []
-    for limb in range(limbs):
+    for limb in range(_COMB_LIMBS):
         spread = 0
-        for i in range(rows):
-            end = 2 * (n - a * (limb * rows + i))
+        for i in range(_COMB_ROWS):
+            end = 2 * (n - a * (limb * _COMB_ROWS + i))
             row = int.from_bytes(digits[end - 2 * a : end], sys.byteorder)
             spread += (row - zeros) << i
-        out.append(memoryview(pad + spread.to_bytes(2 * a, sys.byteorder)).cast("H"))
+        out.append(memoryview(spread.to_bytes(2 * a, sys.byteorder)).cast("H"))
     return out
 
 
-def _comb_lookup(
-    b: int, p: int, bits: int, layout: _CombLayout
-) -> list[list[int]] | None:
-    """The comb tables of b, built on the second call for (b, layout); None
-    on the first."""
-    key = (b, p, bits, layout)
+def _comb_lookup(b: int, p: int, bits: int) -> _Comb | None:
+    """The comb of b, built on its second call; None on the first."""
+    key = (b, p, bits)
     with _comb_lock:
         seen = key in _comb_cache
-        tables = _comb_cache.pop(key, None)
-        _comb_cache[key] = tables  # least recently used first
+        comb = _comb_cache.pop(key, None)
+        _comb_cache[key] = comb  # least recently used first
         if len(_comb_cache) > _COMB_CACHE_SIZE:
             _comb_cache.popitem(last=False)
-    if seen and tables is None:
-        tables = _comb_table(b, p, _comb_width(bits, layout), layout)
+    if seen and comb is None:
+        comb = _comb_table(b, p, _comb_width(bits))
         with _comb_lock:
             if key in _comb_cache:
-                _comb_cache[key] = tables
-    return tables
+                _comb_cache[key] = comb
+    return comb
 
 
 def _joint_pow(pairs, p: int) -> int:
@@ -293,24 +288,24 @@ def _joint_pow(pairs, p: int) -> int:
 
 
 def _multi_pow(terms, p: int, bits: int) -> int:
-    """prod b^e mod p over the (b, e, layout) in terms, every e in [0, 2^bits).
+    """prod b^e mod p over the (b, e) in terms, every b a unit mod p and
+    every e in [0, 2^bits).
 
     When bits < _COMB_MIN_BITS, every base takes builtin pow.  Otherwise a
-    base used before in the same layout gets a Lim-Lee comb of layout.limbs
-    limbs of layout.rows rows of a = _comb_width(bits, layout) columns.  One
-    loop over the columns of the call's widest comb does its squarings,
-    shared by every limb of every base, and at most a products per limb; a
-    narrower comb's columns line up with the loop's last ones.  Bases used
-    for the first time share one _joint_pow pass when there are two or
-    more; a lone one takes builtin pow.
+    base used before gets a Lim-Lee comb of _COMB_LIMBS limbs of _COMB_ROWS
+    rows of a = _comb_width(bits) columns.  One loop over the a columns does
+    the squarings, shared by every limb of every base, and one product per
+    limb per column, whatever the index.  Bases used for the first time
+    share one _joint_pow pass when there are two or more; a lone one takes
+    builtin pow.
     """
     fresh, tabled = [], []
-    for b, e, layout in terms:
-        tables = _comb_lookup(b, p, bits, layout) if bits >= _COMB_MIN_BITS else None
-        if tables is None:
+    for b, e in terms:
+        comb = _comb_lookup(b, p, bits) if bits >= _COMB_MIN_BITS else None
+        if comb is None:
             fresh.append((b, e))
         else:
-            tabled.append((e, layout, tables))
+            tabled.append((e, comb))
     if len(fresh) > 1 and bits >= _COMB_MIN_BITS:
         out = _joint_pow(fresh, p)
     else:
@@ -318,18 +313,16 @@ def _multi_pow(terms, p: int, bits: int) -> int:
         for b, e in fresh:
             out = out * pow(b, e, p) % p
     if tabled:
-        width = max(_comb_width(bits, layout) for _, layout, _ in tabled)
-        combs = []
-        for e, layout, tables in tabled:
-            columns = _comb_columns(e, _comb_width(bits, layout), layout, width)
-            combs += zip(columns, tables)
+        a = _comb_width(bits)
+        limbs = []
+        for e, (tables, correction) in tabled:
+            limbs += zip(_comb_columns(e, a), tables)
+            out = out * correction % p
         acc = 1
-        for k in range(width):
+        for k in range(a):
             acc = acc * acc % p
-            for columns, table in combs:
-                j = columns[k]
-                if j:
-                    acc = acc * table[j] % p
+            for columns, table in limbs:
+                acc = acc * table[columns[k]] % p
         out = out * acc % p
     return out
 
@@ -355,7 +348,7 @@ class DLInstance:
     def hash(self, m, r) -> int:
         mi = self._scalar(m, "message")
         ri = self._scalar(r, "randomness")
-        terms = ((self.g, mi, _GENERATOR_COMB), (self.y, ri, _KEY_COMB))
+        terms = ((self.g, mi), (self.y, ri))
         return _multi_pow(terms, self.p, self.q_grp.bit_length())
 
     def trapdoor_hash(self, td: DLTrapdoor, m: int, r: int) -> int:
@@ -363,8 +356,7 @@ class DLInstance:
         same value because y = g^x and g has order q."""
         # the folded exponent reveals x together with (m, r): never keep it
         e = (m + td.x * r) % self.q_grp
-        terms = ((self.g, e, _GENERATOR_COMB),)
-        return _multi_pow(terms, self.p, self.q_grp.bit_length())
+        return _multi_pow(((self.g, e),), self.p, self.q_grp.bit_length())
 
     def sample_message(self, rng: Rng) -> int:
         return rng.randbelow(self.q_grp)

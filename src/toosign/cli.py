@@ -81,11 +81,10 @@ def _write(path: str, blob: bytes, armored: bool) -> None:
 
 
 def _read(path: str, armored: bool) -> bytes:
-    if armored:
-        with open(path) as f:
-            return dearmor(f.read())
     with open(path, "rb") as f:
-        return f.read()
+        blob = f.read()
+    # a byte that does not decode becomes U+FFFD, which fails as bad hex
+    return dearmor(blob.decode(errors="replace")) if armored else blob
 
 
 def _seed(text: str) -> bytes:
@@ -193,7 +192,7 @@ def verify(pub, infile, sig, armor, ro_tag):
         merkle.check_public_key(pk.base_descriptor, pk.base_pk)
         message = _read(infile, False)
         sig_obj = deserialize_signature(_read(sig, armor), pk.ch_inst, pk.base_descriptor)
-    except (ToosignError, OSError, ValueError) as e:
+    except (ToosignError, OSError) as e:
         print(f"malformed input: {e}", file=sys.stderr)
         sys.exit(EXIT_MALFORMED)
     oracle = production_oracle(pk.ch_inst, domain_tag=ro_tag.encode())

@@ -135,28 +135,22 @@ def test_instance_serialization_round_trip():
 # fixed-base exponentiation on dl-2048
 
 P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
-BITS = Q2048.bit_length()  # 2047: the comb's last row is one bit short
-GEN, KEY = chameleon._GENERATOR_COMB, chameleon._KEY_COMB
-COLUMNS = chameleon._comb_width(BITS, KEY)  # 64
-LIMB_BITS = COLUMNS * KEY.rows  # 512
-GEN_COLUMNS = chameleon._comb_width(BITS, GEN)  # 69
-GEN_LIMB_BITS = GEN_COLUMNS * GEN.rows  # 690
+BITS = Q2048.bit_length()  # 2047: the comb's last row is 23 bits short
+LIMBS, ROWS = chameleon._COMB_LIMBS, chameleon._COMB_ROWS
+COLUMNS = chameleon._comb_width(BITS)  # 69
+LIMB_BITS = COLUMNS * ROWS  # 690
 X2048 = 0x5EED << 1000
 Y2048 = pow(G2048, X2048, P2048)
 EXPONENTS = sorted(
     {0, 1, 2, Q2048 - 1, (1 << BITS) - 1, 1 << (BITS - 1)}
     # the limb boundaries, and the row boundaries of the 8-row layout before
-    | {(1 << (LIMB_BITS * i)) + d for i in range(1, KEY.limbs) for d in (-1, 0, 1)}
+    | {(1 << (LIMB_BITS * i)) + d for i in range(1, LIMBS) for d in (-1, 0, 1)}
     | {(1 << (-(-BITS // 8) * i)) + d for i in range(1, 8) for d in (-1, 0, 1)}
 )
-# every row boundary inside a limb
+# every row boundary, and the limb boundaries
 ROW_EXPONENTS = [
-    (1 << (COLUMNS * i)) - d for i in range(1, KEY.rows * KEY.limbs) for d in (0, 1)
-]
-# the same for the generator's layout
-GEN_EXPONENTS = [
-    (1 << (GEN_COLUMNS * i)) - d for i in range(GEN.rows * GEN.limbs) for d in (0, 1)
-] + [(1 << (GEN_LIMB_BITS * i)) + d for i in range(1, GEN.limbs) for d in (-1, 0, 1)]
+    (1 << (COLUMNS * i)) - d for i in range(ROWS * LIMBS) for d in (0, 1)
+] + [(1 << (LIMB_BITS * i)) + d for i in range(1, LIMBS) for d in (-1, 0, 1)]
 
 
 def pow_reference(pairs):
@@ -167,15 +161,13 @@ def pow_reference(pairs):
 
 
 def multi_pow(pairs):
-    """_multi_pow with G2048 in the generator's layout, other bases in a key's."""
-    terms = [(b, e, GEN if b == G2048 else KEY) for b, e in pairs]
-    return chameleon._multi_pow(terms, P2048, BITS)
+    return chameleon._multi_pow(pairs, P2048, BITS)
 
 
-def cached(base, layout=None):
-    if layout is None:
-        layout = GEN if base == G2048 else KEY
-    return chameleon._comb_cache[(base, P2048, BITS, layout)]
+def cached(base):
+    """The comb tables of base; None if it has none, evicted or never seen."""
+    comb = chameleon._comb_cache.get((base, P2048, BITS))
+    return comb and comb[0]
 
 
 def shape(tables):
@@ -189,7 +181,7 @@ def test_multi_pow_uses_pow_first_then_a_table():
     assert cached(G2048) is None and cached(Y2048) is None
     assert multi_pow(pairs) == pow_reference(pairs)
     assert shape(cached(G2048)) == [1024] * 3
-    assert shape(cached(Y2048)) == [256] * 4
+    assert shape(cached(Y2048)) == [1024] * 3
     # a joint call may mix a base with a table and one seen for the first time
     z = pow(G2048, 12345, P2048)
     mixed = ((G2048, 5), (z, Q2048 - 2))
@@ -217,9 +209,25 @@ def test_generator_comb_row_and_limb_boundaries():
     for _ in range(2):
         multi_pow(((G2048, 1), (Y2048, 1)))
     assert cached(G2048) is not None and cached(Y2048) is not None
-    for e in GEN_EXPONENTS:
-        # y's 64 columns ride in the last 64 of the generator's 69
+    for e in ROW_EXPONENTS:
         check_against_pow(e, (e * 7 + 3) % Q2048)
+
+
+def test_every_table_entry_is_as_wide_as_p():
+    """No entry, 0 included, is 1 or short enough to make its product
+    cheaper: the column loop's cost does not depend on the index."""
+    chameleon._comb_cache.clear()
+    for _ in range(2):
+        multi_pow(((G2048, 1), (Y2048, 1)))
+    for base in (G2048, Y2048):
+        tables, correction = chameleon._comb_cache[(base, P2048, BITS)]
+        assert shape(tables) == [1024] * 3
+        widths = [v.bit_length() for table in tables for v in table]
+        assert min(widths) >= P2048.bit_length() - 64
+        # entry 0 is c, the row power after the last, which the correction cancels
+        c = pow(base, 1 << (COLUMNS * LIMBS * ROWS), P2048)
+        assert all(table[0] == c for table in tables)
+        assert pow(c, LIMBS * ((1 << COLUMNS) - 1), P2048) * correction % P2048 == 1
 
 
 def test_dl_hash_matches_pow_before_and_after_the_tables():
@@ -235,17 +243,16 @@ def test_dl_hash_matches_pow_before_and_after_the_tables():
         for use, (m, r) in enumerate([(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (2, 3)]):
             assert hash_(m, r) == pow_reference(((G2048, m), (Y2048, r)))
             assert all((cached(b) is not None) == (use > 0) for b in bases)
-    assert list(chameleon._comb_cache) == [(G2048, P2048, BITS, GEN)]
+    assert list(chameleon._comb_cache) == [(G2048, P2048, BITS)]
 
 
-def test_one_base_in_both_roles_gets_two_entries():
+def test_one_base_in_both_roles_gets_one_entry():
     inst = DLInstance(P2048, Q2048, G2048, G2048)  # y = g
     chameleon._comb_cache.clear()
     for m, r in [(Q2048 - 1, 7), (3, Q2048 - 5), (1 << 1000, 1 << 2000)]:
         assert inst.hash(m, r) == pow(G2048, m + r, P2048)
-    assert shape(cached(G2048, GEN)) == [1024] * 3
-    assert shape(cached(G2048, KEY)) == [256] * 4
-    assert len(chameleon._comb_cache) == 2
+    assert shape(cached(G2048)) == [1024] * 3
+    assert len(chameleon._comb_cache) == 1
 
 
 def test_comb_footprint_after_two_signs_and_verifies():
@@ -258,8 +265,8 @@ def test_comb_footprint_after_two_signs_and_verifies():
     for i in range(2):
         sig, kp = transform.s_prime(kp, b"message %d" % i, ro, rng_from_int(30 + i))
         assert transform.v_prime(pk, b"message %d" % i, sig, ro)
-    entries = sum(len(t) for tables in chameleon._comb_cache.values() for t in tables or ())
-    assert entries == 3 * 1024 + 4 * 256
+    entries = sum(len(t) for comb in chameleon._comb_cache.values() if comb for t in comb[0])
+    assert entries == 2 * 3 * 1024
 
 
 def fresh_bases(count):
@@ -270,7 +277,8 @@ def fresh_bases(count):
 @pytest.mark.parametrize("count", [2, 3])
 def test_joint_first_use_pass(count, monkeypatch):
     """Bases seen for the first time share one window pass, and tables come
-    on their second use."""
+    on their second use if the cache holds them all; more bases than that
+    evict each other and take the joint pass on every call."""
     joint = []
     joint_pow = chameleon._joint_pow
     monkeypatch.setattr(
@@ -285,8 +293,12 @@ def test_joint_first_use_pass(count, monkeypatch):
     assert joint == [count]
     assert all(cached(b) is None for b in bases)
     assert multi_pow(pairs) == pow_reference(pairs)
-    assert joint == [count]
-    assert all(cached(b) is not None for b in bases)
+    if count <= chameleon._COMB_CACHE_SIZE:
+        assert joint == [count]
+        assert all(cached(b) is not None for b in bases)
+    else:
+        assert joint == [count, count]
+        assert all(cached(b) is None for b in bases)
 
 
 @settings(max_examples=10, deadline=None)
@@ -321,7 +333,7 @@ def test_comb_cache_stays_bounded():
         for _ in range(2):
             assert multi_pow(((b, Q2048 - 2),)) == pow(b, Q2048 - 2, P2048)
     assert list(chameleon._comb_cache) == [
-        (b, P2048, BITS, KEY) for b in bases[-chameleon._COMB_CACHE_SIZE :]
+        (b, P2048, BITS) for b in bases[-chameleon._COMB_CACHE_SIZE :]
     ]
     # short exponents never build a table
     inst, _ = fixed_instance()

@@ -89,17 +89,24 @@ def test_hg_refuses_unnamed_sets():
 
 
 @pytest.mark.parametrize(
-    "kind, params",
+    "kind, params, message",
     [
-        (ChameleonKind.SIS, {"name": "sis-desk"}),
-        (ChameleonKind.DL, {}),
-        (ChameleonKind.SIS, {"n": 4, "q": 257, "m": 12}),
+        (ChameleonKind.SIS, {"name": "sis-desk"}, "unnamed SIS"),
+        (ChameleonKind.DL, {}, "unknown DL group"),
+        (ChameleonKind.SIS, {"n": 4, "q": 257, "m": 12}, "unnamed SIS"),
+        (ChameleonKind.DL, {"name": []}, "unknown DL group"),
+        (ChameleonKind.DL, [("name", "dl-2048")], "must be a dict"),
+        ("dl", {"name": "dl-2048"}, "unknown chameleon kind"),
+        (ChameleonKind.SIS, {"n": 4, "q": 257.0, "m": 12, "k": 8}, "unnamed SIS"),
     ],
-    ids=["sis-by-name", "dl-without-name", "sis-without-k"],
+    ids=["sis-by-name", "dl-without-name", "sis-without-k", "unhashable-name",
+         "params-not-a-dict", "kind-not-a-kind", "sis-float-dims"],
 )
-def test_hg_refuses_params_it_does_not_take(kind, params):
-    """A missing key is a DomainError like an unnamed set, not a KeyError."""
-    with pytest.raises(DomainError):
+def test_hg_refuses_params_it_does_not_take(kind, params, message):
+    """A missing key, a value of the wrong type or a kind that is not a
+    ChameleonKind is a DomainError that names what is wrong, not a KeyError,
+    TypeError or AttributeError."""
+    with pytest.raises(DomainError, match=message):
         chameleon.hg(kind, params, rng_from_int(0))
 
 

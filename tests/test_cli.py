@@ -424,6 +424,7 @@ UNUSABLE_PATHS = {
         lambda sign, w: ["keygen", "--chameleon", "dl-demo", "--height", "2",
                          "--out", f"{w}/missing/k", "--seed", SEED_A],
         1, "Error: cannot write"),
+    "binary key read as armor": (lambda sign, w: [*sign, "--armor"], 2, "malformed key: "),
 }
 
 
