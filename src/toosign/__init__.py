@@ -27,16 +27,12 @@ from .chameleon import (
 )
 from .errors import (
     CapacityError,
-    DimensionError,
     DomainError,
     ExtractionError,
     FormatError,
     GameError,
-    RegistryError,
     SamplerError,
     ToosignError,
-    TrivialCollisionError,
-    UnsupportedOperationError,
 )
 from .merkle import merkle_descriptor
 from .oracle import (

@@ -59,7 +59,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Union
 
 from . import encoding
-from .errors import DomainError, FormatError, TrivialCollisionError
+from .errors import DomainError, FormatError
 from .rng import Rng
 
 if TYPE_CHECKING:  # sis imports numpy
@@ -390,10 +390,7 @@ class DLInstance:
         )
 
     def deserialize_trapdoor(self, blob: bytes) -> DLTrapdoor:
-        _, fields = encoding.decode_record(blob, encoding.TAG_DL_TRAPDOOR)
-        if len(fields) != 1:
-            raise FormatError("trapdoor record needs exactly one field")
-        x = encoding.decode_int(fields[0])
+        x = encoding.decode_int(*encoding.decode_fields(blob, encoding.TAG_DL_TRAPDOOR, 1))
         if not 0 < x < self.q_grp:
             raise FormatError("trapdoor exponent outside [1, q)")
         return DLTrapdoor(x=x, x_inv=pow(x, -1, self.q_grp))
@@ -412,10 +409,7 @@ class DLInstance:
         )
 
     def deserialize_randomness(self, blob: bytes) -> int:
-        _, fields = encoding.decode_record(blob, encoding.TAG_RANDOMNESS)
-        if len(fields) != 1:
-            raise FormatError("randomness record needs exactly one field")
-        r = encoding.decode_int(fields[0])
+        r = encoding.decode_int(*encoding.decode_fields(blob, encoding.TAG_RANDOMNESS, 1))
         if r >= self.q_grp:
             raise FormatError("randomness outside Z_q")
         return r
@@ -509,10 +503,7 @@ def dl_recover_trapdoor(inst: DLInstance, pair1, pair2) -> int:
 
 def sis_collision_to_short_vector(inst: sis.SISInstance, pair1, pair2):
     """Maps a valid SIS collision to a short nonzero z with [A|B] z = 0 mod q."""
-    verdict = check_collision(inst, pair1, pair2)
-    if verdict is CollisionVerdict.TRIVIAL:
-        raise TrivialCollisionError("equal pairs carry no short vector")
-    if verdict is not CollisionVerdict.VALID:
+    if check_collision(inst, pair1, pair2) is not CollisionVerdict.VALID:
         raise DomainError("not a valid collision")
     return inst.collision_vector(pair1, pair2)
 

@@ -23,10 +23,10 @@ from typing import NoReturn
 from . import merkle
 from .chameleon import SIS_PARAM_SETS, ChameleonKind
 from .encoding import armor as to_armor
-from .encoding import dearmor
+from .encoding import MAGIC, TAG_TRANSFORMED_SK, dearmor
 from .errors import CapacityError, FormatError, ToosignError
 from .merkle import merkle_descriptor
-from .oracle import production_oracle
+from .oracle import DEFAULT_DOMAIN_TAG, production_oracle
 from .rng import Rng
 from .transform import (
     TransformedPublicKey,
@@ -43,6 +43,9 @@ EXIT_MALFORMED = 2
 EXIT_LOCKED = 3
 EXIT_CAPACITY = 4
 
+# how every secret key record starts; `_write` creates such a file mode 0600
+SECRET_KEY_PREFIX = MAGIC + bytes([TAG_TRANSFORMED_SK])
+
 BASE_SCHEMES = {"merkle": merkle_descriptor}
 DL_GROUPS = {"dl": "dl-2048", "dl-2048": "dl-2048", "dl-demo": "dl-demo"}
 CHAMELEONS = (*DL_GROUPS, "sis")
@@ -58,12 +61,14 @@ def _write(path: str, blob: bytes, armored: bool) -> None:
     """Replaces path atomically: a crash leaves the old file or the new one.
 
     The bytes go to a fresh file in the same directory, which is synced and
-    renamed over path; syncing the directory makes the rename durable.
+    renamed over path; syncing the directory makes the rename durable.  A
+    secret key is created readable by its owner alone.
     """
     data = (to_armor(blob) + "\n").encode() if armored else blob
     directory = os.path.dirname(os.path.abspath(path))
     tmp = f"{path}.{os.urandom(6).hex()}.tmp"
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    mode = 0o600 if blob.startswith(SECRET_KEY_PREFIX) else 0o666
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(data)
@@ -143,7 +148,7 @@ def _check_base_scheme(descriptor) -> None:
 def sign(key, pub, infile, out, seed, armor, ro_tag):
     """Sign a file; persists the advanced key state before emitting output."""
     try:
-        lock_fd = os.open(key + ".lock", os.O_CREAT | os.O_RDWR)
+        lock_fd = os.open(key + ".lock", os.O_CREAT | os.O_RDWR, 0o600)
     except OSError as e:
         print(f"malformed key: {e}", file=sys.stderr)
         sys.exit(EXIT_MALFORMED)
@@ -302,14 +307,14 @@ def _parser(prog_name: str) -> argparse.ArgumentParser:
     option("--out", required=True, help="signature output file (.toosig)")
     option("--seed", type=_seed, help="32-byte hex seed (printed if absent)")
     option("--armor", action="store_true")
-    option("--ro-tag", default="TOO-RO-v1", help=DEFAULT)
+    option("--ro-tag", default=DEFAULT_DOMAIN_TAG.decode(), help=DEFAULT)
 
     option = command(verify)
     option("--pub", required=True, help="public key file (.toopub)")
     option("--in", dest="infile", required=True, help="message file")
     option("--sig", required=True, help="signature file (.toosig)")
     option("--armor", action="store_true")
-    option("--ro-tag", default="TOO-RO-v1", help=DEFAULT)
+    option("--ro-tag", default=DEFAULT_DOMAIN_TAG.decode(), help=DEFAULT)
 
     option = command(bench)
     option("--chameleon", default="sis", type=CHAMELEON, help=DEFAULT)

@@ -62,6 +62,14 @@ def decode_record(blob: bytes, expected_tag: int | None = None) -> tuple[int, li
     return tag, fields
 
 
+def decode_fields(blob: bytes, tag: int, count: int) -> list[bytes]:
+    """The fields of a record with this tag and exactly count fields."""
+    _, fields = decode_record(blob, tag)
+    if len(fields) != count:
+        raise FormatError(f"record {tag} needs {count} fields, got {len(fields)}")
+    return fields
+
+
 def encode_int(x: int) -> bytes:
     """Minimal big-endian encoding of a non-negative integer (0 -> b'\\x00')."""
     if x < 0:

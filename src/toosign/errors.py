@@ -9,32 +9,16 @@ class FormatError(ToosignError):
     """Malformed binary encoding."""
 
 
-class RegistryError(ToosignError):
-    """Unknown or duplicate scheme id."""
-
-
 class CapacityError(ToosignError):
     """Stateful scheme ran out of signing capacity."""
 
 
 class DomainError(ToosignError):
-    """Input outside the declared message/randomness space."""
-
-
-class DimensionError(ToosignError):
-    """Inconsistent lattice dimension parameters."""
+    """An input or a request the callee does not take."""
 
 
 class SamplerError(ToosignError):
     """A bounded-retry sampler exceeded its retry budget."""
-
-
-class TrivialCollisionError(ToosignError):
-    """Collision pair with identical inputs; carries no information."""
-
-
-class UnsupportedOperationError(ToosignError):
-    """Operation only available on the programmable oracle."""
 
 
 class ExtractionError(ToosignError):

@@ -440,12 +440,11 @@ class MaulingAdversary(ReplayAdversary):
 
     def _maul(self, sig_bytes: bytes) -> bytes:
         try:
-            tag, fields = encoding.decode_record(
-                sig_bytes, encoding.TAG_TRANSFORMED_SIG
+            base, record = encoding.decode_fields(
+                sig_bytes, encoding.TAG_TRANSFORMED_SIG, 2
             )
-            base = fields[0]
             mauled_base = base[:-1] + bytes([base[-1] ^ 0x01])
-            return encoding.encode_record(tag, [mauled_base, fields[1]])
+            return encoding.encode_record(encoding.TAG_TRANSFORMED_SIG, [mauled_base, record])
         except FormatError:
             return sig_bytes[:-1] + bytes([sig_bytes[-1] ^ 0x01])
 
@@ -468,12 +467,12 @@ class LuckyGuesser(_SignThenForge):
             raise GameError("the lucky guesser needs a transformed public key") from None
 
     def forge(self, sig_bytes):
-        _, fields = encoding.decode_record(sig_bytes, encoding.TAG_TRANSFORMED_SIG)
+        base, _ = encoding.decode_fields(sig_bytes, encoding.TAG_TRANSFORMED_SIG, 2)
         inst = self.pk.ch_inst
         guess = chameleon.sample_randomness(inst, self.rng)
         forged = encoding.encode_record(
             encoding.TAG_TRANSFORMED_SIG,
-            [fields[0], inst.serialize_randomness(guess)],
+            [base, inst.serialize_randomness(guess)],
         )
         return b"second message", forged
 

@@ -176,21 +176,20 @@ def check_public_key(
     """(height, root) of public_key; FormatError unless the descriptor and the
     key hold the same valid height and the root has 32 bytes."""
     height = descriptor.param_blob
-    _, fields = encoding.decode_record(public_key, encoding.TAG_MERKLE_PK)
-    lengths = [len(f) for f in fields]
-    if height not in _HEIGHTS or lengths != [1, 32] or fields[0] != height:
+    key_height, root = encoding.decode_fields(public_key, encoding.TAG_MERKLE_PK, 2)
+    if height not in _HEIGHTS or key_height != height or len(root) != 32:
         raise FormatError("malformed Merkle public key")
-    return height[0], fields[1]
+    return height[0], root
 
 
 def _secret_key_fields(secret_key: bytes) -> tuple[int, bytes, bytes]:
     """(height, seed, nodes) of secret_key; FormatError unless it holds a
     height in [1, 20], a 32-byte seed and 2^(h+1) - 1 packed 32-byte nodes."""
-    _, fields = encoding.decode_record(secret_key, encoding.TAG_MERKLE_SK)
-    height = fields[0][0] if fields and fields[0] in _HEIGHTS else 0
-    if not height or [len(f) for f in fields] != [1, 32, 32 * ((2 << height) - 1)]:
+    height_b, seed, nodes = encoding.decode_fields(secret_key, encoding.TAG_MERKLE_SK, 3)
+    height = height_b[0] if height_b in _HEIGHTS else 0
+    if not height or len(seed) != 32 or len(nodes) != 32 * ((2 << height) - 1):
         raise FormatError("malformed Merkle secret key")
-    return height, fields[1], fields[2]
+    return height, seed, nodes
 
 
 def check_key_pair(kp: KeyPair) -> None:
@@ -239,9 +238,10 @@ def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]
 def merkle_verify(pk: bytes, digest: bytes, sig: Signature) -> bool:
     try:
         height, root = check_public_key(sig.descriptor, pk)
-        _, fields = encoding.decode_record(sig.bytes, encoding.TAG_MERKLE_SIG)
-        leaf_index_b, revealed, complement, path = fields
-    except (FormatError, ValueError):
+        leaf_index_b, revealed, complement, path = encoding.decode_fields(
+            sig.bytes, encoding.TAG_MERKLE_SIG, 4
+        )
+    except FormatError:
         return False
     if len(digest) != 32 or len(leaf_index_b) != 4:
         return False

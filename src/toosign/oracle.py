@@ -13,7 +13,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from .chameleon import ChameleonInstance, sample_message
-from .errors import FormatError, UnsupportedOperationError
+from .errors import DomainError, FormatError
 from .rng import Rng
 
 DEFAULT_DOMAIN_TAG = b"TOO-RO-v1"
@@ -41,7 +41,7 @@ class OracleContext:
     def fresh_value(self):
         """Next uniform message-space element from the seed-derived stream."""
         if self._stream is None:
-            raise UnsupportedOperationError("fresh_value needs the programmable oracle")
+            raise DomainError("fresh_value needs the programmable oracle")
         return sample_message(self.range_instance, self._stream)
 
     # -- the oracle interface ----------------------------------------------
@@ -56,7 +56,7 @@ class OracleContext:
 
     def program(self, data: bytes, value) -> None:
         if self._stream is None:
-            raise UnsupportedOperationError("cannot reprogram the production oracle")
+            raise DomainError("cannot reprogram the production oracle")
         self._table[data] = value
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from . import encoding
-from .errors import FormatError, RegistryError
+from .errors import DomainError, FormatError
 from .rng import Rng
 
 
@@ -35,12 +35,14 @@ class SchemeDescriptor:
 
     @staticmethod
     def deserialize(blob: bytes) -> "SchemeDescriptor":
-        _, fields = encoding.decode_record(blob, encoding.TAG_DESCRIPTOR)
-        if len(fields) != 3 or len(fields[0]) != 1:
-            raise FormatError("descriptor needs a one-byte scheme id and two fields")
-        if fields[2] != MESSAGE_SPACE:
+        scheme_id, param_blob, space = encoding.decode_fields(
+            blob, encoding.TAG_DESCRIPTOR, 3
+        )
+        if len(scheme_id) != 1:
+            raise FormatError("descriptor needs a one-byte scheme id")
+        if space != MESSAGE_SPACE:
             raise FormatError("unknown message space kind")
-        return SchemeDescriptor(scheme_id=fields[0][0], param_blob=fields[1])
+        return SchemeDescriptor(scheme_id=scheme_id[0], param_blob=param_blob)
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,7 @@ _REGISTRY: dict[int, SchemeImpl] = {}
 
 def register_scheme(impl: SchemeImpl) -> None:
     if impl.scheme_id in _REGISTRY:
-        raise RegistryError(f"scheme id {impl.scheme_id} already registered")
+        raise DomainError(f"scheme id {impl.scheme_id} already registered")
     _REGISTRY[impl.scheme_id] = impl
 
 
@@ -83,7 +85,7 @@ def get_scheme(scheme_id: int) -> SchemeImpl:
     try:
         return _REGISTRY[scheme_id]
     except KeyError:
-        raise RegistryError(f"unknown scheme id {scheme_id}") from None
+        raise DomainError(f"unknown scheme id {scheme_id}") from None
 
 
 def scheme_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
@@ -98,10 +100,6 @@ def scheme_sign(kp: KeyPair, message: bytes, rng: Rng) -> tuple[Signature, Optio
 def scheme_verify(pk: bytes, message: bytes, sig: Signature) -> bool:
     """Total on arbitrary byte strings: malformed input rejects, never raises."""
     try:
-        impl = get_scheme(sig.descriptor.scheme_id)
-    except RegistryError:
-        return False
-    try:
-        return impl.verify(pk, message, sig)
+        return get_scheme(sig.descriptor.scheme_id).verify(pk, message, sig)
     except Exception:
         return False

@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import encoding
-from .errors import DimensionError, DomainError, FormatError, SamplerError
+from .errors import DomainError, FormatError, SamplerError
 from .gaussian import DiscreteGaussian
 from .rng import Rng
 
@@ -54,9 +54,9 @@ class SISParams:
 def derive_params(n: int, q: int, m: int, k: int) -> SISParams:
     """The parameters of (n, q, m, k), with the Gaussian width s = 2.5 q."""
     if n < 1 or q < 2 or k < 1:
-        raise DimensionError("need n >= 1, q >= 2, k >= 1")
+        raise DomainError("need n >= 1, q >= 2, k >= 1")
     if m < 2 * n:
-        raise DimensionError(
+        raise DomainError(
             f"m = {m} too small: the gadget block needs at least n = {n} columns "
             f"on top of an n-column random block"
         )
@@ -115,8 +115,6 @@ def gadget_decompose(params: SISParams, v: np.ndarray) -> np.ndarray:
         for l in range(params.t):
             z[i * params.t + l] = x % params.b
             x //= params.b
-        if x != 0:
-            raise SamplerError("syndrome coordinate outside gadget range")
     return z
 
 
@@ -204,7 +202,7 @@ class SISInstance:
     def invert(self, td: SISTrapdoor, m, target, rng: Rng | None) -> np.ndarray:
         """Gadget preimage sampling towards target.element; requires rng."""
         if rng is None:
-            raise SamplerError("SIS inversion needs an rng")
+            raise DomainError("SIS inversion needs an rng")
         marr = self._bits(m)
         params = self.params
         target_vec = np.asarray(target.element, dtype=np.int64)
@@ -242,11 +240,9 @@ class SISInstance:
         return encoding.encode_record(encoding.TAG_SIS_TRAPDOOR, [pack_matrix(T, p.q)])
 
     def deserialize_trapdoor(self, blob: bytes) -> SISTrapdoor:
-        _, fields = encoding.decode_record(blob, encoding.TAG_SIS_TRAPDOOR)
-        if len(fields) != 1:
-            raise FormatError("trapdoor record needs exactly one field")
+        (packed,) = encoding.decode_fields(blob, encoding.TAG_SIS_TRAPDOOR, 1)
         p = self.params
-        T = unpack_matrix(fields[0], p.m, p.m, p.q)
+        T = unpack_matrix(packed, p.m, p.m, p.q)
         R = T[: p.m_bar, p.m_bar :]
         # entries were reduced into [0, q); map back to signed +-1
         R = np.where(R > p.q // 2, R - p.q, R)
@@ -273,11 +269,9 @@ class SISInstance:
         return encoding.encode_record(encoding.TAG_RANDOMNESS, [body])
 
     def deserialize_randomness(self, blob: bytes) -> np.ndarray:
-        _, fields = encoding.decode_record(blob, encoding.TAG_RANDOMNESS)
-        if len(fields) != 1:
-            raise FormatError("randomness record needs exactly one field")
+        (packed,) = encoding.decode_fields(blob, encoding.TAG_RANDOMNESS, 1)
         p = self.params
-        return _unpack_ints(fields[0], p.m, _randomness_dtype(p), "randomness vector")
+        return _unpack_ints(packed, p.m, _randomness_dtype(p), "randomness vector")
 
     def overhead_elements(self, td: SISTrapdoor, r) -> tuple[dict, dict, dict]:
         """(parameters, predicted, measured): the Z_q elements the hash adds

@@ -63,9 +63,7 @@ class TransformedPublicKey:
 
     @staticmethod
     def deserialize(blob: bytes) -> "TransformedPublicKey":
-        _, fields = encoding.decode_record(blob, encoding.TAG_TRANSFORMED_PK)
-        if len(fields) != 3:
-            raise FormatError("transformed public key needs exactly three fields")
+        fields = encoding.decode_fields(blob, encoding.TAG_TRANSFORMED_PK, 3)
         return TransformedPublicKey(
             base_descriptor=SchemeDescriptor.deserialize(fields[0]),
             base_pk=fields[1],
@@ -75,9 +73,7 @@ class TransformedPublicKey:
 
 def keypair_from_secret(blob: bytes, public_blob: bytes) -> TransformedKeyPair:
     pub = TransformedPublicKey.deserialize(public_blob)
-    _, fields = encoding.decode_record(blob, encoding.TAG_TRANSFORMED_SK)
-    if len(fields) != 4:
-        raise FormatError("transformed secret key needs exactly four fields")
+    fields = encoding.decode_fields(blob, encoding.TAG_TRANSFORMED_SK, 4)
     descriptor = SchemeDescriptor.deserialize(fields[0])
     if descriptor != pub.base_descriptor:
         raise FormatError("the public key's base scheme differs from the secret key's")
@@ -109,12 +105,10 @@ class TransformedSignature:
 def deserialize_signature(
     blob: bytes, inst: ChameleonInstance, base_descriptor: SchemeDescriptor
 ) -> TransformedSignature:
-    _, fields = encoding.decode_record(blob, encoding.TAG_TRANSFORMED_SIG)
-    if len(fields) != 2:
-        raise FormatError("transformed signature needs exactly two fields")
+    base_sig, randomness = encoding.decode_fields(blob, encoding.TAG_TRANSFORMED_SIG, 2)
     return TransformedSignature(
-        base_sig=Signature(bytes=fields[0], descriptor=base_descriptor),
-        randomness=inst.deserialize_randomness(fields[1]),
+        base_sig=Signature(bytes=base_sig, descriptor=base_descriptor),
+        randomness=inst.deserialize_randomness(randomness),
     )
 
 

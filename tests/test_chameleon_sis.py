@@ -7,13 +7,7 @@ import pytest
 
 from toosign import chameleon, encoding
 from toosign.chameleon import ChameleonKind, CollisionVerdict, RangeSample
-from toosign.errors import (
-    DimensionError,
-    DomainError,
-    FormatError,
-    SamplerError,
-    TrivialCollisionError,
-)
+from toosign.errors import DomainError, FormatError
 from toosign.gaussian import DiscreteGaussian
 from toosign.rng import rng_from_int
 from toosign.sis import (
@@ -135,7 +129,7 @@ def test_randomness_that_does_not_fit_its_width_is_refused():
 
 
 def test_too_small_m_rejected():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError):
         derive_params(n=4, q=257, m=7, k=8)
 
 
@@ -204,7 +198,7 @@ def test_inversion_needs_rng():
     inst, td = make_instance()
     sample = chameleon.sample_range(inst, rng_from_int(4))
     m_new = chameleon.sample_message(inst, rng_from_int(5))
-    with pytest.raises(SamplerError):
+    with pytest.raises(DomainError):
         chameleon.ch_invert(inst, td, m_new, sample)
 
 
@@ -230,8 +224,28 @@ def test_trivial_collision_rejected():
     rng = rng_from_int(7)
     m = chameleon.sample_message(inst, rng)
     r = chameleon.sample_randomness(inst, rng)
-    with pytest.raises(TrivialCollisionError):
+    with pytest.raises(DomainError):
         chameleon.sis_collision_to_short_vector(inst, (m, r), (m, r))
+
+
+@pytest.mark.parametrize("family", ["dl-demo", "sis-desk"])
+@pytest.mark.parametrize(
+    "verdict", [CollisionVerdict.TRIVIAL, CollisionVerdict.NOT_COLLISION]
+)
+def test_extractors_refuse_every_pair_that_is_not_a_valid_collision(family, verdict):
+    """Both families' extractors refuse a trivial pair and a non-collision alike."""
+    if family == "dl-demo":
+        inst, _ = chameleon.hg(ChameleonKind.DL, {"name": "dl-demo"}, rng_from_int(9))
+        extract, other = chameleon.dl_recover_trapdoor, lambda m: (m + 1) % inst.q_grp
+    else:
+        inst, _ = make_instance(seed=9)
+        extract, other = chameleon.sis_collision_to_short_vector, lambda m: 1 - m
+    rng = rng_from_int(10)
+    m, r = chameleon.sample_message(inst, rng), chameleon.sample_randomness(inst, rng)
+    pair2 = (m, r) if verdict is CollisionVerdict.TRIVIAL else (other(m), r)
+    assert chameleon.check_collision(inst, (m, r), pair2) is verdict
+    with pytest.raises(DomainError):
+        extract(inst, (m, r), pair2)
 
 
 def test_serialization_round_trips():

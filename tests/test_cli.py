@@ -5,6 +5,7 @@ import fcntl
 import json
 import os
 import signal
+import stat
 import subprocess
 import sys
 
@@ -515,6 +516,29 @@ def test_capacity_exhaustion_exit_code(workspace):
                  "--in", "msg.txt", "--out", "over.toosig",
                  "--seed", SEED_B, cwd=workspace)
     assert r.returncode == 4
+
+
+def test_secret_key_and_its_lock_are_private(tmp_path):
+    """Under a umask that lets others read, keygen writes the secret key for
+    its owner alone, and sign keeps it and its lock file so."""
+    (tmp_path / "msg.txt").write_bytes(b"private")
+
+    def others_bits(name):
+        return stat.S_IMODE((tmp_path / name).stat().st_mode) & 0o077
+
+    umask = os.umask(0o022)
+    try:
+        assert too_sign("keygen", "--chameleon", "dl-demo", "--height", "1",
+                        "--out", "k", "--seed", SEED_A, cwd=tmp_path).returncode == 0
+        assert others_bits("k.tookey") == 0
+        assert others_bits("k.toopub") == 0o044
+        assert too_sign("sign", "--key", "k.tookey", "--pub", "k.toopub",
+                        "--in", "msg.txt", "--out", "msg.toosig",
+                        "--seed", SEED_B, cwd=tmp_path).returncode == 0
+    finally:
+        os.umask(umask)
+    assert others_bits("k.tookey") == 0 and others_bits("k.tookey.lock") == 0
+    assert others_bits("msg.toosig") == 0o044
 
 
 def test_lock_contention_exit_code(workspace):

@@ -39,6 +39,24 @@ def test_wrong_tag_rejected():
         encoding.decode_record(blob, expected_tag=encoding.TAG_DL_INSTANCE)
 
 
+def test_decode_fields_returns_the_fields_of_a_record_of_that_shape():
+    blob = encoding.encode_record(encoding.TAG_TRANSFORMED_SIG, [b"base", b"r"])
+    assert encoding.decode_fields(blob, encoding.TAG_TRANSFORMED_SIG, 2) == [b"base", b"r"]
+
+
+def test_decode_fields_refuses_a_wrong_tag():
+    blob = encoding.encode_record(encoding.TAG_TRANSFORMED_SIG, [b"base", b"r"])
+    with pytest.raises(FormatError):
+        encoding.decode_fields(blob, encoding.TAG_TRANSFORMED_PK, 2)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_decode_fields_refuses_a_wrong_count(count):
+    blob = encoding.encode_record(encoding.TAG_TRANSFORMED_SIG, [b"base", b"r"])
+    with pytest.raises(FormatError, match=f"needs {count} fields, got 2"):
+        encoding.decode_fields(blob, encoding.TAG_TRANSFORMED_SIG, count)
+
+
 @given(st.integers(0, 2**256))
 def test_int_round_trip(x):
     assert encoding.decode_int(encoding.encode_int(x)) == x

@@ -7,7 +7,7 @@ import pytest
 
 from toosign import chameleon
 from toosign.chameleon import ChameleonKind
-from toosign.errors import UnsupportedOperationError
+from toosign.errors import DomainError
 from toosign.oracle import frame, production_oracle, programmable_oracle
 from toosign.rng import rng_from_int
 
@@ -62,7 +62,7 @@ def test_production_sis_output_is_bitvector():
 
 def test_production_cannot_be_programmed():
     oracle = production_oracle(dl_instance())
-    with pytest.raises(UnsupportedOperationError):
+    with pytest.raises(DomainError):
         oracle.program(b"x", 3)
     state = copy.deepcopy(vars(oracle))
     oracle.eval(b"x")
