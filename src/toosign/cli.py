@@ -154,10 +154,14 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
         sys.exit(EXIT_MALFORMED)
     try:
         try:
+            os.fchmod(lock_fd, 0o600)  # open's mode holds only for a new lock
             fcntl.flock(lock_fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             print("key is locked by another signer", file=sys.stderr)
             sys.exit(EXIT_LOCKED)
+        except OSError as e:
+            print(f"malformed key: {e}", file=sys.stderr)
+            sys.exit(EXIT_MALFORMED)
         try:
             kp = keypair_from_secret(_read(key, armor), _read(pub, armor))
             _check_base_scheme(kp.base.descriptor)

@@ -50,12 +50,6 @@ def test_collision_recovers_trapdoor():
     assert chameleon.dl_recover_trapdoor(inst, pair1, pair2) == 3
 
 
-def test_recover_rejects_non_collision():
-    inst, _ = fixed_instance()
-    with pytest.raises(DomainError):
-        chameleon.dl_recover_trapdoor(inst, (2, 5), (2, 6))
-
-
 def test_equal_pairs_are_trivial():
     inst, _ = fixed_instance()
     assert chameleon.check_collision(inst, (2, 5), (2, 5)) is CollisionVerdict.TRIVIAL
@@ -187,6 +181,46 @@ def test_multi_pow_uses_pow_first_then_a_table():
     mixed = ((G2048, 5), (z, Q2048 - 2))
     assert multi_pow(mixed) == pow_reference(mixed)
     assert cached(z) is None
+
+
+def test_committed_powers_of_the_generator():
+    powers = chameleon._COMMITTED_POWERS[(G2048, P2048)]
+    assert powers[1:] == chameleon._MODP_2048_G_POWERS
+    for k, power in enumerate(powers):
+        assert power == pow(2, 1 << (512 * k), P2048)
+
+
+SPLIT = chameleon._SPLIT_BITS
+SPLIT_EXPONENTS = sorted(
+    {0, 1, 2, 0x5EED, (1 << (SPLIT - 1)) + 3, Q2048 - 1, (1 << BITS) - 1}
+    | {(1 << (SPLIT * k)) + d for k in (1, 2, 3) for d in (-1, 0, 1)}
+)
+
+
+def test_lone_generator_splits_over_its_committed_powers(monkeypatch):
+    """A first use of g alone: one window pass over its 512-bit parts, no
+    builtin pow of g, and no table."""
+    joint = []
+    joint_pow = chameleon._joint_pow
+    monkeypatch.setattr(
+        chameleon, "_joint_pow", lambda pairs, p: joint.append(pairs) or joint_pow(pairs, p)
+    )
+    powers = chameleon._COMMITTED_POWERS[(G2048, P2048)]
+    for e in SPLIT_EXPONENTS:
+        chameleon._comb_cache.clear()
+        joint.clear()
+        assert multi_pow(((G2048, e),)) == pow(G2048, e, P2048)
+        assert cached(G2048) is None
+        parts = [(power, e >> (SPLIT * k) & ((1 << SPLIT) - 1)) for k, power in enumerate(powers)]
+        assert joint == [parts]
+
+
+def test_dl_2048_keygen_cold_then_table_then_comb():
+    chameleon._comb_cache.clear()
+    for use in range(3):
+        inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(20 + use))
+        assert inst.y == pow(inst.g, td.x, inst.p)
+        assert (cached(G2048) is not None) == (use > 0)
 
 
 def check_against_pow(e, f):

@@ -219,15 +219,6 @@ def test_collision_yields_short_kernel_vector():
     assert float(np.linalg.norm(z)) <= np.sqrt(p.k) + 2 * p.s * np.sqrt(p.m)
 
 
-def test_trivial_collision_rejected():
-    inst, _ = make_instance()
-    rng = rng_from_int(7)
-    m = chameleon.sample_message(inst, rng)
-    r = chameleon.sample_randomness(inst, rng)
-    with pytest.raises(DomainError):
-        chameleon.sis_collision_to_short_vector(inst, (m, r), (m, r))
-
-
 @pytest.mark.parametrize("family", ["dl-demo", "sis-desk"])
 @pytest.mark.parametrize(
     "verdict", [CollisionVerdict.TRIVIAL, CollisionVerdict.NOT_COLLISION]

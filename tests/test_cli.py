@@ -539,6 +539,12 @@ def test_secret_key_and_its_lock_are_private(tmp_path):
         os.umask(umask)
     assert others_bits("k.tookey") == 0 and others_bits("k.tookey.lock") == 0
     assert others_bits("msg.toosig") == 0o044
+    # a lock that an older version left open to others is made private too
+    os.chmod(tmp_path / "k.tookey.lock", 0o755)
+    assert too_sign("sign", "--key", "k.tookey", "--pub", "k.toopub",
+                    "--in", "msg.txt", "--out", "again.toosig",
+                    "--seed", SEED_B, cwd=tmp_path).returncode == 0
+    assert others_bits("k.tookey.lock") == 0
 
 
 def test_lock_contention_exit_code(workspace):
