@@ -54,13 +54,12 @@ their SIS arm, so a process that hashes only over DL never imports numpy.
 
 from __future__ import annotations
 
-import numbers
+import operator
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from . import encoding
 from .errors import DomainError, FormatError
@@ -85,15 +84,16 @@ class CollisionVerdict(Enum):
 # trapdoors and range samples
 
 
-@dataclass(frozen=True)
-class DLTrapdoor:
+class DLTrapdoor(NamedTuple):
     x: int
     # x^-1 mod q, computed where the trapdoor is made or decoded; never serialized
-    x_inv: int = field(compare=False, repr=False)
+    x_inv: int
+
+    def __repr__(self) -> str:
+        return "DLTrapdoor(<secret>)"
 
 
-@dataclass(frozen=True)
-class RangeSample:
+class RangeSample(NamedTuple):
     """A range value together with the (message, randomness) trace producing it."""
 
     element: object
@@ -388,8 +388,7 @@ def _multi_pow(terms, p: int, bits: int) -> int:
 # the discrete-log family
 
 
-@dataclass(frozen=True)
-class DLInstance:
+class DLInstance(NamedTuple):
     """h(m, r) = g^m y^r mod p; messages and randomness are integers mod q."""
 
     p: int
@@ -398,9 +397,14 @@ class DLInstance:
     y: int
 
     def _scalar(self, v, what: str) -> int:
-        if not isinstance(v, numbers.Integral) or not 0 <= v < self.q_grp:
+        """v as an int if it is an integer (has `__index__`) in [0, q)."""
+        try:
+            i = operator.index(v)
+        except TypeError:
+            i = -1
+        if not 0 <= i < self.q_grp:
             raise DomainError(f"{what} must be an integer in [0, {self.q_grp})")
-        return int(v)
+        return i
 
     def hash(self, m, r) -> int:
         mi = self._scalar(m, "message")

@@ -11,7 +11,7 @@ falls out) -- and each case has an extractor whose output is re-checked.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
@@ -68,11 +68,11 @@ def _inner_descriptor(descriptor: SchemeDescriptor) -> SchemeDescriptor:
 
 def _malleable_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     inner = scheme_keygen(_inner_descriptor(descriptor), rng)
-    return replace(inner, descriptor=descriptor)
+    return inner._replace(descriptor=descriptor)
 
 
 def _malleable_sign(kp: KeyPair, message: bytes, rng: Rng):
-    inner_kp = replace(kp, descriptor=_inner_descriptor(kp.descriptor))
+    inner_kp = kp._replace(descriptor=_inner_descriptor(kp.descriptor))
     inner_sig, new_state = scheme_sign(inner_kp, message, rng)
     # the appended byte is ignored by verification: flipping it yields a
     # second valid signature on the same message
@@ -251,7 +251,7 @@ def make_transformed_challenger(
         keypair = g_prime(base_descriptor, ch_kind, ch_params, master.fork(b"keygen"))
     else:
         # shared keypair across seeded runs: reset the stateful base scheme
-        keypair = replace(keypair, base=keypair.base.with_state((0).to_bytes(8, "big")))
+        keypair = keypair._replace(base=keypair.base.with_state((0).to_bytes(8, "big")))
     oracle = programmable_oracle(keypair.ch_inst, master.fork(b"oracle").seed)
     return TransformedChallenger(variant, keypair, oracle, master)
 

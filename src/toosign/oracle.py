@@ -10,7 +10,6 @@ reprograms; only the reduction harness does.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 
 from .chameleon import ChameleonInstance, sample_message
 from .errors import DomainError, FormatError
@@ -26,17 +25,18 @@ def frame(message: bytes, sig: bytes) -> bytes:
     return len(message).to_bytes(4, "big") + message + sig
 
 
-@dataclass
 class OracleContext:
-    range_instance: ChameleonInstance  # output space = this chameleon's message space
-    domain_tag: bytes = DEFAULT_DOMAIN_TAG
-    seed: bytes | None = None  # programmable exactly when set
-    _table: dict = field(default_factory=dict)
-    _stream: Rng | None = None
-
-    def __post_init__(self):
-        if self.seed is not None:
-            self._stream = Rng(self.seed)
+    def __init__(
+        self,
+        range_instance: ChameleonInstance,  # output space = its message space
+        domain_tag: bytes = DEFAULT_DOMAIN_TAG,
+        seed: bytes | None = None,  # programmable exactly when set
+    ):
+        self.range_instance = range_instance
+        self.domain_tag = domain_tag
+        self.seed = seed
+        self._table: dict = {}
+        self._stream = None if seed is None else Rng(seed)
 
     def fresh_value(self):
         """Next uniform message-space element from the seed-derived stream."""

@@ -9,8 +9,8 @@ the caller persists it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 from . import encoding
 from .errors import DomainError, FormatError
@@ -22,8 +22,7 @@ from .rng import Rng
 MESSAGE_SPACE = b"fixed-width-digest"
 
 
-@dataclass(frozen=True)
-class SchemeDescriptor:
+class SchemeDescriptor(NamedTuple):
     scheme_id: int
     param_blob: bytes
 
@@ -45,23 +44,28 @@ class SchemeDescriptor:
         return SchemeDescriptor(scheme_id=scheme_id[0], param_blob=param_blob)
 
 
-@dataclass(frozen=True)
-class KeyPair:
+class KeyPair(NamedTuple):
     public_key: bytes
-    secret_key: bytes
+    secret_key: bytes  # holds the Merkle seed: never printed
     descriptor: SchemeDescriptor
     state: Optional[bytes] = None
 
     def with_state(self, state: Optional[bytes]) -> "KeyPair":
-        return replace(self, state=state)
+        return self._replace(state=state)
+
+    def __repr__(self) -> str:
+        return (f"KeyPair(public_key={self.public_key!r}, secret_key=<secret>, "
+                f"descriptor={self.descriptor!r}, state={self.state!r})")
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(NamedTuple):
     bytes: bytes  # noqa: A003 - field name fixed by the wire contract
     descriptor: SchemeDescriptor
 
 
+# A dataclass, unlike the records above: the traced benchmark swaps the
+# Merkle entry's functions with `dataclasses.replace`, so every process
+# imports `dataclasses` until that call changes.
 @dataclass(frozen=True)
 class SchemeImpl:
     """Registered implementation of one base signature scheme."""

@@ -150,6 +150,9 @@ _gaussian = lru_cache(maxsize=32)(DiscreteGaussian)  # one sampler per width
 class SISTrapdoor:
     R: np.ndarray  # m_bar x w
 
+    def __repr__(self) -> str:
+        return "SISTrapdoor(<secret>)"
+
 
 @dataclass(frozen=True)
 class SISInstance:

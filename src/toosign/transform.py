@@ -10,7 +10,7 @@ and defers to the base verifier.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import chameleon, encoding
 from .chameleon import ChameleonInstance, ChameleonKind, ChameleonTrapdoor
@@ -27,8 +27,7 @@ from .registry import (
 from .rng import Rng
 
 
-@dataclass(frozen=True)
-class TransformedKeyPair:
+class TransformedKeyPair(NamedTuple):
     base: KeyPair
     ch_inst: ChameleonInstance
     ch_td: ChameleonTrapdoor
@@ -55,8 +54,7 @@ class TransformedKeyPair:
         )
 
 
-@dataclass(frozen=True)
-class TransformedPublicKey:
+class TransformedPublicKey(NamedTuple):
     base_descriptor: SchemeDescriptor
     base_pk: bytes
     ch_inst: ChameleonInstance
@@ -87,8 +85,7 @@ def keypair_from_secret(blob: bytes, public_blob: bytes) -> TransformedKeyPair:
     return TransformedKeyPair(base=base, ch_inst=pub.ch_inst, ch_td=td)
 
 
-@dataclass(frozen=True)
-class TransformedSignature:
+class TransformedSignature(NamedTuple):
     base_sig: Signature
     randomness: object
 
@@ -134,7 +131,7 @@ def sign_range(
     """Base-sign the range value C, returning the key pair with advanced state."""
     base_msg = encode_range_value(kp.ch_inst, elem)
     base_sig, new_state = scheme_sign(kp.base, base_msg, rng)
-    return base_sig, replace(kp, base=kp.base.with_state(new_state))
+    return base_sig, kp._replace(base=kp.base.with_state(new_state))
 
 
 def s_prime(

@@ -6,6 +6,8 @@ subgroup {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}.
 
 import hashlib
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -106,6 +108,34 @@ def test_numpy_integer_scalars_are_accepted():
     assert chameleon.ch_invert(inst, td, np.int64(7), sample) == 7
     with pytest.raises(DomainError):
         chameleon.ch_hash(inst, np.float64(2), 5)
+
+
+@pytest.mark.parametrize(
+    "m", [2, True, np.int64(2), np.uint8(2), np.array(2)],
+    ids=["int", "bool", "int64", "uint8", "0-d int array"],
+)
+def test_integer_scalars_are_accepted_as_ints(m):
+    """Anything with `__index__` is an integer: it hashes as that int does.
+    A 0-d integer array has one too, though it is no `numbers.Integral`."""
+    inst, _ = fixed_instance()
+    assert chameleon.ch_hash(inst, m, 5) == chameleon.ch_hash(inst, int(m), 5)
+    assert type(inst._scalar(m, "message")) is int
+
+
+@pytest.mark.parametrize(
+    "m", [2.0, np.float64(2), Fraction(2), Decimal(2), "2", np.bool_(True), np.array([2])],
+    ids=["float", "float64", "Fraction", "Decimal", "str", "numpy bool", "1-d array"],
+)
+def test_non_integer_scalars_are_refused(m):
+    """An integral value of a non-integer type is refused, as are strings."""
+    inst, td = fixed_instance()
+    with pytest.raises(DomainError, match="message must be an integer"):
+        chameleon.ch_hash(inst, m, 5)
+    with pytest.raises(DomainError, match="randomness must be an integer"):
+        chameleon.ch_hash(inst, 2, m)
+    sample = RangeSample(element=2, trace_message=m, trace_randomness=5)
+    with pytest.raises(DomainError, match="trace message must be an integer"):
+        chameleon.ch_invert(inst, td, 7, sample)
 
 
 def test_large_group_round_trip():

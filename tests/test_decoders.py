@@ -1,8 +1,6 @@
 """Key and signature decoders are total: a damaged blob decodes to an object
 or raises FormatError, never another exception."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -179,6 +177,6 @@ def test_malformed_merkle_secret_key_raises_format_error(index, edit):
     _, fields = encoding.decode_record(kp.base.secret_key, encoding.TAG_MERKLE_SK)
     secret_key = _with_field(kp.base.secret_key, encoding.TAG_MERKLE_SK, index,
                              edit(fields[index]))
-    bad = replace(kp, base=replace(kp.base, secret_key=secret_key))
+    bad = kp._replace(base=kp.base._replace(secret_key=secret_key))
     with pytest.raises(FormatError):
         s_prime(bad, b"sign me", production_oracle(kp.ch_inst), rng_from_int(80))

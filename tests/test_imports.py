@@ -2,8 +2,8 @@
 every name a toosign module defines is used somewhere, no code asks which
 chameleon family it holds, a process that uses only the DL chameleon hash
 never loads numpy, nor does one that refuses an unnamed lattice set,
-`import toosign.cli` loads only what keygen, sign and verify run, and a
-one-shot sign or verify never builds a comb table."""
+`import toosign.cli` loads only what keygen, sign and verify run and builds
+one dataclass, and a one-shot sign or verify never builds a comb table."""
 
 import ast
 import os
@@ -249,6 +249,42 @@ assert "toosign.games" in sys.modules and 2 in registry._REGISTRY
 def test_cli_loads_neither_games_nor_click():
     r = run_child(CLI_FOOTPRINT)
     assert r.returncode == 0, r.stderr
+
+
+CLI_RECORDS = """
+import sys
+import toosign.cli
+
+loaded = [m for n, m in sys.modules.items() if n == "toosign" or n.startswith("toosign.")]
+dataclasses = [
+    f"{m.__name__}.{cls.__name__}" for m in loaded for cls in vars(m).values()
+    if isinstance(cls, type) and cls.__module__ == m.__name__
+    and "__dataclass_fields__" in vars(cls)
+]
+assert dataclasses == ["toosign.registry.SchemeImpl"], dataclasses
+print("\\n".join(m.__file__ for m in loaded))
+"""
+
+
+def test_cli_builds_one_dataclass_and_imports_no_numbers():
+    """The records a `too-sign` process creates are NamedTuples, which build
+    faster than dataclasses; only `SchemeImpl`, which the traced benchmark
+    copies with `dataclasses.replace`, stays one.  No module on that path
+    imports `numbers`, read from the source, as `site` may load it anyway."""
+    r = run_child(CLI_RECORDS)
+    assert r.returncode == 0, r.stderr
+    files = r.stdout.splitlines()
+    assert {pathlib.Path(f).name for f in files} >= {"cli.py", "registry.py", "transform.py"}
+    found = []
+    for path in files:
+        tree = ast.parse(pathlib.Path(path).read_text(), path)
+        for node in ast.walk(tree):
+            names = (
+                [a.name for a in node.names] if isinstance(node, ast.Import)
+                else [node.module] if isinstance(node, ast.ImportFrom) else []
+            )
+            found += [f"{path}:{node.lineno}" for n in names if n == "numbers"]
+    assert not found, f"numbers imported at {found}"
 
 
 TRANSFORM_ONLY = """
