@@ -1,11 +1,12 @@
 """Lattice chameleon hash: gadget trapdoor, preimage sampling, collisions."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from toosign import chameleon, encoding
+from toosign import chameleon, encoding, sis
 from toosign.chameleon import ChameleonKind, CollisionVerdict, RangeSample
 from toosign.errors import DomainError, FormatError
 from toosign.gaussian import DiscreteGaussian
@@ -264,3 +265,38 @@ def test_gaussian_symmetry():
     xs = g.sample_vector(rng_from_int(11), 20000)
     pos, neg = int((xs > 0).sum()), int((xs < 0).sum())
     assert abs(pos - neg) < 600
+
+
+# width -> sha256 prefix of 100 000 draws: sis-desk's s and s/2, then TINY's
+GAUSSIAN_STREAMS = {
+    642.5: "73f6a1fa21d81081",
+    321.25: "80453222f09fc395",
+    17.5: "cff2b76bc920e0dd",
+    8.75: "181fbf4fba960a41",
+}
+# sha256 prefixes of a seeded TINY instance, trapdoor, range sample (element,
+# message, randomness) and an inversion (message, randomness), serialized
+TINY_RECORDS = (
+    "1d659d4834149486", "74e1f68a09bdee8b", "d38b648195e083c4", "47dc540c94ceb704",
+    "a5558e347f16c343", "9dcf97a184f32623", "9c75cd0e218a8ee4",
+)
+
+
+def test_gaussian_streams_are_pinned():
+    """The samplers draw the same integers from the same seed, and a TINY key,
+    range sample and inversion keep their bytes."""
+    for s, pin in GAUSSIAN_STREAMS.items():
+        xs = DiscreteGaussian(s).sample_vector(rng_from_int(0), 100_000)
+        assert hashlib.sha256(str([int(x) for x in xs]).encode()).hexdigest()[:16] == pin, s
+    inst, td = sis.hg_sis(*TINY.values(), rng_from_int(1))
+    rng = rng_from_int(2)
+    sample = chameleon.sample_range(inst, rng, td)
+    m = inst.sample_message(rng)
+    r = inst.invert(td, m, sample, rng)
+    blobs = (
+        inst.serialize(), inst.serialize_trapdoor(td), inst.serialize_element(sample.element),
+        inst.serialize_message(sample.trace_message),
+        inst.serialize_randomness(sample.trace_randomness),
+        inst.serialize_message(m), inst.serialize_randomness(r),
+    )
+    assert tuple(hashlib.sha256(b).hexdigest()[:16] for b in blobs) == TINY_RECORDS
