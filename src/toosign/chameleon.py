@@ -43,13 +43,14 @@ DL_PARAM_SETS, constants that the test suite proves (p and q prime,
 p = 2q + 1, g of order q), and SIS_PARAM_SETS.  Key generation takes a DL
 group by name and an (n, q, m, k) only if it is named, and decoding accepts
 a key's (p, q, g) or (n, q, m, k) only by comparing it with the named sets,
-so an unnamed set is refused before any big-integer work or numpy import.
+so an unnamed set is refused before any big-integer work or `sis` import.
 A decoded public key's y must also lie in the order-q subgroup.
 
 Families.  DLInstance here and SISInstance in `sis` carry their family's
-operations, and the module functions call them.  `hg` and
-`deserialize_instance`, which have no instance yet, import `sis` only in
-their SIS arm, so a process that hashes only over DL never imports numpy.
+operations over Python ints, and the module functions call them.  `hg`
+and `deserialize_instance`, which have no instance yet, import `sis` only
+in their SIS arm, so a process that hashes only over DL never pays for that
+import (about 10 ms from source).
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from . import encoding
 from .errors import DomainError, FormatError
 from .rng import Rng
 
-if TYPE_CHECKING:  # sis imports numpy
+if TYPE_CHECKING:  # sis loads with the first SIS key
     from . import sis
 
 
@@ -201,7 +202,7 @@ def hg(
     dims = tuple(params.get(d) for d in "nqmk")
     if dims not in SIS_PARAM_SETS.values() or not all(type(d) is int for d in dims):
         raise DomainError(f"unnamed SIS parameter set (n, q, m, k) = {dims}")
-    from . import sis  # numpy loads with the first SIS key
+    from . import sis  # loads with the first SIS key
     return sis.hg_sis(*dims, rng)
 
 
@@ -587,7 +588,7 @@ def deserialize_instance(blob: bytes) -> ChameleonInstance:
         dims = tuple(encoding.decode_int(f) for f in fields[:4])
         if dims not in SIS_PARAM_SETS.values():
             raise FormatError("bad SIS parameters: not a named lattice set")
-        from . import sis  # numpy loads with the first SIS key
+        from . import sis  # loads with the first SIS key
         return sis.decode_instance(*dims, fields[4:])
     raise FormatError(
         f"not a chameleon instance record (tag {tag}, {len(fields)} fields)"

@@ -10,16 +10,20 @@ The gadget base b is chosen per parameter set: the digit count t is the
 largest with n*t <= m - n, and b the smallest with b^t >= q.  This keeps
 small parameter sets (where m < n*log2(q)) usable.
 
-SISInstance is the lattice family of `chameleon`.  Only this module and
-`gaussian` import numpy; `chameleon` imports this one for the first SIS key.
+Vectors are tuples of int and matrices tuples of rows, so the arithmetic
+is exact at every q and one product, `_apply`, serves every step.  Each
+message, randomness and range value a caller passes is read entry by entry
+through `operator.index`, as `DLInstance` reads its scalars: an integer
+passes, a float or a string does not.  SISInstance is the lattice family of
+`chameleon`, which imports this module with the first SIS key.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from functools import lru_cache
-
-import numpy as np
+from operator import add, index, mul, sub
+from typing import NamedTuple
 
 from . import encoding
 from .errors import DomainError, FormatError, SamplerError
@@ -28,9 +32,27 @@ from .rng import Rng
 
 MAX_PREIMAGE_RETRIES = 100
 
+Vector = tuple[int, ...]
+Matrix = tuple[Vector, ...]  # rows
 
-@dataclass(frozen=True)
-class SISParams:
+
+def _apply(M, v) -> Vector:
+    """M v over the integers, unreduced."""
+    return tuple(sum(map(mul, row, v)) for row in M)
+
+
+def _ints(v, length: int, what: str) -> Vector:
+    """v as `length` ints, each entry an integer (has `__index__`)."""
+    try:
+        ints = tuple(map(index, v))
+        if len(ints) == length:
+            return ints
+    except TypeError:
+        pass
+    raise DomainError(f"{what} must be an integer vector of length {length}")
+
+
+class SISParams(NamedTuple):
     n: int
     q: int
     m: int
@@ -44,11 +66,11 @@ class SISParams:
 
     @property
     def norm_bound(self) -> float:
-        return self.s * np.sqrt(self.m)
+        return self.s * math.sqrt(self.m)
 
-    def is_short(self, r: np.ndarray) -> bool:
+    def is_short(self, r: Vector) -> bool:
         """||r|| <= s sqrt(m), without floats."""
-        return int(r @ r) <= self.norm_bound_sq
+        return bool(sum(map(mul, r, r)) <= self.norm_bound_sq)
 
 
 def derive_params(n: int, q: int, m: int, k: int) -> SISParams:
@@ -77,63 +99,67 @@ def derive_params(n: int, q: int, m: int, k: int) -> SISParams:
     )
 
 
-def gadget_matrix(params: SISParams) -> np.ndarray:
-    G = np.zeros((params.n, params.w), dtype=np.int64)
-    for i in range(params.n):
-        for l in range(params.t):
-            G[i, i * params.t + l] = params.b**l
-    return G
+def gadget_matrix(params: SISParams) -> Matrix:
+    """G = I_n (x) (1, b, ..., b^(t-1))."""
+    t = params.t
+    return tuple(
+        tuple(params.b ** (j - i * t) if j // t == i else 0 for j in range(params.w))
+        for i in range(params.n)
+    )
 
 
-def sample_trapdoor(params: SISParams, rng: Rng) -> tuple[np.ndarray, np.ndarray]:
+def sample_trapdoor(params: SISParams, rng: Rng) -> tuple[Matrix, Matrix]:
     """Returns (B, R) with B = [B_bar | G - B_bar R] mod q."""
     q = params.q
-    B_bar = np.array(
-        [[rng.randbelow(q) for _ in range(params.m_bar)] for _ in range(params.n)],
-        dtype=np.int64,
+    B_bar = tuple(
+        tuple(rng.randbelow(q) for _ in range(params.m_bar)) for _ in range(params.n)
     )
-    R = np.array(
-        [[1 - 2 * rng.randbelow(2) for _ in range(params.w)] for _ in range(params.m_bar)],
-        dtype=np.int64,
+    R = tuple(
+        tuple(1 - 2 * rng.randbelow(2) for _ in range(params.w)) for _ in range(params.m_bar)
     )
-    G = gadget_matrix(params)
-    right = (G - B_bar @ R) % q
-    B = np.concatenate([B_bar, right], axis=1)
+    B_bar_R = zip(*(_apply(B_bar, col) for col in zip(*R)))
+    B = tuple(
+        left + tuple((g - x) % q for g, x in zip(g_row, row))
+        for left, g_row, row in zip(B_bar, gadget_matrix(params), B_bar_R)
+    )
     return B, R
 
 
-def trapdoor_relation_holds(params: SISParams, B: np.ndarray, R: np.ndarray) -> bool:
-    lift = np.concatenate([R, np.eye(params.w, dtype=np.int64)], axis=0)
-    return bool(np.array_equal((B @ lift) % params.q, gadget_matrix(params) % params.q))
+def trapdoor_relation_holds(params: SISParams, B: Matrix, R: Matrix) -> bool:
+    """B [R; I] = G mod q, row by row of B."""
+    R_cols = tuple(zip(*R))
+    return all(
+        (x + y - g) % params.q == 0
+        for row, g_row in zip(B, gadget_matrix(params))
+        for x, y, g in zip(_apply(R_cols, row[: params.m_bar]), row[params.m_bar :], g_row)
+    )
 
 
-def gadget_decompose(params: SISParams, v: np.ndarray) -> np.ndarray:
+def gadget_decompose(params: SISParams, v: Vector) -> Vector:
     """z in Z^w with G z = v exactly (entries of v in [0, q), digits in [0, b))."""
-    z = np.zeros(params.w, dtype=np.int64)
-    for i in range(params.n):
-        x = int(v[i])
-        for l in range(params.t):
-            z[i * params.t + l] = x % params.b
-            x //= params.b
-    return z
+    z = []
+    for x in v:
+        for _ in range(params.t):
+            x, digit = divmod(x, params.b)
+            z.append(digit)
+    return tuple(z)
 
 
 def sample_preimage(
     params: SISParams,
-    B: np.ndarray,
-    R: np.ndarray,
-    syndrome: np.ndarray,
+    B: Matrix,
+    R: Matrix,
+    syndrome: Vector,
     rng: Rng,
     perturbation: DiscreteGaussian,
-) -> np.ndarray:
+) -> Vector:
     """Short r with B r = syndrome mod q and ||r|| <= s sqrt(m)."""
     q = params.q
-    lift = np.concatenate([R, np.eye(params.w, dtype=np.int64)], axis=0)
     for _ in range(MAX_PREIMAGE_RETRIES):
         p = perturbation.sample_vector(rng, params.m)
-        v = (syndrome - B @ p) % q
+        v = tuple((y - x) % q for y, x in zip(syndrome, _apply(B, p)))
         z = gadget_decompose(params, v)
-        r = p + lift @ z
+        r = tuple(map(add, p, _apply(R, z) + z))  # p + [R; I] z
         if params.is_short(r):
             return r
     raise SamplerError("preimage sampler exceeded retry budget")
@@ -146,48 +172,47 @@ def sample_preimage(
 _gaussian = lru_cache(maxsize=32)(DiscreteGaussian)  # one sampler per width
 
 
-@dataclass(frozen=True)
-class SISTrapdoor:
-    R: np.ndarray  # m_bar x w
+class SISTrapdoor(NamedTuple):
+    R: Matrix  # m_bar x w
 
     def __repr__(self) -> str:
         return "SISTrapdoor(<secret>)"
 
 
-@dataclass(frozen=True)
-class SISInstance:
+class SISInstance(NamedTuple):
     """h(m, r) = A m + B r mod q for a k-bit message m and a short integer
     vector r of length m."""
 
     params: SISParams
-    A: np.ndarray  # n x k
-    B: np.ndarray  # n x m
+    A: Matrix  # n x k
+    B: Matrix  # n x m
 
-    def _bits(self, m) -> np.ndarray:
-        arr = np.asarray(m, dtype=np.int64)
-        if arr.shape != (self.params.k,) or not np.all((arr == 0) | (arr == 1)):
+    def _bits(self, m) -> Vector:
+        bits = _ints(m, self.params.k, "message")
+        if not set(bits) <= {0, 1}:
             raise DomainError(f"message must be a 0/1 vector of length {self.params.k}")
-        return arr
+        return bits
 
-    def hash(self, m, r) -> np.ndarray:
-        marr = self._bits(m)
+    def _randomness(self, r) -> Vector:
         params = self.params
-        rarr = np.asarray(r, dtype=np.int64)
-        if rarr.shape != (params.m,) or not params.is_short(rarr):
-            raise DomainError(
-                f"randomness must be an integer vector of length {params.m} "
-                f"and norm at most s sqrt(m)"
-            )
-        return (self.A @ marr + self.B @ rarr) % params.q
+        rv = _ints(r, params.m, "randomness")
+        if not params.is_short(rv):
+            raise DomainError("randomness must have norm at most s sqrt(m)")
+        return rv
 
-    def trapdoor_hash(self, td: SISTrapdoor, m, r) -> np.ndarray:
+    def hash(self, m, r) -> Vector:
+        q = self.params.q
+        terms = map(add, _apply(self.A, self._bits(m)), _apply(self.B, self._randomness(r)))
+        return tuple(x % q for x in terms)
+
+    def trapdoor_hash(self, td: SISTrapdoor, m, r) -> Vector:
         """The gadget trapdoor gives no faster way to hash: this is hash(m, r)."""
         return self.hash(m, r)
 
-    def sample_message(self, rng: Rng) -> np.ndarray:
-        return np.array(rng.random_bits(self.params.k), dtype=np.int64)
+    def sample_message(self, rng: Rng) -> Vector:
+        return tuple(rng.random_bits(self.params.k))
 
-    def sample_randomness(self, rng: Rng) -> np.ndarray:
+    def sample_randomness(self, rng: Rng) -> Vector:
         params = self.params
         gauss = _gaussian(params.s)
         for _ in range(100):
@@ -196,33 +221,36 @@ class SISInstance:
                 return r
         raise SamplerError("randomness sampler exceeded retry budget")
 
-    def message_from_xof(self, xof) -> np.ndarray:
+    def message_from_xof(self, xof) -> Vector:
         """The first k bits, most significant bit first."""
         k = self.params.k
-        bits = np.unpackbits(np.frombuffer(xof.digest((k + 7) // 8), dtype=np.uint8))
-        return bits[:k].astype(np.int64)
+        data = xof.digest((k + 7) // 8)
+        return tuple(data[i // 8] >> (7 - i % 8) & 1 for i in range(k))
 
-    def invert(self, td: SISTrapdoor, m, target, rng: Rng | None) -> np.ndarray:
+    def invert(self, td: SISTrapdoor, m, target, rng: Rng | None) -> Vector:
         """Gadget preimage sampling towards target.element; requires rng."""
         if rng is None:
             raise DomainError("SIS inversion needs an rng")
-        marr = self._bits(m)
         params = self.params
-        target_vec = np.asarray(target.element, dtype=np.int64)
-        syndrome = (target_vec - self.A @ marr) % params.q
+        element = _ints(target.element, params.n, "range value")
+        syndrome = tuple(
+            (y - x) % params.q for y, x in zip(element, _apply(self.A, self._bits(m)))
+        )
         return sample_preimage(
             params, self.B, td.R, syndrome, rng, _gaussian(params.s / 2)
         )
 
     def elements_equal(self, a, b) -> bool:
-        return np.array_equal(np.asarray(a), np.asarray(b))
+        return tuple(a) == tuple(b)
 
-    def collision_vector(self, pair1, pair2) -> np.ndarray:
+    def collision_vector(self, pair1, pair2) -> Vector:
         """z = (m1 - m2, r1 - r2); [A|B] z = 0 mod q for a valid collision."""
-        z = np.concatenate(pair1, dtype=np.int64) - np.concatenate(pair2, dtype=np.int64)
-        AB = np.concatenate([self.A, self.B], axis=1)
-        assert np.all((AB @ z) % self.params.q == 0)
-        return z
+        (m1, r1), (m2, r2) = pair1, pair2
+        dm = tuple(map(sub, self._bits(m1), self._bits(m2)))
+        dr = tuple(map(sub, self._randomness(r1), self._randomness(r2)))
+        syndrome = map(add, _apply(self.A, dm), _apply(self.B, dr))
+        assert all(x % self.params.q == 0 for x in syndrome)
+        return dm + dr
 
     def serialize(self) -> bytes:
         p = self.params
@@ -238,70 +266,73 @@ class SISInstance:
         # the lattice-basis form of the trapdoor and fixes the secret-key
         # overhead at m^2 ring elements
         p = self.params
-        T = np.eye(p.m, dtype=np.int64)
-        T[: p.m_bar, p.m_bar :] = td.R
-        return encoding.encode_record(encoding.TAG_SIS_TRAPDOOR, [pack_matrix(T, p.q)])
+        return encoding.encode_record(
+            encoding.TAG_SIS_TRAPDOOR, [pack_matrix(_basis(p, td.R), p.q)]
+        )
 
     def deserialize_trapdoor(self, blob: bytes) -> SISTrapdoor:
         (packed,) = encoding.decode_fields(blob, encoding.TAG_SIS_TRAPDOOR, 1)
         p = self.params
         T = unpack_matrix(packed, p.m, p.m, p.q)
-        R = T[: p.m_bar, p.m_bar :]
-        # entries were reduced into [0, q); map back to signed +-1
-        R = np.where(R > p.q // 2, R - p.q, R)
-        T[: p.m_bar, p.m_bar :] = 0
-        if not np.array_equal(T, np.eye(p.m, dtype=np.int64)):
+        R = tuple(row[p.m_bar :] for row in T[: p.m_bar])
+        if T != _basis(p, R):
             raise FormatError("trapdoor is not of the form [[I, R], [0, I]]")
-        if not np.all(np.abs(R) == 1):
+        # entries were reduced into [0, q); map back to signed +-1
+        if not {x for row in R for x in row} <= {1, p.q - 1}:
             raise FormatError("trapdoor block R has an entry other than +-1")
+        R = tuple(tuple(1 if x == 1 else -1 for x in row) for row in R)
         # a tampered R would sign garbage that no verifier accepts
         if not trapdoor_relation_holds(p, self.B, R):
             raise FormatError("trapdoor does not match the public key: B [R; I] != G")
         return SISTrapdoor(R=R)
 
     def serialize_element(self, elem) -> bytes:
-        return encoding.encode_record(
-            encoding.TAG_RANGE_ELEMENT, [pack_matrix(np.asarray(elem), self.params.q)]
-        )
+        p = self.params
+        row = _ints(elem, p.n, "range value")
+        return encoding.encode_record(encoding.TAG_RANGE_ELEMENT, [pack_matrix((row,), p.q)])
 
     def serialize_message(self, m) -> bytes:
-        return bytes(int(b) for b in np.asarray(m, dtype=np.int64))
+        return bytes(self._bits(m))
 
     def serialize_randomness(self, r) -> bytes:
-        body = _pack_ints(np.asarray(r, dtype=np.int64), _randomness_dtype(self.params))
+        p = self.params
+        body = _pack(_ints(r, p.m, "randomness"), _randomness_width(p), signed=True)
         return encoding.encode_record(encoding.TAG_RANDOMNESS, [body])
 
-    def deserialize_randomness(self, blob: bytes) -> np.ndarray:
+    def deserialize_randomness(self, blob: bytes) -> Vector:
         (packed,) = encoding.decode_fields(blob, encoding.TAG_RANDOMNESS, 1)
         p = self.params
-        return _unpack_ints(packed, p.m, _randomness_dtype(p), "randomness vector")
+        return _unpack(packed, p.m, _randomness_width(p), "randomness vector", signed=True)
 
     def overhead_elements(self, td: SISTrapdoor, r) -> tuple[dict, dict, dict]:
         """(parameters, predicted, measured): the Z_q elements the hash adds
         to the public key, the secret key and a signature."""
         p = self.params
-        width = _entry_dtype(p.q).itemsize
+        width = _entry_width(p.q)
         _, ifields = encoding.decode_record(self.serialize())
         _, tfields = encoding.decode_record(self.serialize_trapdoor(td))
         _, rfields = encoding.decode_record(self.serialize_randomness(r))
         measured = {
             "pk": (len(ifields[5]) + len(ifields[6])) // width,
             "sk": len(tfields[0]) // width,
-            "sig": len(rfields[0]) // _randomness_dtype(p).itemsize,
+            "sig": len(rfields[0]) // _randomness_width(p),
         }
         predicted = {"pk": p.n * (p.k + p.m), "sk": p.m**2, "sig": p.m}
         return {"kind": "sis", "n": p.n, "q": p.q, "m": p.m, "k": p.k}, predicted, measured
 
 
+def _basis(p: SISParams, R: Matrix) -> Matrix:
+    """The m x m unimodular matrix [[I, R], [0, I]]."""
+    eye = [(0,) * i + (1,) + (0,) * (p.m - 1 - i) for i in range(p.m)]
+    return tuple(e[: p.m_bar] + row for e, row in zip(eye, R)) + tuple(eye[p.m_bar :])
+
+
 def hg_sis(n: int, q: int, m: int, k: int, rng: Rng) -> tuple[SISInstance, SISTrapdoor]:
     params = derive_params(n, q, m, k)
-    A = np.array(
-        [[rng.randbelow(q) for _ in range(k)] for _ in range(n)], dtype=np.int64
-    )
+    A = tuple(tuple(rng.randbelow(q) for _ in range(k)) for _ in range(n))
     B, R = sample_trapdoor(params, rng)
-    inst = SISInstance(params=params, A=A, B=B)
     assert trapdoor_relation_holds(params, B, R)
-    return inst, SISTrapdoor(R=R)
+    return SISInstance(params=params, A=A, B=B), SISTrapdoor(R=R)
 
 
 def decode_instance(n: int, q: int, m: int, k: int, fields: list[bytes]) -> SISInstance:
@@ -314,41 +345,41 @@ def decode_instance(n: int, q: int, m: int, k: int, fields: list[bytes]) -> SISI
     return SISInstance(params=params, A=A, B=unpack_matrix(fields[2], n, m, q))
 
 
-# matrix and randomness codecs: matrices are row-major, with unsigned entries
-# of the minimal whole-byte width covering [0, q); widths are 1 or 2 bytes on
-# every set in use
+# matrix and randomness codecs, big-endian: matrices are row-major, with
+# unsigned entries of the minimal whole-byte width covering [0, q);
+# randomness entries are signed, of the width covering the norm bound
 
 
-@lru_cache(maxsize=32)
-def _entry_dtype(q: int) -> np.dtype:
-    return np.dtype(f">u{((q - 1).bit_length() + 7) // 8 or 1}")
+def _entry_width(q: int) -> int:
+    return ((q - 1).bit_length() + 7) // 8 or 1
 
 
-@lru_cache(maxsize=32)
-def _randomness_dtype(params: SISParams) -> np.dtype:
-    bound = int(params.norm_bound) + 1
-    return np.dtype(f">i{(bound.bit_length() + 1 + 7) // 8}")
+def _randomness_width(p: SISParams) -> int:
+    return (math.isqrt(p.norm_bound_sq) + 1).bit_length() // 8 + 1
 
 
-def _pack_ints(values: np.ndarray, dtype: np.dtype) -> bytes:
-    packed = values.astype(dtype)
-    if not (packed == values).all():
-        raise FormatError(f"an entry does not fit in {dtype.itemsize} bytes")
-    return packed.tobytes()
+def _pack(values: Vector, width: int, signed: bool = False) -> bytes:
+    try:
+        return b"".join([v.to_bytes(width, "big", signed=signed) for v in values])
+    except OverflowError:
+        raise FormatError(f"an entry does not fit in {width} bytes") from None
 
 
-def _unpack_ints(blob: bytes, count: int, dtype: np.dtype, what: str) -> np.ndarray:
-    if len(blob) != count * dtype.itemsize:
+def _unpack(blob: bytes, count: int, width: int, what: str, signed: bool = False) -> Vector:
+    if len(blob) != count * width:
         raise FormatError(f"{what} has wrong length")
-    return np.frombuffer(blob, dtype=dtype).astype(np.int64)
+    return tuple([
+        int.from_bytes(blob[i : i + width], "big", signed=signed)
+        for i in range(0, len(blob), width)
+    ])
 
 
-def pack_matrix(M: np.ndarray, q: int) -> bytes:
-    return _pack_ints(np.asarray(M, dtype=np.int64).reshape(-1) % q, _entry_dtype(q))
+def pack_matrix(M: Matrix, q: int) -> bytes:
+    return _pack([x % q for row in M for x in row], _entry_width(q))
 
 
-def unpack_matrix(blob: bytes, rows: int, cols: int, q: int) -> np.ndarray:
-    flat = _unpack_ints(blob, rows * cols, _entry_dtype(q), "matrix blob")
-    if flat.max() >= q:  # each matrix has one encoding
+def unpack_matrix(blob: bytes, rows: int, cols: int, q: int) -> Matrix:
+    flat = _unpack(blob, rows * cols, _entry_width(q), "matrix blob")
+    if max(flat) >= q:  # each matrix has one encoding
         raise FormatError("matrix blob has an entry outside [0, q)")
-    return flat.reshape(rows, cols)
+    return tuple(flat[i : i + cols] for i in range(0, rows * cols, cols))

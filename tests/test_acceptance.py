@@ -150,10 +150,10 @@ def test_uniformity(report):
     n_samples = 100_000
     rng = rng_from_int(6)
     gauss = DiscreteGaussian(p.s)
-    r_mat = gauss.sample_vector(rng, n_samples * p.m).reshape(n_samples, p.m)
+    r_mat = np.asarray(gauss.sample_vector(rng, n_samples * p.m)).reshape(n_samples, p.m)
     r_mat = r_mat[np.linalg.norm(r_mat, axis=1) <= p.norm_bound]
     m = chameleon.sample_message(sinst, rng)
-    syn = (sinst.A @ m + r_mat @ sinst.B.T) % p.q
+    syn = (np.asarray(sinst.A) @ m + r_mat @ np.asarray(sinst.B).T) % p.q
     cells = syn[:, 0] * p.q + syn[:, 1]
     counts = np.bincount(cells, minlength=p.q**2)
     emp = counts / counts.sum()
@@ -344,9 +344,9 @@ def test_sis_collision_consequence(report):
         while np.array_equal(m2, sample.trace_message):
             m2 = chameleon.sample_message(inst, rng)
         r2 = chameleon.ch_invert(inst, td, m2, sample, rng)
-        z = chameleon.sis_collision_to_short_vector(
+        z = np.asarray(chameleon.sis_collision_to_short_vector(
             inst, (sample.trace_message, sample.trace_randomness), (m2, r2)
-        )
+        ))
         ok = (
             np.any(z != 0)
             and np.all((AB @ z) % p.q == 0)

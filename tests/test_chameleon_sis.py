@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +131,70 @@ def test_randomness_that_does_not_fit_its_width_is_refused():
     assert inst.deserialize_randomness(inst.serialize_randomness(r))[0] == -(2**15)
 
 
+def _with_first_entry(v, entry):
+    return [entry, *v[1:]]
+
+
+@pytest.mark.parametrize(
+    "one", [1, True, np.int64(1), np.uint8(1)], ids=["int", "bool", "int64", "uint8"]
+)
+def test_integer_entries_are_accepted_as_ints(one):
+    """An entry with `__index__` is an integer: a message, randomness or
+    range value holding it hashes and inverts as one holding the int does."""
+    inst, td = make_instance()
+    sample = chameleon.sample_range(inst, rng_from_int(12))
+    m, r = sample.trace_message, sample.trace_randomness
+    assert chameleon.ch_hash(inst, _with_first_entry(m, one), r) == chameleon.ch_hash(
+        inst, _with_first_entry(m, 1), r
+    )
+    assert chameleon.ch_hash(inst, m, _with_first_entry(r, one)) == chameleon.ch_hash(
+        inst, m, _with_first_entry(r, 1)
+    )
+    inverted = [
+        chameleon.ch_invert(inst, td, m, sample._replace(element=_with_first_entry(
+            sample.element, entry)), rng_from_int(13))
+        for entry in (one, 1)
+    ]
+    assert inverted[0] == inverted[1]
+
+
+@pytest.mark.parametrize(
+    "one", [1.0, np.float64(1), Fraction(1), Decimal(1), "1", np.bool_(True)],
+    ids=["float", "float64", "Fraction", "Decimal", "str", "numpy bool"],
+)
+def test_non_integer_entries_are_refused(one):
+    """An integral entry of a non-integer type is refused, as are strings:
+    a float entry is not rounded into a bit or an integer."""
+    inst, td = make_instance()
+    sample = chameleon.sample_range(inst, rng_from_int(12))
+    m, r = sample.trace_message, sample.trace_randomness
+    with pytest.raises(DomainError, match="message must be an integer"):
+        chameleon.ch_hash(inst, _with_first_entry(m, one), r)
+    with pytest.raises(DomainError, match="randomness must be an integer"):
+        chameleon.ch_hash(inst, m, _with_first_entry(r, one))
+    target = sample._replace(element=_with_first_entry(sample.element, one))
+    with pytest.raises(DomainError, match="range value must be an integer"):
+        chameleon.ch_invert(inst, td, m, target, rng_from_int(13))
+
+
+def test_codecs_take_any_entry_width():
+    """q = 2^20 needs 3-byte matrix entries and 4-byte randomness entries.
+    No sample is drawn: a sampler at s = 2.5 * 2^20 would tabulate 63 M
+    weights."""
+    inst, td = sis.hg_sis(2, 2**20, 44, 2, rng_from_int(13))
+    _, fields = encoding.decode_record(inst.serialize(), encoding.TAG_SIS_INSTANCE)
+    assert len(fields[5]) == 3 * 2 * 2
+    assert sis.decode_instance(2, 2**20, 44, 2, fields[4:]) == inst
+    assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
+    zeros = (0,) * 44
+    blob = inst.serialize_randomness(zeros)
+    assert len(encoding.decode_record(blob)[1][0]) == 4 * 44
+    assert inst.deserialize_randomness(blob) == zeros
+    for entry in (2**31, -(2**31) - 1):
+        with pytest.raises(FormatError):
+            inst.serialize_randomness(_with_first_entry(zeros, entry))
+
+
 def test_too_small_m_rejected():
     with pytest.raises(DomainError):
         derive_params(n=4, q=257, m=7, k=8)
@@ -136,11 +202,11 @@ def test_too_small_m_rejected():
 
 def test_gadget_decompose_reconstructs():
     p = derive_params(**DESK)
-    G = gadget_matrix(p)
+    G = np.asarray(gadget_matrix(p))
     rng = rng_from_int(1)
     for _ in range(50):
         v = np.array([rng.randbelow(p.q) for _ in range(p.n)], dtype=np.int64)
-        z = gadget_decompose(p, v)
+        z = np.asarray(gadget_decompose(p, v))
         assert np.all(z >= 0) and np.all(z < p.b)
         assert np.array_equal((G @ z) % p.q, v % p.q)
 
@@ -168,7 +234,7 @@ def test_hash_refuses_randomness_beyond_the_norm_bound():
     inst, td = make_instance()
     rng = rng_from_int(4)
     sample = chameleon.sample_range(inst, rng)
-    m, r = sample.trace_message, sample.trace_randomness.copy()
+    m, r = sample.trace_message, np.array(sample.trace_randomness)
     r[0] += 10 * inst.params.q if r[0] >= 0 else -10 * inst.params.q
     assert float(np.linalg.norm(r)) > inst.params.norm_bound
     with pytest.raises(DomainError):
@@ -214,7 +280,7 @@ def test_collision_yields_short_kernel_vector():
     pair2 = (m2, r2)
     assert chameleon.check_collision(inst, pair1, pair2) is CollisionVerdict.VALID
     z = chameleon.sis_collision_to_short_vector(inst, pair1, pair2)
-    assert np.any(z != 0)
+    assert np.any(np.asarray(z) != 0)
     AB = np.concatenate([inst.A, inst.B], axis=1)
     assert np.all((AB @ z) % p.q == 0)
     assert float(np.linalg.norm(z)) <= np.sqrt(p.k) + 2 * p.s * np.sqrt(p.m)
@@ -231,7 +297,7 @@ def test_extractors_refuse_every_pair_that_is_not_a_valid_collision(family, verd
         extract, other = chameleon.dl_recover_trapdoor, lambda m: (m + 1) % inst.q_grp
     else:
         inst, _ = make_instance(seed=9)
-        extract, other = chameleon.sis_collision_to_short_vector, lambda m: 1 - m
+        extract, other = chameleon.sis_collision_to_short_vector, lambda m: 1 - np.asarray(m)
     rng = rng_from_int(10)
     m, r = chameleon.sample_message(inst, rng), chameleon.sample_randomness(inst, rng)
     pair2 = (m, r) if verdict is CollisionVerdict.TRIVIAL else (other(m), r)
@@ -254,7 +320,7 @@ def test_serialization_round_trips():
 
 def test_gaussian_moments():
     g = DiscreteGaussian(8.0)
-    xs = g.sample_vector(rng_from_int(10), 20000).astype(float)
+    xs = np.asarray(g.sample_vector(rng_from_int(10), 20000), dtype=float)
     # D_{Z,s} with rho(x) = exp(-pi x^2 / s^2) has variance close to s^2/(2 pi)
     assert abs(xs.mean()) < 0.2
     assert abs(xs.std() - 8.0 / np.sqrt(2 * np.pi)) < 0.15
@@ -262,7 +328,7 @@ def test_gaussian_moments():
 
 def test_gaussian_symmetry():
     g = DiscreteGaussian(4.0)
-    xs = g.sample_vector(rng_from_int(11), 20000)
+    xs = np.asarray(g.sample_vector(rng_from_int(11), 20000))
     pos, neg = int((xs > 0).sum()), int((xs < 0).sum())
     assert abs(pos - neg) < 600
 

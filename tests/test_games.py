@@ -141,7 +141,7 @@ class ShiftMauler(ReplayAdversary):
         tag, (base, record) = encoding.decode_record(
             sig_bytes, encoding.TAG_TRANSFORMED_SIG
         )
-        r = self.inst.deserialize_randomness(record)
+        r = list(self.inst.deserialize_randomness(record))
         r[0] += self.shift if r[0] >= 0 else -self.shift
         shifted = encoding.encode_record(tag, [base, self.inst.serialize_randomness(r)])
         return super().forge(shifted)

@@ -1,9 +1,9 @@
 """Every name a toosign module imports is used in it (`__init__` re-exports),
 every name a toosign module defines is used somewhere, no code asks which
-chameleon family it holds, a process that uses only the DL chameleon hash
-never loads numpy, nor does one that refuses an unnamed lattice set,
-`import toosign.cli` loads only what keygen, sign and verify run and builds
-one dataclass, and a one-shot sign or verify never builds a comb table."""
+chameleon family it holds, no module names numpy and a process runs both
+families without it, `import toosign.cli` loads only what keygen, sign and
+verify run and builds one dataclass, and a one-shot sign or verify never
+builds a comb table."""
 
 import ast
 import os
@@ -109,24 +109,37 @@ def test_no_isinstance_on_a_chameleon_family():
     assert not branches, f"isinstance on a chameleon family at {branches}"
 
 
-def test_chameleon_imports_no_numpy():
-    """numpy is for the SIS family, which lives in `sis`."""
-    tree = ast.parse((PACKAGE / "chameleon.py").read_text(), "chameleon.py")
+def test_no_module_imports_numpy():
+    """Both chameleon families run on Python ints: no module names numpy."""
     found = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            found += [a.name for a in node.names if a.name.split(".")[0] == "numpy"]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-            found.append(node.module)
-        elif isinstance(node, ast.Constant) and node.value == "numpy":
-            found.append(f"the string 'numpy' on line {node.lineno}")
-    assert not found, f"chameleon.py imports numpy: {found}"
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), path.name)):
+            if isinstance(node, ast.Import):
+                found += [f"{path.name}:{node.lineno}" for a in node.names
+                          if a.name.split(".")[0] == "numpy"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
+                found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Constant) and node.value == "numpy":
+                found.append(f"{path.name}:{node.lineno}, the string 'numpy'")
+    assert not found, f"numpy named at {found}"
 
 
-DL_ONLY = """
+NO_NUMPY = """
+import os
 import sys
+
+sys.modules["numpy"] = None  # `import numpy` raises ImportError from here on
 import toosign, toosign.cli
-from toosign import chameleon, games, merkle, oracle, rng, transform
+from toosign import chameleon, cli, encoding, games, merkle, oracle, rng, transform
+
+
+def too_sign(*args):
+    try:
+        cli.main(list(args))
+    except SystemExit as e:
+        return e.code
+    return 0
+
 
 for name in ("dl-demo", "dl-2048"):
     kp = transform.g_prime(merkle.merkle_descriptor(2), chameleon.ChameleonKind.DL,
@@ -138,22 +151,35 @@ for name in ("dl-demo", "dl-2048"):
     decoded = transform.deserialize_signature(
         sig.serialize(pk.ch_inst), pk.ch_inst, pk.base_descriptor)
     assert transform.v_prime(pk, b"message", decoded, oracle.production_oracle(pk.ch_inst))
-report = games.game_report(
-    games.GameKind.SU, games.ChallengerVariant.HYD0,
-    lambda master: games.make_transformed_challenger(
-        games.ChallengerVariant.HYD0, games.wrap_malleable(merkle.merkle_descriptor(2)),
-        chameleon.ChameleonKind.DL, {"name": "dl-demo"}, master),
-    lambda ch: games.MaulingAdversary(), range(1), budget=2)
-assert report["win_rate"] == 0.0, report
-assert "numpy" not in sys.modules, "DL-only work loaded numpy"
+for kind, params in ((chameleon.ChameleonKind.DL, {"name": "dl-demo"}),
+                     (chameleon.ChameleonKind.SIS, {"n": 4, "q": 257, "m": 12, "k": 8})):
+    report = games.game_report(
+        games.GameKind.SU, games.ChallengerVariant.HYD0,
+        lambda master: games.make_transformed_challenger(
+            games.ChallengerVariant.HYD0, games.wrap_malleable(merkle.merkle_descriptor(2)),
+            kind, params, master),
+        lambda ch: games.MaulingAdversary(), range(1), budget=2)
+    assert report["win_rate"] == 0.0, report
 
-kp = transform.g_prime(merkle.merkle_descriptor(1), chameleon.ChameleonKind.SIS,
-                       {"n": 4, "q": 257, "m": 12, "k": 8}, rng.rng_from_int(3))
-sig, _ = transform.s_prime(kp, b"message", oracle.production_oracle(kp.ch_inst),
-                           rng.rng_from_int(4))
-assert transform.v_prime(transform.public_key_of(kp), b"message", sig,
-                         oracle.production_oracle(kp.ch_inst))
-assert "numpy" in sys.modules
+os.chdir(WORKDIR)
+with open("msg.txt", "wb") as f:
+    f.write(b"message")
+assert too_sign("keygen", "--chameleon", "sis", "--height", "1", "--out", "sk",
+                "--seed", "11" * 32) == 0
+assert too_sign("sign", "--key", "sk.tookey", "--pub", "sk.toopub", "--in", "msg.txt",
+                "--out", "msg.toosig", "--seed", "22" * 32) == 0
+assert too_sign("verify", "--pub", "sk.toopub", "--in", "msg.txt", "--sig", "msg.toosig") == 0
+
+# sis-desk with k raised to 9 is a set no name holds: malformed
+with open("sk.toopub", "rb") as f:
+    _, pk_fields = encoding.decode_record(f.read(), encoding.TAG_TRANSFORMED_PK)
+_, inst = encoding.decode_record(pk_fields[2], encoding.TAG_SIS_INSTANCE)
+inst[3] = encoding.encode_int(9)
+pk_fields[2] = encoding.encode_record(encoding.TAG_SIS_INSTANCE, inst)
+with open("unnamed.toopub", "wb") as f:
+    f.write(encoding.encode_record(encoding.TAG_TRANSFORMED_PK, pk_fields))
+code = too_sign("verify", "--pub", "unnamed.toopub", "--in", "msg.txt", "--sig", "msg.toosig")
+assert code == 2, f"verify of an unnamed set exited {code}"
 """
 
 
@@ -168,39 +194,11 @@ def run_child(script: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_dl_only_process_never_loads_numpy():
-    r = run_child(DL_ONLY)
-    assert r.returncode == 0, r.stderr
-
-
-UNNAMED_SIS_VERIFY = """
-import sys
-from toosign import cli
-
-code = None
-try:
-    cli.main(["verify", "--pub", PUB, "--in", PUB, "--sig", PUB])
-except SystemExit as e:
-    code = e.code
-assert code == 2, f"verify exited {code}"
-assert "numpy" not in sys.modules, "refusing an unnamed SIS set loaded numpy"
-"""
-
-
-def test_unnamed_sis_set_is_refused_before_numpy_loads(tmp_path):
-    """`too-sign verify` on a public key with sis-desk's k raised to 9 exits
-    2 (malformed) in a process that never loads numpy."""
-    from toosign import chameleon, encoding, merkle, rng, transform
-
-    kp = transform.g_prime(merkle.merkle_descriptor(1), chameleon.ChameleonKind.SIS,
-                           {"n": 4, "q": 257, "m": 12, "k": 8}, rng.rng_from_int(5))
-    _, pk_fields = encoding.decode_record(kp.public_bytes(), encoding.TAG_TRANSFORMED_PK)
-    _, inst = encoding.decode_record(pk_fields[2], encoding.TAG_SIS_INSTANCE)
-    inst[3] = encoding.encode_int(9)
-    pk_fields[2] = encoding.encode_record(encoding.TAG_SIS_INSTANCE, inst)
-    pub = tmp_path / "unnamed.toopub"
-    pub.write_bytes(encoding.encode_record(encoding.TAG_TRANSFORMED_PK, pk_fields))
-    r = run_child(f"PUB = {str(pub)!r}" + UNNAMED_SIS_VERIFY)
+def test_no_process_loads_numpy(tmp_path):
+    """With numpy unimportable, both families key, sign and verify in process
+    and through `too-sign`, play a game, and refuse an unnamed lattice set
+    with exit 2 (malformed)."""
+    r = run_child(f"WORKDIR = {str(tmp_path)!r}" + NO_NUMPY)
     assert r.returncode == 0, r.stderr
 
 

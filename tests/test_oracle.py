@@ -55,7 +55,7 @@ def test_production_respects_domain_tag():
 
 def test_production_sis_output_is_bitvector():
     inst = sis_instance()
-    v = production_oracle(inst).eval(b"data")
+    v = np.asarray(production_oracle(inst).eval(b"data"))
     assert v.shape == (inst.params.k,)
     assert set(np.unique(v)) <= {0, 1}
 

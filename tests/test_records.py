@@ -3,7 +3,7 @@ that hash alike, `_replace` makes a new record, and no repr prints a secret."""
 
 import pytest
 
-from toosign import merkle
+from toosign import merkle, sis
 from toosign.chameleon import ChameleonKind, DLInstance, DLTrapdoor, RangeSample
 from toosign.registry import KeyPair, SchemeDescriptor, Signature
 from toosign.rng import rng_from_int
@@ -19,6 +19,7 @@ INSTANCE = DLInstance(p=23, q_grp=11, g=4, y=18)
 TRAPDOOR = DLTrapdoor(x=3, x_inv=4)
 KEY_PAIR = KeyPair(public_key=b"pk", secret_key=b"sk", descriptor=DESCRIPTOR)
 SIGNATURE = Signature(bytes=b"sig", descriptor=DESCRIPTOR)
+SIS_INSTANCE, SIS_TRAPDOOR = sis.hg_sis(2, 7, 8, 2, rng_from_int(0))
 
 # record -> (field to assign and replace, a value it does not hold)
 RECORDS = {
@@ -36,6 +37,9 @@ RECORDS = {
                              "base_pk", b"other"),
     "TransformedSignature": (TransformedSignature(base_sig=SIGNATURE, randomness=7),
                              "randomness", 8),
+    "SISParams": (SIS_INSTANCE.params, "q", 11),
+    "SISInstance": (SIS_INSTANCE, "A", ((0, 0), (0, 0))),
+    "SISTrapdoor": (SIS_TRAPDOOR, "R", tuple((1,) * 6 for _ in range(2))),
 }
 
 
