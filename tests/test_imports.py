@@ -124,22 +124,16 @@ def test_no_module_imports_numpy():
     assert not found, f"numpy named at {found}"
 
 
-NO_NUMPY = """
+BLOCK_NUMPY = """
 import os
 import sys
 
 sys.modules["numpy"] = None  # `import numpy` raises ImportError from here on
+"""
+
+DL_ONLY = BLOCK_NUMPY + """
 import toosign, toosign.cli
-from toosign import chameleon, cli, encoding, games, merkle, oracle, rng, transform
-
-
-def too_sign(*args):
-    try:
-        cli.main(list(args))
-    except SystemExit as e:
-        return e.code
-    return 0
-
+from toosign import chameleon, games, merkle, oracle, rng, transform
 
 for name in ("dl-demo", "dl-2048"):
     kp = transform.g_prime(merkle.merkle_descriptor(2), chameleon.ChameleonKind.DL,
@@ -160,6 +154,45 @@ for kind, params in ((chameleon.ChameleonKind.DL, {"name": "dl-demo"}),
             kind, params, master),
         lambda ch: games.MaulingAdversary(), range(1), budget=2)
     assert report["win_rate"] == 0.0, report
+
+kp = transform.g_prime(merkle.merkle_descriptor(1), chameleon.ChameleonKind.SIS,
+                       {"n": 4, "q": 257, "m": 12, "k": 8}, rng.rng_from_int(3))
+sig, _ = transform.s_prime(kp, b"message", oracle.production_oracle(kp.ch_inst),
+                           rng.rng_from_int(4))
+assert transform.v_prime(transform.public_key_of(kp), b"message", sig,
+                         oracle.production_oracle(kp.ch_inst))
+"""
+
+
+def run_child(script: str) -> subprocess.CompletedProcess:
+    """Runs script in a fresh interpreter that imports this checkout's toosign."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
+    )
+    return subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env
+    )
+
+
+def test_dl_only_process_never_loads_numpy():
+    """With numpy unimportable, both DL sets key, sign, reload and verify, and
+    a game runs on each family; the SIS family needs numpy no more than DL."""
+    r = run_child(DL_ONLY)
+    assert r.returncode == 0, r.stderr
+
+
+UNNAMED_SIS_VERIFY = BLOCK_NUMPY + """
+from toosign import cli, encoding
+
+
+def too_sign(*args):
+    try:
+        cli.main(list(args))
+    except SystemExit as e:
+        return e.code
+    return 0
+
 
 os.chdir(WORKDIR)
 with open("msg.txt", "wb") as f:
@@ -183,22 +216,11 @@ assert code == 2, f"verify of an unnamed set exited {code}"
 """
 
 
-def run_child(script: str) -> subprocess.CompletedProcess:
-    """Runs script in a fresh interpreter that imports this checkout's toosign."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p
-    )
-    return subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env
-    )
-
-
-def test_no_process_loads_numpy(tmp_path):
-    """With numpy unimportable, both families key, sign and verify in process
-    and through `too-sign`, play a game, and refuse an unnamed lattice set
-    with exit 2 (malformed)."""
-    r = run_child(f"WORKDIR = {str(tmp_path)!r}" + NO_NUMPY)
+def test_unnamed_sis_set_is_refused_before_numpy_loads(tmp_path):
+    """With numpy unimportable, `too-sign` keys, signs and verifies on
+    sis-desk, and `too-sign verify` on its public key with k raised to 9
+    exits 2 (malformed)."""
+    r = run_child(f"WORKDIR = {str(tmp_path)!r}" + UNNAMED_SIS_VERIFY)
     assert r.returncode == 0, r.stderr
 
 
