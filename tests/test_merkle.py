@@ -1,7 +1,11 @@
 """The stateful hash-based one-time-signature tree."""
 
 import hashlib
+import json
 import os
+import pathlib
+import subprocess
+import sys
 import threading
 import time
 
@@ -106,7 +110,9 @@ def _put(field: bytes, j: int, chunk: bytes) -> bytes:
 @pytest.mark.parametrize("bit", [0, 1])
 def test_lamport_forgeries_are_rejected(bit):
     """Digest bit j = bit (0x55 bytes: bit j is j % 2) and a leaf index whose
-    low bit is bit, so each chunk and path node is checked in both orders."""
+    low bit is bit, so each chunk and path node is checked in both orders.
+    merkle_verify is called itself, as scheme_verify catches every exception:
+    a field of the wrong length returns False before it is split into chunks."""
     kp = _h3_key()
     digest, j, leaf = b"\x55" * 32, bit, 4 + bit
     sig = _sign_leaf(kp, leaf, digest)
@@ -129,11 +135,13 @@ def test_lamport_forgeries_are_rejected(bit):
         own = 32 * ((2 << 3) - (2 << (3 - level)) + (leaf >> level))
         forgeries[f"path node {level} replaced by its sibling"] = [
             index, revealed, complement, _put(path, level, nodes[own : own + 32])]
+    fields = [index, revealed, complement, path]
     for k, name in enumerate(["index", "revealed", "complement", "path"]):
-        cut = [index, revealed, complement, path]
-        cut[k] = cut[k][:-1]
-        forgeries[f"{name} one byte short"] = cut
-    accepted = [name for name, fields in forgeries.items() if verifies(fields)]
+        for size, field in [("one byte short", fields[k][:-1]),
+                            ("one byte long", fields[k] + b"\0"),
+                            ("32 bytes short", fields[k][:-32])]:
+            forgeries[f"{name} {size}"] = fields[:k] + [field] + fields[k + 1 :]
+    accepted = [name for name, fields in forgeries.items() if verifies(fields) is not False]
     assert not accepted
 
     # revealing the partner preimage instead signs the digest with bit j flipped
@@ -274,3 +282,46 @@ def test_keygen_in_a_second_thread_does_not_fork(monkeypatch):
     assert not worker.is_alive()
     assert result == [(pk, sk)]
     assert not forks
+
+
+WITHOUT_BUILTIN_SHA256 = """
+import hashlib, json, sys
+
+sys.modules["_sha256"] = sys.modules["_sha2"] = None  # importing either raises
+from toosign import merkle
+from toosign.rng import rng_from_int
+
+assert merkle.CHUNK_HASH is hashlib.sha256
+kp = merkle.merkle_keygen(merkle.merkle_descriptor(3), rng_from_int(30))
+pins = {}
+for digest in map(bytes.fromhex, sys.argv[3:]):
+    sigs = [merkle.merkle_sign(kp.with_state(leaf.to_bytes(8, "big")), digest,
+                               rng_from_int(0))[0] for leaf in range(8)]
+    assert all(merkle.merkle_verify(kp.public_key, digest, s) for s in sigs)
+    pins[digest.hex()] = " ".join(hashlib.sha256(s.bytes).hexdigest()[:8] for s in sigs)
+height, seed = map(int, sys.argv[1:3])
+tall = merkle.merkle_keygen(merkle.merkle_descriptor(height), rng_from_int(seed))
+print(json.dumps({"pins": pins, "tall": [hashlib.sha256(k).hexdigest()[:16]
+                                         for k in (tall.public_key, tall.secret_key)]}))
+"""
+
+
+def test_chunk_hash_fallback_gives_the_same_bytes():
+    """The 32-byte chunk hash is CPython's built-in SHA-256 where the module
+    exists, so a rename in CPython fails here; with both modules blocked it is
+    hashlib's, and every pinned signature and key stays byte for byte."""
+    if sys.implementation.name == "cpython":
+        assert merkle.CHUNK_HASH is not hashlib.sha256
+    env = dict(os.environ)
+    src = str(pathlib.Path(merkle.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    height, seed, pk, sk = TALL_TREES[0]
+    r = subprocess.run(
+        [sys.executable, "-c", WITHOUT_BUILTIN_SHA256, str(height), str(seed),
+         *(d.hex() for d in LAMPORT_PINS)],
+        capture_output=True, text=True, env=env,
+    )
+    assert r.returncode == 0, r.stderr
+    found = json.loads(r.stdout)
+    assert found["pins"] == {d.hex(): pin for d, pin in LAMPORT_PINS.items()}
+    assert found["tall"] == [pk, sk]
