@@ -8,6 +8,14 @@ leaf's preimages plus an authentication path.  Keygen, signing and
 verifying split a leaf or a signature field into its 32-byte chunks with one
 precompiled struct unpack each.
 
+Signing and verifying run no Python per digest bit, only the hash calls.
+Two tables indexed by a digest byte, built at import in about 0.12 ms,
+hold its 16 selector bytes and a getter that puts its 16 leaf hashes in
+order.  Signing joins the selector bytes of the 32 digest bytes and picks
+the revealed chunks with itertools.compress, then the hidden ones with the
+same bytes swapped.  Verifying cuts the 256 found and the 256 given hashes
+into groups of 8 with zip and orders each byte's 16 with its getter.
+
 The hash is chosen by input size.  A 32-byte chunk, of which a leaf hashes
 512, goes to CPython's own C SHA-256: 0.33 us a call against 0.43 us through
 OpenSSL's EVP, whose per-call set-up dominates at one block.  From 64 bytes
@@ -31,7 +39,8 @@ import mmap
 import os
 import struct
 import threading
-from itertools import compress
+from itertools import chain, compress, product
+from operator import itemgetter
 
 from . import encoding
 from .errors import CapacityError, DomainError, FormatError
@@ -60,9 +69,19 @@ except ImportError:
 # 32-byte chunks; preimage 2j + b is revealed when digest bit j is b
 _LEAF_CHUNKS = struct.Struct("32s" * (2 * DIGEST_BITS)).unpack
 _FIELD_CHUNKS = struct.Struct("32s" * DIGEST_BITS).unpack
-# a digest's bit string -> one selector byte per preimage
-_REVEAL = str.maketrans({"0": "\1\0", "1": "\0\1"})
-_HIDE = str.maketrans({"0": "\0\1", "1": "\1\0"})
+# digest byte -> its 16 preimages' selector bytes, 1 where revealed; product
+# varies its first factor slowest, so entry v reads v's bits from the top
+_REVEAL = tuple(map(b"".join, product((b"\1\0", b"\0\1"), repeat=8)))
+_SWAP = bytes.maketrans(b"\0\1", b"\1\0")  # revealed <-> hidden
+# digest byte -> the getter that puts its 8 revealed-preimage hashes (items
+# 0-7) and 8 complement hashes (items 8-15) in leaf order: bit i of the byte,
+# from the top, takes item i then 8 + i when it is 0, and 8 + i then i if 1
+_LEAF_ORDER = tuple(
+    itemgetter(*order)
+    for order in map(
+        b"".join, product(*[(bytes([i, 8 + i]), bytes([8 + i, i])) for i in range(8)])
+    )
+)
 
 
 def merkle_descriptor(height: int) -> SchemeDescriptor:
@@ -162,11 +181,6 @@ def _build_tree(leaf_pubs: list[bytes]) -> list[list[bytes]]:
     return levels
 
 
-def _bit_string(digest: bytes) -> str:
-    """The digest's bits, most significant first, as '0' and '1'."""
-    return format(int.from_bytes(digest, "big"), "0256b")
-
-
 def merkle_keygen(descriptor: SchemeDescriptor, rng: Rng) -> KeyPair:
     height = descriptor.param_blob[0]
     seed = rng.random_bytes(32)
@@ -234,9 +248,9 @@ def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]
     if next_leaf >= (1 << height):
         raise CapacityError(f"all {1 << height} leaves consumed")
     chunks = _LEAF_CHUNKS(_leaf_preimages(seed, next_leaf))
-    bits = _bit_string(digest)
-    revealed = b"".join(compress(chunks, bits.translate(_REVEAL).encode()))
-    hidden = compress(chunks, bits.translate(_HIDE).encode())
+    selectors = b"".join(map(_REVEAL.__getitem__, digest))
+    revealed = b"".join(compress(chunks, selectors))
+    hidden = compress(chunks, selectors.translate(_SWAP))
     complement = b"".join([CHUNK_HASH(c).digest() for c in hidden])
     # nodes packs the levels bottom-up; level L starts at node 2^(h+1) - 2^(h+1-L)
     path = bytearray()
@@ -272,10 +286,11 @@ def merkle_verify(pk: bytes, digest: bytes, sig: Signature) -> bool:
         return False
     found = iter([CHUNK_HASH(c).digest() for c in _FIELD_CHUNKS(revealed)])
     given = iter(_FIELD_CHUNKS(complement))
-    # the leaf's 512 hashes in order: a revealed preimage's selector byte is 1
-    selectors = _bit_string(digest).translate(_REVEAL).encode()
-    sources = map((given, found).__getitem__, selectors)
-    node = HASH(b"".join(map(next, sources))).digest()
+    # the leaf's 512 hashes in order, 16 per digest byte: its 8 found then
+    # its 8 given hashes, put in leaf order by that byte's getter
+    groups = zip(*[found] * 8, *[given] * 8)
+    ordered = map(itemgetter.__call__, map(_LEAF_ORDER.__getitem__, digest), groups)
+    node = HASH(b"".join(chain.from_iterable(ordered))).digest()
     idx = leaf_index
     for level in range(height):
         sibling = path[level * 32 : (level + 1) * 32]

@@ -22,7 +22,7 @@ def frame(message: bytes, sig: bytes) -> bytes:
     """Injective encoding of a (message, signature) pair for oracle input."""
     if len(message) >= 1 << 32:
         raise FormatError("message too long for 32-bit framing")
-    return len(message).to_bytes(4, "big") + message + sig
+    return b"".join((len(message).to_bytes(4, "big"), message, sig))
 
 
 class OracleContext:
@@ -48,7 +48,8 @@ class OracleContext:
 
     def eval(self, data: bytes):
         if self._stream is None:
-            xof = hashlib.shake_256(self.domain_tag + data)
+            xof = hashlib.shake_256(self.domain_tag)
+            xof.update(data)
             return self.range_instance.message_from_xof(xof)
         if data not in self._table:
             self._table[data] = self.fresh_value()

@@ -10,10 +10,11 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toosign import encoding, merkle
 from toosign.errors import CapacityError
-from toosign.merkle import merkle_descriptor, merkle_keygen
+from toosign.merkle import DIGEST_BITS, merkle_descriptor, merkle_keygen
 from toosign.registry import Signature, scheme_keygen, scheme_sign, scheme_verify
 from toosign.rng import rng_from_int
 
@@ -151,6 +152,37 @@ def test_lamport_forgeries_are_rejected(bit):
              _put(complement, j, hashlib.sha256(_chunk(revealed, j)).digest()), path]
     flipped = bytes([digest[0] ^ (0x80 >> j)]) + digest[1:]
     assert not verifies(other) and verifies(other, flipped)
+
+
+def test_byte_tables_match_the_bit_by_bit_reference():
+    """For every digest byte, the selector bytes and the leaf-order getter
+    agree with the bit string of the byte read one bit at a time: preimage
+    2j + b is revealed when bit j is b, and the leaf's hashes alternate
+    between found (revealed) and complement hashes in that order."""
+    reveal = str.maketrans({"0": "\1\0", "1": "\0\1"})
+    hide = str.maketrans({"0": "\0\1", "1": "\1\0"})
+    found = [f"found {i}" for i in range(8)]
+    complement = [f"complement {i}" for i in range(8)]
+    assert len(merkle._REVEAL) == len(merkle._LEAF_ORDER) == 256
+    for v in range(256):
+        bits = format(v, "08b")
+        selectors = bits.translate(reveal).encode()
+        assert merkle._REVEAL[v] == selectors, v
+        assert merkle._REVEAL[v].translate(merkle._SWAP) == bits.translate(hide).encode(), v
+        sources = (iter(complement), iter(found))
+        in_order = [next(sources[s]) for s in selectors]
+        assert list(merkle._LEAF_ORDER[v](tuple(found + complement))) == in_order, v
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.binary(min_size=32, max_size=32), st.integers(0, DIGEST_BITS - 1))
+def test_random_digests_sign_verify_and_a_flipped_bit_rejects(digest, bit):
+    kp = _h3_key()
+    flipped = (int.from_bytes(digest, "big") ^ (1 << bit)).to_bytes(32, "big")
+    for leaf in range(8):
+        sig = _sign_leaf(kp, leaf, digest)
+        assert merkle.merkle_verify(kp.public_key, digest, sig) is True, leaf
+        assert merkle.merkle_verify(kp.public_key, flipped, sig) is False, leaf
 
 
 # (height, seed, SHA-256 prefixes of the public and the secret key), from
