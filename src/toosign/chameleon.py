@@ -17,26 +17,27 @@ every inversion needs, is computed once per trapdoor, where the trapdoor is
 made or decoded, and is never serialized.
 
 Exponentiations with exponents of 256 bits or more use a Lim-Lee comb of
-one layout for every base: the exponent splits into 3 limbs of 10 rows, 3
-tables of 1024 products, about 0.95 MB and 69 columns on a 2048-bit group.
+one layout for every base: the exponent splits into 5 limbs of 10 rows, 5
+tables of 1024 products, about 1.58 MB and 41 columns on a 2048-bit group.
 One column loop serves every limb of every base of a hash: g^m y^r on the
-2048-bit group takes 69 squarings and 414 products, one per limb per
-column whatever the exponent's digits.  Every table entry carries a factor
-c != 1, a power of the base that one more product per base cancels, so no
-entry is 1 or short and no product leaves the accumulator as it was.  The
-first exponentiation of a base in a process does not build its table, so
-a one-shot process never pays for one; the second builds it (about 70 ms).
-Two or more bases seen for the first time in one call share one
-interleaved sliding-window pass and so its squarings; a lone one takes
-builtin pow, except the 2048-bit group's g.  Its exponent splits into four
-512-bit parts over g and three committed powers, g^(2^512), g^(2^1024) and
-g^(2^1536), which share that pass and its 511 squarings: about 14 ms
-against 31 ms for builtin pow's 2047.  Key generation computes y = g^x the
-same way.  Two bases keep tables, least recently used evicted first: a
-group's g and the key in use.  A process that alternates among more keys
-takes the first-use paths on every call.  Neither builtin pow, the window
-pass (the split pass of g included) nor CPython's integer arithmetic runs
-in constant time; this code makes no side-channel claim.
+2048-bit group takes 41 squarings and 410 products, one per limb per column
+whatever the exponent's digits, and a folded g^e 41 and 205.  Every table
+entry carries a factor c != 1, a power of the base that one more product
+per base cancels, so no entry is 1 or short and no product leaves the
+accumulator as it was.  The first exponentiation of a base in a process
+does not build its table, so a one-shot process never pays for one; the
+second builds it (about 100 ms).  Two or more bases seen for the first time
+in one call share one interleaved sliding-window pass and so its squarings;
+a lone one takes builtin pow, except the 2048-bit group's g.  Its exponent
+splits into four 512-bit parts over g and three committed powers,
+g^(2^512), g^(2^1024) and g^(2^1536), which share that pass and its 511
+squarings: about 14 ms against 31 ms for builtin pow's 2047.  Key
+generation computes y = g^x the same way.  Two bases keep tables, least
+recently used evicted first: a group's g and the key in use.  A process
+that alternates among more keys takes the first-use paths on every call.
+Neither builtin pow, the window pass (the split pass of g included) nor
+CPython's integer arithmetic runs in constant time; this code makes no
+side-channel claim.
 
 Named sets.  The only DL groups and lattice sets are the named sets in
 DL_PARAM_SETS, constants that the test suite proves (p and q prime,
@@ -212,9 +213,9 @@ def hg(
 
 # Every base's comb: one table per limb of the 2^rows products of its rows
 # (rows <= 16, so that _comb_columns fits an index in 16 bits).
-_COMB_LIMBS, _COMB_ROWS = 3, 10  # 3 x 1024 products per base
+_COMB_LIMBS, _COMB_ROWS = 5, 10  # 5 x 1024 products per base
 _COMB_MIN_BITS = 256  # below this, a comb column is too short to beat pow
-_COMB_CACHE_SIZE = 2  # bases: g and the key in use, 0.95 MB each at 2048 bits
+_COMB_CACHE_SIZE = 2  # bases: g and the key in use, 1.58 MB each at 2048 bits
 _WINDOW_BITS = 5  # the joint first-use pass multiplies in up to 5 bits at a time
 _SPLIT_BITS = 512  # the exponent bits per committed power of a named generator
 # (b, p) -> b and its committed powers b^(2^(_SPLIT_BITS * k)), k = 1, 2, ...

@@ -185,11 +185,8 @@ class TransformedChallenger:
         self.oracle = oracle
         self.rng = rng.fork(b"challenger")
         self.pk = public_key_of(kp)
+        self.pk_bytes = kp.public_bytes()  # signing moves only the base state
         self.trapdoor_touched = False
-
-    @property
-    def pk_bytes(self) -> bytes:
-        return self.kp.public_bytes()
 
     def sign(self, message: bytes) -> tuple[bytes, QueryRecord]:
         inst, td = self.kp.ch_inst, self.kp.ch_td
@@ -361,7 +358,10 @@ def classify_forgery(t: GameTranscript) -> Classification:
 
 def case1_extract(t: GameTranscript):
     """Returns (c_star, base_sig): a fresh valid base-scheme forgery."""
-    cls = classify_forgery(t)
+    return _case1_extract(t, classify_forgery(t))
+
+
+def _case1_extract(t: GameTranscript, cls: Classification):
     if cls.case != 1:
         raise GameError("transcript is not a case-1 win")
     kp = t.challenger.kp
@@ -377,7 +377,10 @@ def case1_extract(t: GameTranscript):
 
 def case2_extract(t: GameTranscript):
     """Returns (pair_star, pair_i, verdict); TRIVIAL marks an oracle collision."""
-    cls = classify_forgery(t)
+    return _case2_extract(t, classify_forgery(t))
+
+
+def _case2_extract(t: GameTranscript, cls: Classification):
     if cls.case != 2:
         raise GameError("transcript is not a case-2 win")
     q = t.queries[cls.index]
@@ -625,15 +628,16 @@ def game_report(
         wins += 1
         if kind is not GameKind.SU or not isinstance(t.challenger, TransformedChallenger):
             continue
-        if classify_forgery(t).case == 1:
+        cls = classify_forgery(t)
+        if cls.case == 1:
             case1 += 1
             try:
-                case1_extract(t)
+                _case1_extract(t, cls)
             except ExtractionError:
                 extractor_failures += 1
         else:
             case2 += 1
-            _, _, verdict = case2_extract(t)
+            _, _, verdict = _case2_extract(t, cls)
             if verdict is CollisionVerdict.TRIVIAL:
                 oracle_collisions += 1
             elif verdict is not CollisionVerdict.VALID:

@@ -111,8 +111,8 @@ def _leaf_range(seed: bytes, start: int, stop: int) -> bytes:
 
 # a fork costs about 1.2 ms and a leaf 0.24-0.29 ms.  Two workers of 64
 # leaves tie with one (faster in 29 of 60 pairs), two of 128 take 0.6 of the
-# serial time: 64 is the break-even, and fewer leaves never pay for the fork
-_LEAVES_PER_WORKER = 64
+# serial time: a fork first pays at height 8, so height 7 stays serial
+_LEAVES_PER_WORKER = 128
 
 
 def _worker_count(leaves: int) -> int:

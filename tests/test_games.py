@@ -29,7 +29,7 @@ from toosign.games import (
 )
 from toosign.merkle import merkle_descriptor
 from toosign.rng import rng_from_int
-from toosign.transform import TransformedPublicKey
+from toosign.transform import TransformedKeyPair, TransformedPublicKey
 
 SIS_PARAMS = {"n": 4, "q": 257, "m": 12, "k": 8}
 DL_DEMO = {"name": "dl-demo"}
@@ -372,8 +372,9 @@ def test_verify_does_not_hide_harness_errors(monkeypatch):
     (lambda ch: CaseOneForger(ch, warmup_queries=0), "case1_count"),
     (CaseTwoForger, "case2_count"),
 ], ids=["case1", "case2"])
-def test_winning_forgery_is_parsed_three_times(monkeypatch, forger, case):
-    """A won game parses the forgery to verify, to classify and to extract."""
+def test_winning_forgery_is_parsed_twice(monkeypatch, forger, case):
+    """A won game parses the forgery to verify and to classify; the report
+    extracts from that classification."""
     deserialize = games.deserialize_signature
     calls = []
 
@@ -390,4 +391,17 @@ def test_winning_forgery_is_parsed_three_times(monkeypatch, forger, case):
         forger, range(14, 15),
     )
     assert rep["win_rate"] == 1.0 and rep[case] == 1
-    assert len(calls) <= 3
+    assert len(calls) == 2
+
+
+def test_public_key_is_encoded_once_per_game(monkeypatch):
+    public_bytes = TransformedKeyPair.public_bytes
+    calls = []
+    monkeypatch.setattr(
+        TransformedKeyPair, "public_bytes", lambda kp: calls.append(1) or public_bytes(kp)
+    )
+    chal, _ = transformed(3)
+    assert calls == [1]
+    t = run_game(GameKind.SU, chal, ReplayAdversary(), 2, rng_from_int(3))
+    assert t.visible[0] == b"pk:" + public_bytes(chal.kp)
+    assert calls == [1]

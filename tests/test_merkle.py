@@ -226,14 +226,25 @@ def _count_forks(monkeypatch) -> list[int]:
     return forks
 
 
+@pytest.mark.parametrize("height, workers", [(2, 1), (7, 1), (8, 2), (10, 2)])
+def test_worker_count_on_two_cores(monkeypatch, height, workers):
+    """A worker gets at least 128 leaves, so height 7 stays serial."""
+    _report_cores(monkeypatch, 2)
+    assert merkle._worker_count(1 << height) == workers
+
+
 def test_keygen_without_fork_gives_the_same_bytes(monkeypatch):
+    refused = []
+
     def refuse():
+        refused.append(1)
         raise OSError("no more processes")
 
     _report_cores(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", refuse)
-    height, seed, pk, sk = TALL_TREES[1]
+    height, seed, pk, sk = TALL_TREES[2]
     assert _fingerprint(height, seed) == (pk, sk)
+    assert refused
 
 
 def test_a_dying_child_is_replaced_by_the_parent(monkeypatch):
@@ -247,7 +258,7 @@ def test_a_dying_child_is_replaced_by_the_parent(monkeypatch):
 
     forks = _count_forks(monkeypatch)
     monkeypatch.setattr(merkle, "_leaf_public", die_in_child)
-    height, seed, pk, sk = TALL_TREES[1]
+    height, seed, pk, sk = TALL_TREES[2]
     assert _fingerprint(height, seed) == (pk, sk)
     assert forks
 
@@ -306,7 +317,7 @@ def test_an_interrupted_keygen_kills_its_children(monkeypatch):
 
 def test_keygen_in_a_second_thread_does_not_fork(monkeypatch):
     forks = _count_forks(monkeypatch)
-    height, seed, pk, sk = TALL_TREES[1]
+    height, seed, pk, sk = TALL_TREES[2]
     result = []
     worker = threading.Thread(target=lambda: result.append(_fingerprint(height, seed)))
     worker.start()
