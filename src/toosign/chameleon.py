@@ -16,26 +16,28 @@ reveals x together with the trace, so it is never kept.  x^-1 mod q, which
 every inversion needs, is computed once per trapdoor, where the trapdoor is
 made or decoded, and is never serialized.
 
-Exponentiations with exponents of 256 bits or more use a Lim-Lee comb of
-one layout for every base: the exponent splits into 5 limbs of 10 rows, 5
-tables of 1024 products, about 1.58 MB and 41 columns on a 2048-bit group.
-One column loop serves every limb of every base of a hash: g^m y^r on the
-2048-bit group takes 41 squarings and 410 products, one per limb per column
-whatever the exponent's digits, and a folded g^e 41 and 205.  Every table
+Exponentiations with exponents of 256 bits or more take one left-to-right
+square-and-multiply pass, whose squarings every base of the call shares.  A
+base used before has a Lim-Lee comb of one layout for every base: the
+exponent splits into 5 limbs of 10 rows, 5 tables of 1024 products, about
+1.58 MB and 41 columns on a 2048-bit group, and in each of the pass's last
+41 steps the base multiplies in one entry per limb whatever the exponent's
+digits.  So g^m y^r on the 2048-bit group takes 41 squarings and 410
+products with both tables warm, and a folded g^e 41 and 205.  Every table
 entry carries a factor c != 1, a power of the base that one more product
 per base cancels, so no entry is 1 or short and no product leaves the
 accumulator as it was.  The first exponentiation of a base in a process
 does not build its table, so a one-shot process never pays for one; the
-second builds it (about 100 ms).  Two or more bases seen for the first time
-in one call share one interleaved sliding-window pass and so its squarings;
-a lone one takes builtin pow, except the 2048-bit group's g.  Its exponent
-splits into four 512-bit parts over g and three committed powers,
-g^(2^512), g^(2^1024) and g^(2^1536), which share that pass and its 511
-squarings: about 14 ms against 31 ms for builtin pow's 2047.  Key
-generation computes y = g^x the same way.  Two bases keep tables, least
-recently used evicted first: a group's g and the key in use.  A process
-that alternates among more keys takes the first-use paths on every call.
-Neither builtin pow, the window pass (the split pass of g included) nor
+second builds it (about 100 ms).  A base seen for the first time
+multiplies its sliding windows' odd powers into the same pass, so a warm g
+and a first-use y share y's squarings.  A lone first-use base with
+committed powers, so far the 2048-bit group's g, splits its exponent into
+four 512-bit parts over g, g^(2^512), g^(2^1024) and g^(2^1536), whose
+windows share 512 steps: about 14 ms against 31 ms for builtin pow's 2047
+squarings.  Key generation computes y = g^x the same way.  Two bases keep
+tables, least recently used evicted first: a group's g and the key in use.
+A process that alternates among more keys takes the window path on every
+call.  Neither the window steps, builtin pow (below 256 bits) nor
 CPython's integer arithmetic runs in constant time; this code makes no
 side-channel claim.
 
@@ -216,7 +218,7 @@ def hg(
 _COMB_LIMBS, _COMB_ROWS = 5, 10  # 5 x 1024 products per base
 _COMB_MIN_BITS = 256  # below this, a comb column is too short to beat pow
 _COMB_CACHE_SIZE = 2  # bases: g and the key in use, 1.58 MB each at 2048 bits
-_WINDOW_BITS = 5  # the joint first-use pass multiplies in up to 5 bits at a time
+_WINDOW_BITS = 5  # a first-use base multiplies in up to 5 bits at a time
 _SPLIT_BITS = 512  # the exponent bits per committed power of a named generator
 # (b, p) -> b and its committed powers b^(2^(_SPLIT_BITS * k)), k = 1, 2, ...
 _COMMITTED_POWERS = {(2, _MODP_2048_P): (2, *_MODP_2048_G_POWERS)}
@@ -298,38 +300,6 @@ def _comb_lookup(b: int, p: int, bits: int) -> _Comb | None:
     return comb
 
 
-def _joint_pow(pairs, p: int) -> int:
-    """prod b^e mod p in one left-to-right pass over the bits of every e.
-
-    The squarings are shared by all bases.  Each e is cut into sliding
-    windows of up to _WINDOW_BITS bits that start and end on a set bit; a
-    window multiplies in its base's odd power once the pass reaches the
-    window's lowest bit.
-    """
-    top = max(e.bit_length() for _, e in pairs)
-    due = [[] for _ in range(top)]  # bit position -> odd powers to multiply in
-    for b, e in pairs:
-        b2 = b * b % p
-        odd = [b % p]  # b^1, b^3, ..., b^(2^_WINDOW_BITS - 1)
-        for _ in range((1 << (_WINDOW_BITS - 1)) - 1):
-            odd.append(odd[-1] * b2 % p)
-        digits = format(e, "b")
-        i, n = 0, len(digits)
-        while i < n:
-            if digits[i] == "0":
-                i += 1
-                continue
-            window = digits[i : i + _WINDOW_BITS].rstrip("0")
-            i += len(window)
-            due[n - i].append(odd[int(window, 2) >> 1])
-    acc = 1
-    for powers in reversed(due):
-        acc = acc * acc % p
-        for t in powers:
-            acc = acc * t % p
-    return acc
-
-
 def _split(b: int, e: int, p: int) -> list[tuple[int, int]]:
     """(b^(2^(_SPLIT_BITS * k)), e_k) over the _SPLIT_BITS-bit parts e_k of
     e = sum_k e_k 2^(_SPLIT_BITS * k), the last part taking every bit above,
@@ -347,43 +317,60 @@ def _multi_pow(terms, p: int, bits: int) -> int:
     """prod b^e mod p over the (b, e) in terms, every b a unit mod p and
     every e in [0, 2^bits).
 
-    When bits < _COMB_MIN_BITS, every base takes builtin pow.  Otherwise a
-    base used before gets a Lim-Lee comb of _COMB_LIMBS limbs of _COMB_ROWS
-    rows of a = _comb_width(bits) columns.  One loop over the a columns does
-    the squarings, shared by every limb of every base, and one product per
-    limb per column, whatever the index.  Bases used for the first time
-    share one _joint_pow pass when there are two or more.  A lone one with
-    committed powers is split over them into that pass, so the squarings
-    are _SPLIT_BITS - 1; any other lone one takes builtin pow.
+    When bits < _COMB_MIN_BITS, every base takes builtin pow.  Otherwise one
+    left-to-right pass squares the accumulator once per step for all bases.
+    A base used before gets a Lim-Lee comb of _COMB_LIMBS limbs of
+    _COMB_ROWS rows of a = _comb_width(bits) columns; in each of the last a
+    steps it multiplies in one entry per limb, whatever the index.  A base
+    used for the first time gets no table: its e is cut into sliding windows
+    of up to _WINDOW_BITS bits that start and end on a set bit, and each
+    window multiplies in the base's odd power at the step of its lowest
+    bit.  A lone first-use base with committed powers is split over them
+    first, so the pass takes _SPLIT_BITS steps instead of bits.
     """
-    fresh, tabled = [], []
+    if bits < _COMB_MIN_BITS:
+        out = 1
+        for b, e in terms:
+            out = out * pow(b, e, p) % p
+        return out
+    a = _comb_width(bits)
+    fresh, limbs, out = [], [], 1
     for b, e in terms:
-        comb = _comb_lookup(b, p, bits) if bits >= _COMB_MIN_BITS else None
+        comb = _comb_lookup(b, p, bits)
         if comb is None:
             fresh.append((b, e))
         else:
-            tabled.append((e, comb))
-    if len(fresh) == 1 and (fresh[0][0], p) in _COMMITTED_POWERS:
-        fresh = _split(*fresh[0], p)
-    if len(fresh) > 1 and bits >= _COMB_MIN_BITS:
-        out = _joint_pow(fresh, p)
-    else:
-        out = 1
-        for b, e in fresh:
-            out = out * pow(b, e, p) % p
-    if tabled:
-        a = _comb_width(bits)
-        limbs = []
-        for e, (tables, correction) in tabled:
+            tables, correction = comb
             limbs += zip(_comb_columns(e, a), tables)
             out = out * correction % p
-        acc = 1
-        for k in range(a):
-            acc = acc * acc % p
+    if len(fresh) == 1 and (fresh[0][0], p) in _COMMITTED_POWERS:
+        fresh = _split(*fresh[0], p)
+    top = max([a] + [e.bit_length() for _, e in fresh])
+    due = [[] for _ in range(top)]  # bit position -> odd powers to multiply in
+    for b, e in fresh:
+        b2 = b * b % p
+        odd = [b % p]  # b^1, b^3, ..., b^(2^_WINDOW_BITS - 1)
+        for _ in range((1 << (_WINDOW_BITS - 1)) - 1):
+            odd.append(odd[-1] * b2 % p)
+        digits = format(e, "b")
+        i, n = 0, len(digits)
+        while i < n:
+            if digits[i] == "0":
+                i += 1
+                continue
+            window = digits[i : i + _WINDOW_BITS].rstrip("0")
+            i += len(window)
+            due[n - i].append(odd[int(window, 2) >> 1])
+    acc = 1
+    # k is the comb column of each step: 0 at bit a - 1, negative above it
+    for k, powers in enumerate(reversed(due), a - top):
+        acc = acc * acc % p
+        for t in powers:
+            acc = acc * t % p
+        if k >= 0:
             for columns, table in limbs:
                 acc = acc * table[columns[k]] % p
-        out = out * acc % p
-    return out
+    return out * acc % p
 
 
 # ---------------------------------------------------------------------------

@@ -227,22 +227,36 @@ SPLIT_EXPONENTS = sorted(
 )
 
 
+def count_builtin_pow(monkeypatch):
+    """Shadows builtin pow in chameleon with a wrapper; returns its call list."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(chameleon, "pow", counting, raising=False)
+    return calls
+
+
 def test_lone_generator_splits_over_its_committed_powers(monkeypatch):
-    """A first use of g alone: one window pass over its 512-bit parts, no
-    builtin pow of g, and no table."""
-    joint = []
-    joint_pow = chameleon._joint_pow
+    """A first use of g alone: one pass over its four 512-bit parts, no
+    builtin pow, and no table."""
+    splits = []
+    split = chameleon._split
     monkeypatch.setattr(
-        chameleon, "_joint_pow", lambda pairs, p: joint.append(pairs) or joint_pow(pairs, p)
+        chameleon, "_split", lambda *args: splits.append(split(*args)) or splits[-1]
     )
+    pows = count_builtin_pow(monkeypatch)
     powers = chameleon._COMMITTED_POWERS[(G2048, P2048)]
     for e in SPLIT_EXPONENTS:
         chameleon._comb_cache.clear()
-        joint.clear()
+        splits.clear()
         assert multi_pow(((G2048, e),)) == pow(G2048, e, P2048)
         assert cached(G2048) is None
         parts = [(power, e >> (SPLIT * k) & ((1 << SPLIT) - 1)) for k, power in enumerate(powers)]
-        assert joint == [parts]
+        assert splits == [parts]
+    assert pows == []
 
 
 def test_dl_2048_keygen_cold_then_table_then_comb():
@@ -342,29 +356,25 @@ def fresh_bases(count):
 
 @pytest.mark.parametrize("count", [2, 3])
 def test_joint_first_use_pass(count, monkeypatch):
-    """Bases seen for the first time share one window pass, and tables come
-    on their second use if the cache holds them all; more bases than that
-    evict each other and take the joint pass on every call."""
-    joint = []
-    joint_pow = chameleon._joint_pow
-    monkeypatch.setattr(
-        chameleon, "_joint_pow", lambda pairs, p: joint.append(len(pairs)) or joint_pow(pairs, p)
-    )
-    bases = fresh_bases(count)
+    """Bases seen for the first time share one window pass with no builtin
+    pow, and tables come on their second use if the cache holds them all;
+    more bases than that evict each other and take the window pass on every
+    call."""
+    pows = count_builtin_pow(monkeypatch)
     for e in EXPONENTS[: 4 * count : 2] + [Q2048 - 1 - i for i in range(5)]:
-        pairs = [(b, e) for b in bases]
-        assert joint_pow(pairs, P2048) == pow_reference(pairs)
+        pairs = [(b, e) for b in fresh_bases(count)]
+        assert multi_pow(pairs) == pow_reference(pairs)
+    bases = fresh_bases(count)
     pairs = [(b, (Q2048 - 1) // (i + 2)) for i, b in enumerate(bases)]
     assert multi_pow(pairs) == pow_reference(pairs)
-    assert joint == [count]
     assert all(cached(b) is None for b in bases)
+    assert pows == []
     assert multi_pow(pairs) == pow_reference(pairs)
     if count <= chameleon._COMB_CACHE_SIZE:
-        assert joint == [count]
         assert all(cached(b) is not None for b in bases)
     else:
-        assert joint == [count, count]
         assert all(cached(b) is None for b in bases)
+        assert pows == []
 
 
 @settings(max_examples=10, deadline=None)
@@ -374,7 +384,7 @@ def test_joint_pass_matches_pow_property(exponents):
     assert multi_pow(pairs) == pow_reference(pairs)
 
 
-def test_mixed_call_with_and_without_tables():
+def test_mixed_call_with_and_without_tables(monkeypatch):
     chameleon._comb_cache.clear()
     g_only = ((G2048, 3),)
     multi_pow(g_only)
@@ -384,6 +394,40 @@ def test_mixed_call_with_and_without_tables():
     pairs = ((z1, Q2048 - 3), (G2048, Q2048 - 5), (z2, 1 << (BITS - 1)))
     assert multi_pow(pairs) == pow_reference(pairs)
     assert cached(z1) is None and cached(z2) is None
+    # a table and one first-use base without committed powers share one pass
+    z3 = pow(G2048, 103, P2048)
+    pairs = ((G2048, Q2048 - 7), (z3, Q2048 - 11))
+    pows = count_builtin_pow(monkeypatch)
+    assert multi_pow(pairs) == pow_reference(pairs)
+    assert cached(z3) is None and pows == []
+
+
+class CountedEntry(int):
+    """A comb entry that counts the products it is the right operand of."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        CountedEntry.products += 1
+        return other * int(self)
+
+
+def test_warm_comb_products_do_not_depend_on_the_exponent():
+    """One product per limb per column, whatever the exponent's digits."""
+    chameleon._comb_cache.clear()
+    for _ in range(2):
+        multi_pow(((G2048, 1), (Y2048, 1)))
+    for base in (G2048, Y2048):
+        tables, correction = chameleon._comb_cache[(base, P2048, BITS)]
+        counted = [[CountedEntry(v) for v in table] for table in tables]
+        chameleon._comb_cache[(base, P2048, BITS)] = counted, correction
+    for e in (0, 1, Q2048 - 1, 1 << 2046, rng_from_int(25).randbelow(Q2048)):
+        f = (e * 7 + 3) % Q2048
+        for pairs, tabled in ((((G2048, e),), 1), (((G2048, e), (Y2048, f)), 2)):
+            CountedEntry.products = 0
+            assert multi_pow(pairs) == pow_reference(pairs)
+            assert CountedEntry.products == tabled * COLUMNS * LIMBS
+    chameleon._comb_cache.clear()
 
 
 @settings(max_examples=25, deadline=None)
