@@ -85,6 +85,21 @@ def _write(path: str, blob: bytes, armored: bool) -> None:
         os.close(dir_fd)
 
 
+def _remove_stale_copies(path: str) -> None:
+    """Removes the `<path>.<12 hex>.tmp` files that a `_write` of path killed
+    before its rename left: for a secret key, whole copies of it.  Only
+    regular files go; a symlink of that name is left, and so is its target."""
+    directory, name = os.path.split(path)
+    prefix = name + "."
+    with os.scandir(directory or ".") as entries:
+        for entry in entries:
+            salt = entry.name[len(prefix) : -len(".tmp")]
+            if (entry.name.startswith(prefix) and entry.name.endswith(".tmp")
+                    and len(salt) == 12 and not salt.strip("0123456789abcdef")
+                    and entry.is_file(follow_symlinks=False)):
+                os.unlink(entry.path)
+
+
 def _read(path: str, armored: bool) -> bytes:
     with open(path, "rb") as f:
         blob = f.read()
@@ -162,6 +177,10 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
         except OSError as e:
             print(f"malformed key: {e}", file=sys.stderr)
             sys.exit(EXIT_MALFORMED)
+        try:
+            _remove_stale_copies(key)
+        except OSError as e:
+            _fail(f"cannot remove a stale key copy: {e}")
         try:
             kp = keypair_from_secret(_read(key, armor), _read(pub, armor))
             _check_base_scheme(kp.base.descriptor)

@@ -28,18 +28,16 @@ from toosign.games import (
     classify_forgery,
     hybrid_transcript_compare,
     make_transformed_challenger,
-    run_game,
     wrap_malleable,
 )
 from toosign.gaussian import DiscreteGaussian
 from toosign.merkle import merkle_descriptor
 from toosign.oracle import production_oracle
-from toosign.registry import scheme_keygen, scheme_verify
-from toosign.rng import Rng, rng_from_int
-from toosign.sis import derive_params, hg_sis
+from toosign.registry import scheme_keygen
+from toosign.rng import rng_from_int
+from toosign.sis import hg_sis
 from toosign.transform import (
     TransformedKeyPair,
-    encode_range_value,
     g_prime,
     public_key_of,
     s_prime,
@@ -196,16 +194,15 @@ def test_hybrid_exactness(report):
     for variant in (ChallengerVariant.HYD1, ChallengerVariant.HYD2):
         w = 0
         counts = np.zeros(q * q, dtype=np.int64)
-        for seed in range(n_seeds):
-            master = rng_from_int(seed)
-            chal = make_transformed_challenger(
+
+        def make_challenger(master):
+            return make_transformed_challenger(
                 variant, merkle_descriptor(1), ChameleonKind.DL, DL_DEMO,
                 master, keypair=kp,
             )
-            t = run_game(
-                GameKind.SU, chal, LuckyGuesser(), budget=2,
-                rng=master.fork(b"game"),
-            )
+
+        for seed in range(n_seeds):
+            t = games.play(GameKind.SU, seed, make_challenger, lambda ch: LuckyGuesser(), 2)
             w += t.verdict
             rec = t.queries[0]
             counts[int(rec.m_value) * q + int(rec.randomness)] += 1
@@ -233,17 +230,17 @@ def test_case2_extractor(report):
     kp = g_prime(
         merkle_descriptor(1), ChameleonKind.DL, DL_DEMO, rng_from_int(8)
     )
-    valid = trivial = failures = 0
-    for seed in range(1000):
-        master = rng_from_int(seed)
-        chal = make_transformed_challenger(
+
+    def make_challenger(master):
+        return make_transformed_challenger(
             ChallengerVariant.HYD0, merkle_descriptor(1), ChameleonKind.DL,
             DL_DEMO, master, keypair=kp,
         )
-        t = run_game(
-            GameKind.SU, chal, CaseTwoForger(chal), budget=2,
-            rng=master.fork(b"game"),
-        )
+
+    valid = trivial = failures = 0
+    for seed in range(1000):
+        t = games.play(GameKind.SU, seed, make_challenger, CaseTwoForger, 2)
+        chal = t.challenger
         if not t.verdict or classify_forgery(t).case != 2:
             failures += 1
             continue
@@ -271,22 +268,19 @@ def test_case1_extractor(report):
     kp = g_prime(
         merkle_descriptor(2), ChameleonKind.SIS, SIS_DESK, rng_from_int(9)
     )
-    successes = 0
-    for seed in range(1000):
-        master = rng_from_int(seed)
-        chal = make_transformed_challenger(
+
+    def make_challenger(master):
+        return make_transformed_challenger(
             ChallengerVariant.HYD0, merkle_descriptor(2), ChameleonKind.SIS,
             SIS_DESK, master, keypair=kp,
         )
-        t = run_game(
-            GameKind.SU, chal, CaseOneForger(chal), budget=4,
-            rng=master.fork(b"game"),
-        )
-        if not t.verdict or classify_forgery(t).case != 1:
-            continue
-        c_star, base_sig = case1_extract(t)  # re-verifies and checks freshness
-        base_msg = encode_range_value(chal.kp.ch_inst, c_star)
-        successes += scheme_verify(chal.kp.base.public_key, base_msg, base_sig)
+
+    successes = 0
+    for seed in range(1000):
+        t = games.play(GameKind.SU, seed, make_challenger, CaseOneForger, 4)
+        if t.verdict and classify_forgery(t).case == 1:
+            case1_extract(t)  # raises unless the base forgery verifies and is fresh
+            successes += 1
     report(successes == 1000, f"{successes}/1000 extractions verify and are fresh")
 
 
@@ -294,15 +288,12 @@ def test_malleability_closure(report):
     """The byte-flip adversary wins 100/100 against the malleable base and
     0/1000 against its hardened wrapper."""
     desc = wrap_malleable(merkle_descriptor(1))
-    raw_wins = 0
-    for seed in range(100):
-        master = rng_from_int(seed)
-        chal = RawChallenger(desc, master)
-        t = run_game(
-            GameKind.SU, chal, MaulingAdversary(), budget=2,
-            rng=master.fork(b"game"),
-        )
-        raw_wins += t.verdict
+
+    def wins(make_challenger, seeds):
+        return sum(games.play(GameKind.SU, seed, make_challenger,
+                              lambda ch: MaulingAdversary(), 2).verdict for seed in seeds)
+
+    raw_wins = wins(lambda m: RawChallenger(desc, m), range(100))
 
     # k = 32 message bits: the desk k = 8 leaves only 2^8 oracle outputs, so
     # a maul survives at the expected ~2^-8 rate; 32 bits makes it negligible.
@@ -311,18 +302,9 @@ def test_malleability_closure(report):
     inst, td = hg_sis(4, 257, 12, 32, keygen_rng.fork(b"chameleon-hg"))
     base = scheme_keygen(desc, keygen_rng.fork(b"base-keygen"))
     kp = TransformedKeyPair(base=base, ch_inst=inst, ch_td=td)
-    hardened_wins = 0
-    for seed in range(1000):
-        master = rng_from_int(seed)
-        chal = make_transformed_challenger(
-            ChallengerVariant.HYD0, desc, ChameleonKind.SIS, None,
-            master, keypair=kp,
-        )
-        t = run_game(
-            GameKind.SU, chal, MaulingAdversary(), budget=2,
-            rng=master.fork(b"game"),
-        )
-        hardened_wins += t.verdict
+    hardened_wins = wins(lambda m: make_transformed_challenger(
+        ChallengerVariant.HYD0, desc, ChameleonKind.SIS, None, m, keypair=kp,
+    ), range(1000))
     report(
         raw_wins == 100 and hardened_wins == 0,
         f"raw base: {raw_wins}/100 wins; hardened: {hardened_wins}/1000 wins",

@@ -507,6 +507,50 @@ def test_signer_killed_after_key_write_never_reissues_a_leaf(workspace):
     assert r.returncode == 0 and "accept" in r.stdout
 
 
+KILLED_BEFORE_KEY_RENAME = """
+import os, signal, sys
+from toosign import cli
+
+replace = os.replace
+
+
+def die_before_key_rename(src, dst):
+    if dst.endswith(".tookey"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    replace(src, dst)
+
+
+os.replace = die_before_key_rename
+cli.main(sys.argv[1:])
+"""
+
+
+def test_next_sign_removes_a_key_copy_left_before_its_rename(workspace):
+    """A signer killed between the key's temp file and its rename leaves a
+    0600 copy of the advanced secret key; the next sign removes it under the
+    lock and leaves files that only look like one, and what they point to."""
+    args = ("sign", "--key", "key.tookey", "--pub", "key.toopub", "--in", "msg.txt",
+            "--seed", SEED_B)
+    r = too_sign(*args, "--out", "lost.toosig", cwd=workspace, driver=KILLED_BEFORE_KEY_RENAME)
+    assert r.returncode == -signal.SIGKILL, r.stderr
+    left = [name for name in os.listdir(workspace) if name.endswith(".tmp")]
+    assert len(left) == 1 and left[0].startswith("key.tookey.")
+    assert stat.S_IMODE((workspace / left[0]).stat().st_mode) == 0o600
+    alike = ["key.tookey.0123456789AB.tmp", "key.tookey.0123456789a.tmp",
+             "other.tookey.0123456789ab.tmp"]
+    for name in alike:
+        (workspace / name).write_bytes(b"not a leftover")
+    os.symlink("msg.txt", workspace / "key.tookey.0123456789ab.tmp")
+
+    assert too_sign(*args, "--out", "next.toosig", cwd=workspace).returncode == 0
+    assert not (workspace / left[0]).exists()
+    assert all((workspace / name).exists() for name in alike)
+    assert (workspace / "key.tookey.0123456789ab.tmp").read_bytes() == b"the quick brown fox"
+    r = too_sign("verify", "--pub", "key.toopub", "--in", "msg.txt",
+                 "--sig", "next.toosig", cwd=workspace)
+    assert r.returncode == 0 and "accept" in r.stdout
+
+
 def test_capacity_exhaustion_exit_code(workspace):
     for i in range(4):  # height 2 -> 4 one-time leaves
         assert too_sign("sign", "--key", "key.tookey", "--pub", "key.toopub",

@@ -14,11 +14,9 @@ from toosign.games import (
     GameKind,
     GarbageForger,
     LuckyGuesser,
-    MaulingAdversary,
     ProbingAdversary,
     RawChallenger,
     ReplayAdversary,
-    case1_extract,
     case2_extract,
     classify_forgery,
     game_report,
@@ -35,44 +33,38 @@ SIS_PARAMS = {"n": 4, "q": 257, "m": 12, "k": 8}
 DL_DEMO = {"name": "dl-demo"}
 
 
-def transformed(seed, variant=ChallengerVariant.HYD0, ch=ChameleonKind.SIS,
-                params=SIS_PARAMS, height=2):
-    master = rng_from_int(seed)
-    chal = make_transformed_challenger(
-        variant, merkle_descriptor(height), ch, params, master
-    )
-    return chal, master.fork(b"game")
+def challenger(master, variant=ChallengerVariant.HYD0, ch=ChameleonKind.SIS,
+               params=SIS_PARAMS):
+    return make_transformed_challenger(variant, merkle_descriptor(2), ch, params, master)
+
+
+def play(seed, make_adversary, kind=GameKind.SU, budget=4, **challenger_args):
+    """One seeded game against a fresh `challenger`."""
+    return games.play(kind, seed, lambda m: challenger(m, **challenger_args),
+                      make_adversary, budget)
 
 
 def test_replay_loses_strong_game():
-    chal, rng = transformed(0)
-    t = run_game(GameKind.SU, chal, ReplayAdversary(), budget=4, rng=rng)
-    assert t.verdict is False
+    assert play(0, lambda ch: ReplayAdversary()).verdict is False
 
 
 def test_replay_also_loses_existential_game():
-    chal, rng = transformed(1)
-    t = run_game(GameKind.EU, chal, ReplayAdversary(), budget=4, rng=rng)
-    assert t.verdict is False
+    assert play(1, lambda ch: ReplayAdversary(), kind=GameKind.EU).verdict is False
 
 
 def test_garbage_loses():
-    chal, rng = transformed(2)
-    t = run_game(GameKind.SU, chal, GarbageForger(), budget=4, rng=rng)
-    assert t.verdict is False
+    assert play(2, lambda ch: GarbageForger()).verdict is False
 
 
 def test_budget_violation_flagged():
-    chal, rng = transformed(3)
-    t = run_game(GameKind.SU, chal, BudgetBuster(), budget=3, rng=rng)
+    t = play(3, lambda ch: BudgetBuster(), budget=3)
     assert t.budget_violation and t.verdict is False
 
 
 def test_negative_budget_is_refused():
-    chal, rng = transformed(3)
     with pytest.raises(GameError):
-        run_game(GameKind.SU, chal, ReplayAdversary(), budget=-1, rng=rng)
-    t = run_game(GameKind.SU, chal, ReplayAdversary(), budget=0, rng=rng)
+        play(3, lambda ch: ReplayAdversary(), budget=-1)
+    t = play(3, lambda ch: ReplayAdversary(), budget=0)
     assert t.budget_violation and t.verdict is False
 
 
@@ -83,28 +75,6 @@ def test_transformed_only_adversaries_refuse_a_raw_challenger(make_adversary):
     desc = wrap_malleable(merkle_descriptor(2))
     with pytest.raises(GameError):
         games.play(GameKind.SU, 0, lambda m: RawChallenger(desc, m), make_adversary, 4)
-
-
-def test_mauling_beats_raw_malleable_wrapper():
-    desc = wrap_malleable(merkle_descriptor(2))
-    for seed in range(10):
-        master = rng_from_int(seed)
-        chal = RawChallenger(desc, master)
-        t = run_game(GameKind.SU, chal, MaulingAdversary(), budget=4,
-                     rng=master.fork(b"game"))
-        assert t.verdict is True
-
-
-def test_mauling_loses_against_transform():
-    desc = wrap_malleable(merkle_descriptor(2))
-    for seed in range(10):
-        master = rng_from_int(seed)
-        chal = make_transformed_challenger(
-            ChallengerVariant.HYD0, desc, ChameleonKind.SIS, SIS_PARAMS, master
-        )
-        t = run_game(GameKind.SU, chal, MaulingAdversary(), budget=4,
-                     rng=master.fork(b"game"))
-        assert t.verdict is False
 
 
 def pad_randomness(sig_bytes: bytes) -> bytes:
@@ -150,17 +120,14 @@ class ShiftMauler(ReplayAdversary):
 @pytest.mark.parametrize("group", ["dl-demo", "dl-2048"])
 def test_padded_dl_randomness_loses_strong_game(group):
     for seed in range(3):
-        chal, rng = transformed(seed, ch=ChameleonKind.DL, params={"name": group})
-        t = run_game(GameKind.SU, chal, PaddingMauler(), budget=4, rng=rng)
+        t = play(seed, lambda ch: PaddingMauler(), ch=ChameleonKind.DL, params={"name": group})
         assert t.forgery_sig_bytes != t.queries[0].sig_bytes
         assert t.verdict is False
 
 
 def test_sis_randomness_beyond_the_norm_bound_loses_strong_game():
-    for seed in range(5):
-        chal, rng = transformed(seed)
-        shift = 10 * chal.kp.ch_inst.params.q  # |r_1| >= 10 q > s sqrt(m)
-        t = run_game(GameKind.SU, chal, ShiftMauler(shift), budget=4, rng=rng)
+    for seed in range(5):  # |r_1| >= 10 q > s sqrt(m)
+        t = play(seed, lambda ch: ShiftMauler(10 * ch.kp.ch_inst.params.q))
         assert t.verdict is False
 
 
@@ -172,62 +139,24 @@ def test_sis_desk_collisions_are_trivial_to_find():
     sign), but the parameter set gives no collision resistance.
     """
     for seed in range(20):
-        chal, rng = transformed(seed)
-        p = chal.kp.ch_inst.params
+        t = play(seed, lambda ch: ShiftMauler(ch.kp.ch_inst.params.q))
+        inst = t.challenger.kp.ch_inst
+        p = inst.params
         assert p.norm_bound > p.q
-        t = run_game(GameKind.SU, chal, ShiftMauler(p.q), budget=4, rng=rng)
         assert t.verdict is True
         pair_star, pair_i, verdict = case2_extract(t)
         assert verdict is CollisionVerdict.VALID
-        z = chameleon.sis_collision_to_short_vector(chal.kp.ch_inst, pair_star, pair_i)
+        z = chameleon.sis_collision_to_short_vector(inst, pair_star, pair_i)
         assert np.abs(z).tolist() == [0] * p.k + [p.q] + [0] * (p.m - 1)
 
 
-def test_case1_win_classifies_and_extracts():
-    chal, rng = transformed(4)
-    t = run_game(GameKind.SU, chal, CaseOneForger(chal), budget=4, rng=rng)
-    assert t.verdict is True
-    assert classify_forgery(t).case == 1
-    c_star, base_sig = case1_extract(t)
-    from toosign.registry import scheme_verify
-    from toosign.transform import encode_range_value
-
-    base_msg = encode_range_value(chal.kp.ch_inst, c_star)
-    assert scheme_verify(chal.kp.base.public_key, base_msg, base_sig)
-
-
 def test_case2_win_classifies_and_extracts():
-    chal, rng = transformed(5)
-    t = run_game(GameKind.SU, chal, CaseTwoForger(chal), budget=4, rng=rng)
+    t = play(5, CaseTwoForger)
     assert t.verdict is True
     cls = classify_forgery(t)
     assert cls.case == 2 and cls.index == 0
     pair_star, pair_i, verdict = case2_extract(t)
     assert verdict is CollisionVerdict.VALID
-
-
-def test_case2_on_dl_recovers_trapdoor():
-    for seed in range(8):
-        chal, rng = transformed(seed, ch=ChameleonKind.DL, params=DL_DEMO)
-        t = run_game(GameKind.SU, chal, CaseTwoForger(chal), budget=4, rng=rng)
-        assert t.verdict is True
-        pair_star, pair_i, verdict = case2_extract(t)
-        if verdict is CollisionVerdict.TRIVIAL:
-            continue  # the 11-element toy range collides at rate ~1/11
-        x = chameleon.dl_recover_trapdoor(chal.kp.ch_inst, pair_star, pair_i)
-        assert x == chal.kp.ch_td.x
-
-
-def test_first_two_hybrids_agree_for_non_probing_adversary():
-    res = hybrid_transcript_compare(
-        lambda ch: LuckyGuesser(),
-        range(20),
-        (ChallengerVariant.HYD0, ChallengerVariant.HYD1),
-        merkle_descriptor(2),
-        ChameleonKind.DL,
-        DL_DEMO,
-    )
-    assert res["matches"] == 20
 
 
 def test_probing_adversary_separates_reprogramming_hybrid():
@@ -250,8 +179,7 @@ def test_probing_adversary_separates_reprogramming_hybrid():
     # pre-queried one at rate ~1/11, so compare across a batch of seeds.
     matches = 0
     for seed in range(10):
-        chal, rng = transformed(seed, ch=ChameleonKind.DL, params=DL_DEMO)
-        t = run_game(GameKind.SU, chal, OneSigner(), budget=4, rng=rng)
+        t = play(seed, lambda ch: OneSigner(), ch=ChameleonKind.DL, params=DL_DEMO)
         known = [frame(message, t.queries[0].base_sig_bytes)]
         res = hybrid_transcript_compare(
             lambda ch: ProbingAdversary(known, [message]),
@@ -270,14 +198,13 @@ def test_third_hybrid_never_touches_trapdoor(monkeypatch):
         raise AssertionError("trapdoor inversion reached on the trapdoor-free path")
 
     monkeypatch.setattr(chameleon, "ch_invert", boom)
-    chal, rng = transformed(7, variant=ChallengerVariant.HYD2)
-    t = run_game(GameKind.SU, chal, ReplayAdversary(), budget=4, rng=rng)
-    assert chal.trapdoor_touched is False
+    t = play(7, lambda ch: ReplayAdversary(), variant=ChallengerVariant.HYD2)
+    assert t.challenger.trapdoor_touched is False
     assert t.verdict is False  # replay still loses; signatures still verify
 
 
 def test_third_hybrid_signatures_verify():
-    chal, rng = transformed(8, variant=ChallengerVariant.HYD2)
+    chal = challenger(rng_from_int(8), variant=ChallengerVariant.HYD2)
     sig_bytes, record = chal.sign(b"still valid")
     assert chal.verify(b"still valid", sig_bytes)
 
@@ -286,11 +213,8 @@ def test_game_report_schema():
     rep = game_report(
         GameKind.SU,
         ChallengerVariant.HYD0,
-        lambda m: make_transformed_challenger(
-            ChallengerVariant.HYD0, merkle_descriptor(2), ChameleonKind.SIS,
-            SIS_PARAMS, m,
-        ),
-        lambda ch: CaseOneForger(ch),
+        challenger,
+        CaseOneForger,
         range(5),
     )
     assert set(rep) == {
@@ -323,9 +247,7 @@ def test_first_hybrid_signs_as_s_prime(ch, params):
     from toosign.transform import s_prime
 
     master = rng_from_int(11)
-    chal = make_transformed_challenger(
-        ChallengerVariant.HYD0, merkle_descriptor(2), ch, params, master
-    )
+    chal = challenger(master, ch=ch, params=params)
     kp = chal.kp
     oracle = programmable_oracle(kp.ch_inst, master.fork(b"oracle").seed)
     rng = master.fork(b"challenger")
@@ -339,7 +261,7 @@ def test_first_hybrid_signs_as_s_prime(ch, params):
 def test_first_hybrid_queries_the_signing_frame_once(oracle_spy):
     from toosign.oracle import frame
 
-    chal, _ = transformed(12, ch=ChameleonKind.DL, params=DL_DEMO)
+    chal = challenger(rng_from_int(12), ch=ChameleonKind.DL, params=DL_DEMO)
     events = oracle_spy(chal.oracle)
     _, record = chal.sign(b"one query")
     point = frame(b"one query", record.base_sig_bytes)
@@ -350,7 +272,7 @@ def test_game_report_needs_a_seed():
     with pytest.raises(GameError):
         game_report(
             GameKind.SU, ChallengerVariant.HYD0,
-            lambda m: transformed(0)[0], lambda ch: ReplayAdversary(), range(0),
+            challenger, lambda ch: ReplayAdversary(), range(0),
         )
 
 
@@ -359,7 +281,7 @@ def test_verify_does_not_hide_harness_errors(monkeypatch):
     def broken(*args):
         raise RuntimeError("harness bug")
 
-    chal, _ = transformed(13, ch=ChameleonKind.DL, params=DL_DEMO)
+    chal = challenger(rng_from_int(13), ch=ChameleonKind.DL, params=DL_DEMO)
     sig_bytes, _ = chal.sign(b"signed")
     monkeypatch.setattr(games, "deserialize_signature", broken)
     with pytest.raises(RuntimeError):
@@ -385,9 +307,7 @@ def test_winning_forgery_is_parsed_twice(monkeypatch, forger, case):
     monkeypatch.setattr(games, "deserialize_signature", counting)
     rep = game_report(
         GameKind.SU, ChallengerVariant.HYD0,
-        lambda m: make_transformed_challenger(
-            ChallengerVariant.HYD0, merkle_descriptor(2), ChameleonKind.DL, DL_DEMO, m,
-        ),
+        lambda m: challenger(m, ch=ChameleonKind.DL, params=DL_DEMO),
         forger, range(14, 15),
     )
     assert rep["win_rate"] == 1.0 and rep[case] == 1
@@ -400,7 +320,7 @@ def test_public_key_is_encoded_once_per_game(monkeypatch):
     monkeypatch.setattr(
         TransformedKeyPair, "public_bytes", lambda kp: calls.append(1) or public_bytes(kp)
     )
-    chal, _ = transformed(3)
+    chal = challenger(rng_from_int(3))
     assert calls == [1]
     t = run_game(GameKind.SU, chal, ReplayAdversary(), 2, rng_from_int(3))
     assert t.visible[0] == b"pk:" + public_bytes(chal.kp)
