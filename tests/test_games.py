@@ -14,9 +14,11 @@ from toosign.games import (
     GameKind,
     GarbageForger,
     LuckyGuesser,
+    MaulingAdversary,
     ProbingAdversary,
     RawChallenger,
     ReplayAdversary,
+    case1_extract,
     case2_extract,
     classify_forgery,
     game_report,
@@ -34,8 +36,9 @@ DL_DEMO = {"name": "dl-demo"}
 
 
 def challenger(master, variant=ChallengerVariant.HYD0, ch=ChameleonKind.SIS,
-               params=SIS_PARAMS):
-    return make_transformed_challenger(variant, merkle_descriptor(2), ch, params, master)
+               params=SIS_PARAMS, desc=None):
+    return make_transformed_challenger(variant, desc or merkle_descriptor(2), ch, params,
+                                       master)
 
 
 def play(seed, make_adversary, kind=GameKind.SU, budget=4, **challenger_args):
@@ -76,6 +79,20 @@ def test_transformed_only_adversaries_refuse_a_raw_challenger(make_adversary):
     with pytest.raises(GameError):
         games.play(GameKind.SU, 0, lambda m: RawChallenger(desc, m), make_adversary, 4)
 
+
+
+def test_mauling_beats_raw_malleable_wrapper():
+    desc = wrap_malleable(merkle_descriptor(2))
+    for seed in range(10):
+        t = games.play(GameKind.SU, seed, lambda m: RawChallenger(desc, m),
+                       lambda ch: MaulingAdversary(), 4)
+        assert t.verdict is True
+
+
+def test_mauling_loses_against_transform():
+    desc = wrap_malleable(merkle_descriptor(2))
+    for seed in range(10):
+        assert play(seed, lambda ch: MaulingAdversary(), desc=desc).verdict is False
 
 def pad_randomness(sig_bytes: bytes) -> bytes:
     """The signature with a zero byte in front of its DL randomness integer."""
@@ -150,6 +167,18 @@ def test_sis_desk_collisions_are_trivial_to_find():
         assert np.abs(z).tolist() == [0] * p.k + [p.q] + [0] * (p.m - 1)
 
 
+
+def test_case1_win_classifies_and_extracts():
+    t = play(4, CaseOneForger)
+    assert t.verdict is True
+    assert classify_forgery(t).case == 1
+    c_star, base_sig = case1_extract(t)
+    from toosign.registry import scheme_verify
+    from toosign.transform import encode_range_value
+
+    kp = t.challenger.kp
+    assert scheme_verify(kp.base.public_key, encode_range_value(kp.ch_inst, c_star), base_sig)
+
 def test_case2_win_classifies_and_extracts():
     t = play(5, CaseTwoForger)
     assert t.verdict is True
@@ -158,6 +187,29 @@ def test_case2_win_classifies_and_extracts():
     pair_star, pair_i, verdict = case2_extract(t)
     assert verdict is CollisionVerdict.VALID
 
+
+
+def test_case2_on_dl_recovers_trapdoor():
+    for seed in range(8):
+        t = play(seed, CaseTwoForger, ch=ChameleonKind.DL, params=DL_DEMO)
+        assert t.verdict is True
+        pair_star, pair_i, verdict = case2_extract(t)
+        if verdict is CollisionVerdict.TRIVIAL:
+            continue  # the 11-element toy range collides at rate ~1/11
+        kp = t.challenger.kp
+        assert chameleon.dl_recover_trapdoor(kp.ch_inst, pair_star, pair_i) == kp.ch_td.x
+
+
+def test_first_two_hybrids_agree_for_non_probing_adversary():
+    res = hybrid_transcript_compare(
+        lambda ch: LuckyGuesser(),
+        range(20),
+        (ChallengerVariant.HYD0, ChallengerVariant.HYD1),
+        merkle_descriptor(2),
+        ChameleonKind.DL,
+        DL_DEMO,
+    )
+    assert res["matches"] == 20
 
 def test_probing_adversary_separates_reprogramming_hybrid():
     """Pre-querying the signing frame makes the reprogramming variant visible."""
