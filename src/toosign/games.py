@@ -85,7 +85,8 @@ def _malleable_verify(pk: bytes, message: bytes, sig: Signature) -> bool:
         return False
     inner_desc = _inner_descriptor(sig.descriptor)
     inner_sig = Signature(bytes=sig.bytes[:-1], descriptor=inner_desc)
-    return scheme_verify(pk, message, inner_sig)
+    # the inner scheme's own verify: scheme_verify's catch-all would hide a crash
+    return get_scheme(inner_desc.scheme_id).verify(pk, message, inner_sig)
 
 
 register_scheme(

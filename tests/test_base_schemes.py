@@ -11,6 +11,7 @@ outputs lie in Z_q with q ~ 2^2047.  Over dl-demo (11 outputs) or sis-desk
 collision alone.
 """
 
+import dataclasses
 import functools
 import hashlib
 from typing import Callable, NamedTuple, Optional
@@ -18,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toosign import games, transform
+from toosign import games, registry, transform
 from toosign.chameleon import ChameleonKind
 from toosign.errors import CapacityError
 from toosign.merkle import merkle_descriptor
@@ -109,6 +110,23 @@ def test_registered_verify_is_total(row, data):
     forged = transform.TransformedSignature(Signature(junk, kp.descriptor), tsig.randomness)
     oracle = production_oracle(tkp.ch_inst)
     assert v_prime(public_key_of(tkp), b"signed", forged, oracle) is False
+
+
+def test_malleable_wrapper_does_not_hide_a_crashing_inner_verify(monkeypatch):
+    """The wrapper calls its inner scheme's registered verify, not the
+    catch-all of `scheme_verify`, so a crash there surfaces, and the totality
+    test above tells a total wrapper from one over a crashing verifier."""
+    kp, sig, _, _ = signed(ROWS["malleable-merkle-h2"])
+    merkle_id = merkle_descriptor(2).scheme_id
+
+    def crash(*args):
+        raise RuntimeError("inner verify crashed")
+
+    impl = dataclasses.replace(get_scheme(merkle_id), verify=crash)
+    monkeypatch.setitem(registry._REGISTRY, merkle_id, impl)
+    with pytest.raises(RuntimeError, match="inner verify crashed"):
+        get_scheme(kp.descriptor.scheme_id).verify(kp.public_key, DIGEST, sig)
+    assert scheme_verify(kp.public_key, DIGEST, sig) is False
 
 
 @each_row

@@ -4,8 +4,11 @@ The small instance is p = 23 = 2*11 + 1, g = 4 generating the order-11
 subgroup {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}.
 """
 
+import builtins
 import hashlib
+import sys
 import time
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -156,25 +159,25 @@ def test_instance_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# fixed-base exponentiation on dl-2048
+# exponentiation on dl-2048: libcrypto's BIGNUM, or builtin pow without it
 
 P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
-BITS = Q2048.bit_length()  # 2047: the comb's last row is 3 bits short
-LIMBS, ROWS = chameleon._COMB_LIMBS, chameleon._COMB_ROWS
-COLUMNS = chameleon._comb_width(BITS)  # 41
-LIMB_BITS = COLUMNS * ROWS  # 410
+BITS = Q2048.bit_length()  # 2047
 X2048 = 0x5EED << 1000
 Y2048 = pow(G2048, X2048, P2048)
+# bit edges of splits of the exponent: every 410th bit (limbs of a 5 x 10
+# split of 2047 bits, whose rows, every 41st bit, are ROW_EXPONENTS) and
+# every 256th (an 8-row split)
 EXPONENTS = sorted(
     {0, 1, 2, Q2048 - 1, (1 << BITS) - 1, 1 << (BITS - 1)}
-    # the limb boundaries, and the row boundaries of the 8-row layout before
-    | {(1 << (LIMB_BITS * i)) + d for i in range(1, LIMBS) for d in (-1, 0, 1)}
-    | {(1 << (-(-BITS // 8) * i)) + d for i in range(1, 8) for d in (-1, 0, 1)}
+    | {(1 << (410 * i)) + d for i in range(1, 5) for d in (-1, 0, 1)}
+    | {(1 << (256 * i)) + d for i in range(1, 8) for d in (-1, 0, 1)}
 )
-# every row boundary, and the limb boundaries
-ROW_EXPONENTS = [
-    (1 << (COLUMNS * i)) - d for i in range(ROWS * LIMBS) for d in (0, 1)
-] + [(1 << (LIMB_BITS * i)) + d for i in range(1, LIMBS) for d in (-1, 0, 1)]
+ROW_EXPONENTS = [(1 << (41 * i)) - d for i in range(50) for d in (0, 1)] + [
+    (1 << (410 * i)) + d for i in range(1, 5) for d in (-1, 0, 1)
+]
+# 2^(8k) - 1 and 2^(8k) + 1: the exponent's byte length steps at each
+BYTE_EDGES = [(1 << (8 * k)) + d for k in range(1, 256) for d in (-1, 1)]
 
 
 def pow_reference(pairs):
@@ -185,86 +188,65 @@ def pow_reference(pairs):
 
 
 def multi_pow(pairs):
-    return chameleon._multi_pow(pairs, P2048, BITS)
+    return chameleon._multi_pow(pairs, P2048)
 
 
-def cached(base):
-    """The comb tables of base; None if it has none, evicted or never seen."""
-    comb = chameleon._comb_cache.get((base, P2048, BITS))
-    return comb and comb[0]
+def libcrypto():
+    """The loaded binding; the test is skipped where none loads."""
+    multi_pow(((G2048, 1),))
+    if not chameleon._libcrypto:
+        pytest.skip("no libcrypto")
+    return chameleon._libcrypto
 
 
-def shape(tables):
-    return [len(table) for table in tables]
+def spy_on(monkeypatch, owner, name):
+    """Wraps owner.name with a recorder; returns the list of its calls' args."""
+    calls, original = [], getattr(owner, name, None) or getattr(builtins, name)
 
+    def record(*args):
+        calls.append(args)
+        return original(*args)
 
-def test_multi_pow_uses_pow_first_then_a_table():
-    chameleon._comb_cache.clear()
-    pairs = ((G2048, Q2048 - 1), (Y2048, 1 << COLUMNS))
-    assert multi_pow(pairs) == pow_reference(pairs)
-    assert cached(G2048) is None and cached(Y2048) is None
-    assert multi_pow(pairs) == pow_reference(pairs)
-    assert shape(cached(G2048)) == [1 << ROWS] * LIMBS
-    assert shape(cached(Y2048)) == [1 << ROWS] * LIMBS
-    # a joint call may mix a base with a table and one seen for the first time
-    z = pow(G2048, 12345, P2048)
-    mixed = ((G2048, 5), (z, Q2048 - 2))
-    assert multi_pow(mixed) == pow_reference(mixed)
-    assert cached(z) is None
-
-
-def test_committed_powers_of_the_generator():
-    powers = chameleon._COMMITTED_POWERS[(G2048, P2048)]
-    assert powers[1:] == chameleon._MODP_2048_G_POWERS
-    for k, power in enumerate(powers):
-        assert power == pow(2, 1 << (512 * k), P2048)
-
-
-SPLIT = chameleon._SPLIT_BITS
-SPLIT_EXPONENTS = sorted(
-    {0, 1, 2, 0x5EED, (1 << (SPLIT - 1)) + 3, Q2048 - 1, (1 << BITS) - 1}
-    | {(1 << (SPLIT * k)) + d for k in (1, 2, 3) for d in (-1, 0, 1)}
-)
+    monkeypatch.setattr(owner, name, record, raising=False)
+    return calls
 
 
 def count_builtin_pow(monkeypatch):
     """Shadows builtin pow in chameleon with a wrapper; returns its call list."""
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return pow(*args)
-
-    monkeypatch.setattr(chameleon, "pow", counting, raising=False)
-    return calls
+    return spy_on(monkeypatch, chameleon, "pow")
 
 
-def test_lone_generator_splits_over_its_committed_powers(monkeypatch):
-    """A first use of g alone: one pass over its four 512-bit parts, no
-    builtin pow, and no table."""
-    splits = []
-    split = chameleon._split
-    monkeypatch.setattr(
-        chameleon, "_split", lambda *args: splits.append(split(*args)) or splits[-1]
-    )
+def spy_on_exp(monkeypatch):
+    """The calls of the binding's one-base and two-base exponentiations."""
+    lib = libcrypto()
+    return (spy_on(monkeypatch, lib, "BN_mod_exp_mont_consttime"),
+            spy_on(monkeypatch, lib, "BN_mod_exp2_mont"))
+
+
+def test_multi_pow_uses_pow_first_then_a_table(monkeypatch):
+    """Below 256 bits of p every base takes builtin pow; from there up
+    libcrypto computes the product and builtin pow is not called."""
+    libcrypto()
+    bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
     pows = count_builtin_pow(monkeypatch)
-    powers = chameleon._COMMITTED_POWERS[(G2048, P2048)]
-    for e in SPLIT_EXPONENTS:
-        chameleon._comb_cache.clear()
-        splits.clear()
-        assert multi_pow(((G2048, e),)) == pow(G2048, e, P2048)
-        assert cached(G2048) is None
-        parts = [(power, e >> (SPLIT * k) & ((1 << SPLIT) - 1)) for k, power in enumerate(powers)]
-        assert splits == [parts]
-    assert pows == []
+    inst, _ = fixed_instance()
+    assert chameleon.ch_hash(inst, 2, 5) == 2
+    assert len(pows) == 2 and bn == []
+    pows.clear()
+    pairs = ((G2048, Q2048 - 1), (Y2048, 1 << 41))
+    assert multi_pow(pairs) == pow_reference(pairs)
+    assert pows == [] and len(bn) == 1
 
 
-def test_dl_2048_keygen_cold_then_table_then_comb():
-    chameleon._comb_cache.clear()
+def test_dl_2048_keygen_cold_then_table_then_comb(monkeypatch):
+    """Every key generation computes y = g^(x + q) = g^x in the constant-time
+    one-base call, and so does every decoding of its secret key."""
+    one, two = spy_on_exp(monkeypatch)
     for use in range(3):
         inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(20 + use))
         assert inst.y == pow(inst.g, td.x, inst.p)
-        assert (cached(G2048) is not None) == (use > 0)
+        assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
+        assert (len(one), len(two)) == (2 * use + 2, 0)
 
 
 def check_against_pow(e, f):
@@ -277,104 +259,159 @@ def check_against_pow(e, f):
 def test_multi_pow_row_boundaries():
     for e in EXPONENTS:
         check_against_pow(e, (e * 7 + 3) % Q2048)
-    multi_pow(((Y2048, 1),))  # the comb for y too
     for e in ROW_EXPONENTS:
         assert multi_pow(((Y2048, e),)) == pow(Y2048, e, P2048)
 
 
 def test_generator_comb_row_and_limb_boundaries():
-    chameleon._comb_cache.clear()
-    for _ in range(2):
-        multi_pow(((G2048, 1), (Y2048, 1)))
-    assert cached(G2048) is not None and cached(Y2048) is not None
     for e in ROW_EXPONENTS:
         check_against_pow(e, (e * 7 + 3) % Q2048)
 
 
-def test_every_table_entry_is_as_wide_as_p():
-    """No entry, 0 included, is 1 or short enough to make its product
-    cheaper: the column loop's cost does not depend on the index."""
-    chameleon._comb_cache.clear()
-    for _ in range(2):
-        multi_pow(((G2048, 1), (Y2048, 1)))
-    for base in (G2048, Y2048):
-        tables, correction = chameleon._comb_cache[(base, P2048, BITS)]
-        assert shape(tables) == [1 << ROWS] * LIMBS
-        widths = [v.bit_length() for table in tables for v in table]
-        assert min(widths) >= P2048.bit_length() - 64
-        # entry 0 is c, the row power after the last, which the correction cancels
-        c = pow(base, 1 << (COLUMNS * LIMBS * ROWS), P2048)
-        assert all(table[0] == c for table in tables)
-        assert pow(c, LIMBS * ((1 << COLUMNS) - 1), P2048) * correction % P2048 == 1
+def powers_at_byte_edges(base):
+    """{e: base^e mod p} over BYTE_EDGES, from one chain of squarings."""
+    inverse, square, out = pow(base, -1, P2048), base, {}
+    for k in range(1, 256):
+        for _ in range(8):
+            square = square * square % P2048
+        out[(1 << (8 * k)) - 1] = square * inverse % P2048
+        out[(1 << (8 * k)) + 1] = square * base % P2048
+    return out
 
 
-def test_dl_hash_matches_pow_before_and_after_the_tables():
-    """First use: no table; second use: builds it; then the comb."""
+def check_byte_edges(edges):
+    """One base and two at each edge e, the second base raised to the edge
+    of the other sign, against powers computed without _multi_pow."""
+    g, y = powers_at_byte_edges(G2048), powers_at_byte_edges(Y2048)
+    for e in edges:
+        f = e + 2 if e & 2 else e - 2  # 2^(8k) - 1 <-> 2^(8k) + 1
+        assert multi_pow(((G2048, e),)) == g[e]
+        assert multi_pow(((G2048, e), (Y2048, f))) == g[e] * y[f] % P2048
+
+
+def test_multi_pow_at_every_byte_length_edge():
+    libcrypto()
+    check_byte_edges(BYTE_EDGES)
+
+
+def test_builtin_pow_fallback_without_libcrypto(monkeypatch):
+    """With no library, every base takes builtin pow: the edge vectors (at
+    64-bit word edges only, as each builtin pow takes about 25 ms) and the
+    boundary vectors match."""
+    monkeypatch.setattr(chameleon, "_libcrypto", False)
+    pows = count_builtin_pow(monkeypatch)
+    check_byte_edges([e for e in BYTE_EDGES if e.bit_length() % 64 in (0, 1)])
+    for e in EXPONENTS[:: 3]:
+        check_against_pow(e, (e * 7 + 3) % Q2048)
+    assert pows
+
+
+def test_golden_dl_2048_digests_without_libcrypto(monkeypatch):
+    """The pinned dl-2048 bytes of tests/test_golden.py, computed with
+    builtin pow instead of libcrypto."""
+    from test_golden import GOLDEN, seeded_digests
+
+    monkeypatch.setattr(chameleon, "_libcrypto", False)
+    for base in ("merkle", "malleable"):
+        assert seeded_digests("dl-2048", base) == GOLDEN[("dl-2048", base)]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="libcrypto by its Linux soname")
+def test_libcrypto_binding_loads_on_linux():
+    assert chameleon._load_libcrypto() is not None
+    multi_pow(((G2048, 3),))
+    assert chameleon._libcrypto
+
+
+def test_dl_hash_matches_pow_before_and_after_the_tables(monkeypatch):
+    """The hash and the folded hash match pow on every call: the public
+    g^m y^r in one two-base call, the folded g^(m + x r + q) in one
+    constant-time one-base call."""
     x = X2048 % Q2048
     inst, td = DLInstance(P2048, Q2048, G2048, Y2048), DLTrapdoor(x, pow(x, -1, Q2048))
-
-    def folded(m, r):
-        return inst.trapdoor_hash(td, m, r)
-
-    for hash_, bases in ((inst.hash, (G2048, Y2048)), (folded, (G2048,))):
-        chameleon._comb_cache.clear()
-        for use, (m, r) in enumerate([(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (2, 3)]):
-            assert hash_(m, r) == pow_reference(((G2048, m), (Y2048, r)))
-            assert all((cached(b) is not None) == (use > 0) for b in bases)
-    assert list(chameleon._comb_cache) == [(G2048, P2048, BITS)]
+    one, two = spy_on_exp(monkeypatch)
+    for m, r in [(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (2, 3), (0, 0)]:
+        expected = pow_reference(((G2048, m), (Y2048, r)))
+        assert inst.hash(m, r) == expected
+        assert inst.trapdoor_hash(td, m, r) == expected
+    assert (len(one), len(two)) == (4, 4)
 
 
-def test_one_base_in_both_roles_gets_one_entry():
-    inst = DLInstance(P2048, Q2048, G2048, G2048)  # y = g
-    chameleon._comb_cache.clear()
+def test_exponents_on_the_trapdoor_have_q_added(monkeypatch):
+    """The folded g^e, y = g^x and the g^x = y check pass e + q in [q, 2q),
+    so the constant-time call sees as many words for e = 0 as for any e:
+    g^1 ran in 0.13 ms and a random e in 2.5 ms without it."""
+    calls = spy_on(monkeypatch, chameleon, "_multi_pow")
+    inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(9))
+    inst.deserialize_trapdoor(inst.serialize_trapdoor(td))
+    for m, r in [(0, 0), (1, 0), (Q2048 - 1, Q2048 - 1)]:
+        inst.trapdoor_hash(td, m, r)
+    assert len(calls) == 5
+    for terms, p in calls:
+        (base, e), = terms
+        assert base == G2048 and Q2048 <= e < 2 * Q2048 and p == P2048
+
+
+def test_one_base_in_both_roles_gets_one_entry(monkeypatch):
+    """y = g: one two-base call with the same base twice."""
+    inst = DLInstance(P2048, Q2048, G2048, G2048)
+    one, two = spy_on_exp(monkeypatch)
     for m, r in [(Q2048 - 1, 7), (3, Q2048 - 5), (1 << 1000, 1 << 2000)]:
         assert inst.hash(m, r) == pow(G2048, m + r, P2048)
-    assert shape(cached(G2048)) == [1 << ROWS] * LIMBS
-    assert len(chameleon._comb_cache) == 1
+    assert (len(one), len(two)) == (0, 3)
+
+
+def chameleon_bytes_alive(run):
+    """The bytes allocated on chameleon.py's lines during run() that are
+    still allocated after it."""
+    tracemalloc.start()
+    try:
+        run()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    only = [tracemalloc.Filter(True, chameleon.__file__)]
+    return sum(stat.size for stat in snapshot.filter_traces(only).statistics("filename"))
 
 
 def test_comb_footprint_after_two_signs_and_verifies():
-    """A larger comb fails here before it shows in the benchmark's peak RSS.
-    Five limbs of 1024 products, about 1.58 MB per base, raised dl-2048's
-    peak_rss_mb by 1.24 MB over three limbs (median of 10 runs)."""
-    chameleon._comb_cache.clear()
-    kp = transform.g_prime(
-        merkle.merkle_descriptor(2), ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(6)
-    )
-    ro, pk = production_oracle(kp.ch_inst), transform.public_key_of(kp)
-    for i in range(2):
-        sig, kp = transform.s_prime(kp, b"message %d" % i, ro, rng_from_int(30 + i))
-        assert transform.v_prime(pk, b"message %d" % i, sig, ro)
-    entries = sum(len(t) for comb in chameleon._comb_cache.values() if comb for t in comb[0])
-    assert entries == 2 * 5 * 1024
+    """Nothing is kept per base: after key generation and two signs and
+    verifies, what chameleon.py allocated and still holds is the key's and
+    the signatures' integers, a few kB (two tables once held 3.2 MB)."""
+    libcrypto()
+    kept = []
 
+    def run():
+        kp = transform.g_prime(
+            merkle.merkle_descriptor(2), ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(6)
+        )
+        ro, pk = production_oracle(kp.ch_inst), transform.public_key_of(kp)
+        for i in range(2):
+            sig, kp = transform.s_prime(kp, b"message %d" % i, ro, rng_from_int(30 + i))
+            assert transform.v_prime(pk, b"message %d" % i, sig, ro)
+            kept.append(sig)
+        kept.append(kp)
 
-def fresh_bases(count):
-    chameleon._comb_cache.clear()
-    return [pow(G2048, 7 + i, P2048) for i in range(count)]
+    assert chameleon_bytes_alive(run) < 16384
 
 
 @pytest.mark.parametrize("count", [2, 3])
 def test_joint_first_use_pass(count, monkeypatch):
-    """Bases seen for the first time share one window pass with no builtin
-    pow, and tables come on their second use if the cache holds them all;
-    more bases than that evict each other and take the window pass on every
-    call."""
+    """Each pair of bases shares one BN_mod_exp2_mont pass and a base left
+    over takes a one-base call; builtin pow is never called."""
+    one, two = spy_on_exp(monkeypatch)
     pows = count_builtin_pow(monkeypatch)
-    for e in EXPONENTS[: 4 * count : 2] + [Q2048 - 1 - i for i in range(5)]:
-        pairs = [(b, e) for b in fresh_bases(count)]
-        assert multi_pow(pairs) == pow_reference(pairs)
     bases = fresh_bases(count)
-    pairs = [(b, (Q2048 - 1) // (i + 2)) for i, b in enumerate(bases)]
-    assert multi_pow(pairs) == pow_reference(pairs)
-    assert all(cached(b) is None for b in bases)
+    exponents = EXPONENTS[:8:2] + [Q2048 - 1 - i for i in range(5)]
+    for e in exponents:
+        pairs = [(b, e) for b in bases]
+        assert multi_pow(pairs) == pow_reference(pairs)
     assert pows == []
-    assert multi_pow(pairs) == pow_reference(pairs)
-    if count <= chameleon._COMB_CACHE_SIZE:
-        assert all(cached(b) is not None for b in bases)
-    else:
-        assert all(cached(b) is None for b in bases)
-        assert pows == []
+    assert (len(one), len(two)) == ((count - 2) * len(exponents), len(exponents))
+
+
+def fresh_bases(count):
+    return [pow(G2048, 7 + i, P2048) for i in range(count)]
 
 
 @settings(max_examples=10, deadline=None)
@@ -385,49 +422,18 @@ def test_joint_pass_matches_pow_property(exponents):
 
 
 def test_mixed_call_with_and_without_tables(monkeypatch):
-    chameleon._comb_cache.clear()
-    g_only = ((G2048, 3),)
-    multi_pow(g_only)
-    multi_pow(g_only)
-    assert cached(G2048) is not None
+    """The same calls, of one, two and three bases, give the same values
+    with libcrypto and with builtin pow."""
+    libcrypto()
     z1, z2 = pow(G2048, 99, P2048), pow(G2048, 101, P2048)
-    pairs = ((z1, Q2048 - 3), (G2048, Q2048 - 5), (z2, 1 << (BITS - 1)))
-    assert multi_pow(pairs) == pow_reference(pairs)
-    assert cached(z1) is None and cached(z2) is None
-    # a table and one first-use base without committed powers share one pass
-    z3 = pow(G2048, 103, P2048)
-    pairs = ((G2048, Q2048 - 7), (z3, Q2048 - 11))
-    pows = count_builtin_pow(monkeypatch)
-    assert multi_pow(pairs) == pow_reference(pairs)
-    assert cached(z3) is None and pows == []
-
-
-class CountedEntry(int):
-    """A comb entry that counts the products it is the right operand of."""
-
-    products = 0
-
-    def __rmul__(self, other):
-        CountedEntry.products += 1
-        return other * int(self)
-
-
-def test_warm_comb_products_do_not_depend_on_the_exponent():
-    """One product per limb per column, whatever the exponent's digits."""
-    chameleon._comb_cache.clear()
-    for _ in range(2):
-        multi_pow(((G2048, 1), (Y2048, 1)))
-    for base in (G2048, Y2048):
-        tables, correction = chameleon._comb_cache[(base, P2048, BITS)]
-        counted = [[CountedEntry(v) for v in table] for table in tables]
-        chameleon._comb_cache[(base, P2048, BITS)] = counted, correction
-    for e in (0, 1, Q2048 - 1, 1 << 2046, rng_from_int(25).randbelow(Q2048)):
-        f = (e * 7 + 3) % Q2048
-        for pairs, tabled in ((((G2048, e),), 1), (((G2048, e), (Y2048, f)), 2)):
-            CountedEntry.products = 0
-            assert multi_pow(pairs) == pow_reference(pairs)
-            assert CountedEntry.products == tabled * COLUMNS * LIMBS
-    chameleon._comb_cache.clear()
+    calls = [
+        ((z1, Q2048 - 3), (G2048, Q2048 - 5), (z2, 1 << (BITS - 1))),
+        ((G2048, Q2048 - 7), (z1, Q2048 - 11)),
+        ((z2, 0),),
+    ]
+    with_library = [multi_pow(pairs) for pairs in calls]
+    monkeypatch.setattr(chameleon, "_libcrypto", False)
+    assert [multi_pow(pairs) for pairs in calls] == with_library
 
 
 @settings(max_examples=25, deadline=None)
@@ -437,31 +443,40 @@ def test_multi_pow_matches_pow_property(e, f):
 
 
 def test_comb_cache_stays_bounded():
-    chameleon._comb_cache.clear()
-    bases = [pow(G2048, 1000 + i, P2048) for i in range(chameleon._COMB_CACHE_SIZE + 3)]
-    for b in bases:
-        for _ in range(2):
-            assert multi_pow(((b, Q2048 - 2),)) == pow(b, Q2048 - 2, P2048)
-    assert list(chameleon._comb_cache) == [
-        (b, P2048, BITS) for b in bases[-chameleon._COMB_CACHE_SIZE :]
-    ]
-    # short exponents never build a table
-    inst, _ = fixed_instance()
-    chameleon.ch_hash(inst, 3, 4)
-    chameleon.ch_hash(inst, 3, 4)
-    assert len(chameleon._comb_cache) == chameleon._COMB_CACHE_SIZE
-    assert all(key[1] == P2048 for key in chameleon._comb_cache)
+    """Exponentiations keep nothing per base: after twenty bases, what
+    chameleon.py allocated and still holds is the results alone."""
+    libcrypto()
+    results = []
+
+    def run():
+        for i in range(20):
+            results.append(multi_pow(((pow(G2048, 1000 + i, P2048), Q2048 - 2),)))
+
+    assert chameleon_bytes_alive(run) < 20 * 512  # a 2048-bit int takes 300 bytes
 
 
-def test_dl_demo_never_enters_the_cache():
-    chameleon._comb_cache.clear()
+def test_dl_demo_never_enters_the_cache(monkeypatch):
+    """dl-demo's 5-bit p never reaches libcrypto."""
+    bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
     inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-demo"}, rng_from_int(3))
     rng = rng_from_int(4)
     for _ in range(5):
         sample = chameleon.sample_range(inst, rng, td)
         r = chameleon.ch_invert(inst, td, 5, sample)
         assert chameleon.ch_hash(inst, 5, r) == sample.element
-    assert not chameleon._comb_cache
+    assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
+    assert bn == []
+
+
+def test_dl_trapdoor_that_does_not_match_y_is_refused():
+    """A trapdoor x + 1 lies in [1, q) and has an inverse, but g^(x+1) != y."""
+    for name in ("dl-demo", "dl-2048"):
+        inst, td = chameleon.hg(ChameleonKind.DL, {"name": name}, rng_from_int(2))
+        x = td.x % (inst.q_grp - 1)  # x + 1 stays below q
+        good = DLInstance(inst.p, inst.q_grp, inst.g, pow(inst.g, x, inst.p))
+        assert good.deserialize_trapdoor(good.serialize_trapdoor(DLTrapdoor(x, 0))).x == x
+        with pytest.raises(FormatError, match="does not match y"):
+            good.deserialize_trapdoor(good.serialize_trapdoor(DLTrapdoor(x + 1, 0)))
 
 
 def test_trapdoor_inverse_once_per_trapdoor(monkeypatch):

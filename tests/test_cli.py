@@ -249,6 +249,23 @@ def test_degenerate_trapdoor_is_malformed(workspace, multiple):
     sign_refused(workspace, "bad.tookey", "key.toopub")
 
 
+def test_dl_trapdoor_that_does_not_match_y_is_malformed(workspace):
+    """A dl-2048 trapdoor x + 1 is in range and invertible but g^(x+1) != y:
+    signing with it would release a signature that no verifier accepts, so
+    sign exits 2 and spends no leaf."""
+    assert too_sign("keygen", "--chameleon", "dl", "--height", "1",
+                    "--out", "dk", "--seed", SEED_A, cwd=workspace).returncode == 0
+    sk = edit_record(
+        (workspace / "dk.tookey").read_bytes(), encoding.TAG_TRANSFORMED_SK, 2,
+        lambda record: edit_record(
+            record, encoding.TAG_DL_TRAPDOOR, 0,
+            lambda x: encoding.encode_int(encoding.decode_int(x) + 1),
+        ),
+    )
+    (workspace / "bad.tookey").write_bytes(sk)
+    sign_refused(workspace, "bad.tookey", "dk.toopub")
+
+
 def test_public_key_of_another_pair_is_refused(workspace):
     """sign spends no leaf when the public key belongs to another key pair."""
     assert too_sign("keygen", "--chameleon", "dl-demo", "--height", "2",

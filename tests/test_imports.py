@@ -2,8 +2,9 @@
 every name a toosign module defines is used somewhere, no code asks which
 chameleon family it holds, no module names numpy and a process runs both
 families without it, `import toosign.cli` loads only what keygen, sign and
-verify run and builds one dataclass, and a one-shot sign or verify never
-builds a comb table."""
+verify run and builds one dataclass, ctypes loads only with the first
+exponentiation modulo a large p, and a one-shot sign or verify keeps
+nothing per base."""
 
 import ast
 import os
@@ -213,40 +214,38 @@ with open("unnamed.toopub", "wb") as f:
     f.write(encoding.encode_record(encoding.TAG_TRANSFORMED_PK, pk_fields))
 code = too_sign("verify", "--pub", "unnamed.toopub", "--in", "msg.txt", "--sig", "msg.toosig")
 assert code == 2, f"verify of an unnamed set exited {code}"
+assert "ctypes" not in sys.modules, "a sis run loaded ctypes"
 """
 
 
 def test_unnamed_sis_set_is_refused_before_numpy_loads(tmp_path):
     """With numpy unimportable, `too-sign` keys, signs and verifies on
     sis-desk, and `too-sign verify` on its public key with k raised to 9
-    exits 2 (malformed)."""
+    exits 2 (malformed), all without loading ctypes."""
     r = run_child(f"WORKDIR = {str(tmp_path)!r}" + UNNAMED_SIS_VERIFY)
     assert r.returncode == 0, r.stderr
 
 
 ONE_SHOT = """
+import sys
 from toosign import chameleon, merkle, oracle, rng, transform
-
-built = []
-comb_table = chameleon._comb_table
-chameleon._comb_table = lambda *args: built.append(args) or comb_table(*args)
 
 kp = transform.g_prime(merkle.merkle_descriptor(2), chameleon.ChameleonKind.DL,
                        {"name": "dl-2048"}, rng.rng_from_int(1))
-# `too-sign sign` is a process of its own: it runs no keygen
-chameleon._comb_cache.clear()
+assert "ctypes" in sys.modules, "no exponentiation tried to load libcrypto"
+before = dict(vars(chameleon))
 sig, _ = transform.s_prime(kp, b"message", oracle.production_oracle(kp.ch_inst),
                            rng.rng_from_int(2))
-assert not built, "a one-shot sign built a comb table"
-# `too-sign verify` is a process of its own: it starts with no base seen
-chameleon._comb_cache.clear()
 pk = transform.public_key_of(kp)
 assert transform.v_prime(pk, b"message", sig, oracle.production_oracle(pk.ch_inst))
-assert not built, "a one-shot verify built a comb table"
+assert dict(vars(chameleon)) == before, "a sign or verify left state in chameleon"
 """
 
 
 def test_one_shot_sign_and_verify_build_no_table():
+    """A dl-2048 key loads ctypes with its first exponentiation, and a sign
+    and a verify then leave chameleon's namespace as it was: nothing is kept
+    per base."""
     r = run_child(ONE_SHOT)
     assert r.returncode == 0, r.stderr
 
@@ -257,7 +256,7 @@ import toosign, toosign.cli
 from toosign import registry
 
 heavy = ("click", "toosign.games", "toosign.bench", "numpy",
-         "multiprocessing", "concurrent.futures", "subprocess")
+         "multiprocessing", "concurrent.futures", "subprocess", "ctypes")
 loaded = [m for m in heavy if m in sys.modules]
 assert not loaded, f"import toosign.cli loaded {loaded}"
 assert 2 not in registry._REGISTRY, "the malleable wrapper is registered"
