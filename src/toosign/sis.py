@@ -64,10 +64,6 @@ class SISParams(NamedTuple):
     w: int
     norm_bound_sq: int  # floor(s^2 m): ||r||^2 is an integer
 
-    @property
-    def norm_bound(self) -> float:
-        return self.s * math.sqrt(self.m)
-
     def is_short(self, r: Vector) -> bool:
         """||r|| <= s sqrt(m), without floats."""
         return bool(sum(map(mul, r, r)) <= self.norm_bound_sq)

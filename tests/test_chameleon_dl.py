@@ -165,18 +165,11 @@ P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
 BITS = Q2048.bit_length()  # 2047
 X2048 = 0x5EED << 1000
 Y2048 = pow(G2048, X2048, P2048)
-# bit edges of splits of the exponent: every 410th bit (limbs of a 5 x 10
-# split of 2047 bits, whose rows, every 41st bit, are ROW_EXPONENTS) and
-# every 256th (an 8-row split)
-EXPONENTS = sorted(
-    {0, 1, 2, Q2048 - 1, (1 << BITS) - 1, 1 << (BITS - 1)}
-    | {(1 << (410 * i)) + d for i in range(1, 5) for d in (-1, 0, 1)}
-    | {(1 << (256 * i)) + d for i in range(1, 8) for d in (-1, 0, 1)}
-)
-ROW_EXPONENTS = [(1 << (41 * i)) - d for i in range(50) for d in (0, 1)] + [
-    (1 << (410 * i)) + d for i in range(1, 5) for d in (-1, 0, 1)
-]
-# 2^(8k) - 1 and 2^(8k) + 1: the exponent's byte length steps at each
+# the ends of [0, q) and of the padded [q, 2q) that _secret_pow passes, and
+# 2^2046 and 2^2047 - 1, the least and the greatest of 2047 bits
+SPECIAL = [0, 1, 2, Q2048 - 1, Q2048, 2 * Q2048 - 1, 1 << (BITS - 1), (1 << BITS) - 1]
+# 2^(8k) - 1 and 2^(8k) + 1: the exponent's byte length steps at each, and
+# every eighth k is a 64-bit word edge
 BYTE_EDGES = [(1 << (8 * k)) + d for k in range(1, 256) for d in (-1, 1)]
 
 
@@ -224,8 +217,8 @@ def spy_on_exp(monkeypatch):
 
 
 def test_multi_pow_uses_pow_first_then_a_table(monkeypatch):
-    """Below 256 bits of p every base takes builtin pow; from there up
-    libcrypto computes the product and builtin pow is not called."""
+    """Below 256 bits of p every base takes builtin pow; from there up one
+    libcrypto call computes the product and builtin pow is not called."""
     libcrypto()
     bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
     pows = count_builtin_pow(monkeypatch)
@@ -249,23 +242,16 @@ def test_dl_2048_keygen_cold_then_table_then_comb(monkeypatch):
         assert (len(one), len(two)) == (2 * use + 2, 0)
 
 
-def check_against_pow(e, f):
-    ge, yf = pow(G2048, e, P2048), pow(Y2048, f, P2048)
+def check_against(e, f, ge, yf, swapped=True):
+    """One base and two, also swapped, given ge = g^e and yf = y^f."""
     assert multi_pow(((G2048, e),)) == ge
     assert multi_pow(((G2048, e), (Y2048, f))) == ge * yf % P2048
-    assert multi_pow(((Y2048, f), (G2048, e))) == ge * yf % P2048
+    if swapped:
+        assert multi_pow(((Y2048, f), (G2048, e))) == ge * yf % P2048
 
 
-def test_multi_pow_row_boundaries():
-    for e in EXPONENTS:
-        check_against_pow(e, (e * 7 + 3) % Q2048)
-    for e in ROW_EXPONENTS:
-        assert multi_pow(((Y2048, e),)) == pow(Y2048, e, P2048)
-
-
-def test_generator_comb_row_and_limb_boundaries():
-    for e in ROW_EXPONENTS:
-        check_against_pow(e, (e * 7 + 3) % Q2048)
+def check_against_pow(e, f, swapped=True):
+    check_against(e, f, pow(G2048, e, P2048), pow(Y2048, f, P2048), swapped)
 
 
 def powers_at_byte_edges(base):
@@ -279,30 +265,32 @@ def powers_at_byte_edges(base):
     return out
 
 
-def check_byte_edges(edges):
-    """One base and two at each edge e, the second base raised to the edge
-    of the other sign, against powers computed without _multi_pow."""
+def check_vectors(edges, swapped=True):
+    """The special values against builtin pow, each exponent of g met by
+    another of y; then each edge e, y raised to the edge f of the other
+    sign, against powers computed without _multi_pow."""
+    for e, f in zip(SPECIAL, reversed(SPECIAL)):
+        check_against_pow(e, f, swapped)
     g, y = powers_at_byte_edges(G2048), powers_at_byte_edges(Y2048)
     for e in edges:
         f = e + 2 if e & 2 else e - 2  # 2^(8k) - 1 <-> 2^(8k) + 1
-        assert multi_pow(((G2048, e),)) == g[e]
-        assert multi_pow(((G2048, e), (Y2048, f))) == g[e] * y[f] % P2048
+        check_against(e, f, g[e], y[f], swapped)
 
 
 def test_multi_pow_at_every_byte_length_edge():
+    """The special values and every byte-length edge, on libcrypto."""
     libcrypto()
-    check_byte_edges(BYTE_EDGES)
+    check_vectors(BYTE_EDGES)
 
 
 def test_builtin_pow_fallback_without_libcrypto(monkeypatch):
-    """With no library, every base takes builtin pow: the edge vectors (at
-    64-bit word edges only, as each builtin pow takes about 25 ms) and the
-    boundary vectors match."""
+    """With no library, every base takes builtin pow: the special values and
+    the edge vectors (at 64-bit word edges only, as each builtin pow takes
+    about 25 ms, and with the bases in one order, as each is raised alone)
+    match."""
     monkeypatch.setattr(chameleon, "_libcrypto", False)
     pows = count_builtin_pow(monkeypatch)
-    check_byte_edges([e for e in BYTE_EDGES if e.bit_length() % 64 in (0, 1)])
-    for e in EXPONENTS[:: 3]:
-        check_against_pow(e, (e * 7 + 3) % Q2048)
+    check_vectors([e for e in BYTE_EDGES if e.bit_length() % 64 in (0, 1)], swapped=False)
     assert pows
 
 
@@ -395,19 +383,18 @@ def test_comb_footprint_after_two_signs_and_verifies():
     assert chameleon_bytes_alive(run) < 16384
 
 
-@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("count", [1, 2])
 def test_joint_first_use_pass(count, monkeypatch):
-    """Each pair of bases shares one BN_mod_exp2_mont pass and a base left
-    over takes a one-base call; builtin pow is never called."""
+    """One base takes one BN_mod_exp_mont_consttime call and two bases one
+    BN_mod_exp2_mont call; builtin pow is never called."""
     one, two = spy_on_exp(monkeypatch)
     pows = count_builtin_pow(monkeypatch)
     bases = fresh_bases(count)
-    exponents = EXPONENTS[:8:2] + [Q2048 - 1 - i for i in range(5)]
-    for e in exponents:
+    for e in SPECIAL:
         pairs = [(b, e) for b in bases]
         assert multi_pow(pairs) == pow_reference(pairs)
     assert pows == []
-    assert (len(one), len(two)) == ((count - 2) * len(exponents), len(exponents))
+    assert (len(one), len(two)) == ((count == 1) * len(SPECIAL), (count == 2) * len(SPECIAL))
 
 
 def fresh_bases(count):
@@ -415,25 +402,10 @@ def fresh_bases(count):
 
 
 @settings(max_examples=10, deadline=None)
-@given(st.lists(st.integers(0, (1 << BITS) - 1), min_size=2, max_size=3))
-def test_joint_pass_matches_pow_property(exponents):
-    pairs = list(zip(fresh_bases(len(exponents)), exponents))
+@given(st.integers(0, (1 << BITS) - 1), st.integers(0, (1 << BITS) - 1))
+def test_joint_pass_matches_pow_property(e, f):
+    pairs = list(zip(fresh_bases(2), (e, f)))
     assert multi_pow(pairs) == pow_reference(pairs)
-
-
-def test_mixed_call_with_and_without_tables(monkeypatch):
-    """The same calls, of one, two and three bases, give the same values
-    with libcrypto and with builtin pow."""
-    libcrypto()
-    z1, z2 = pow(G2048, 99, P2048), pow(G2048, 101, P2048)
-    calls = [
-        ((z1, Q2048 - 3), (G2048, Q2048 - 5), (z2, 1 << (BITS - 1))),
-        ((G2048, Q2048 - 7), (z1, Q2048 - 11)),
-        ((z2, 0),),
-    ]
-    with_library = [multi_pow(pairs) for pairs in calls]
-    monkeypatch.setattr(chameleon, "_libcrypto", False)
-    assert [multi_pow(pairs) for pairs in calls] == with_library
 
 
 @settings(max_examples=25, deadline=None)

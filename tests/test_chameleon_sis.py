@@ -226,7 +226,7 @@ def test_hash_inversion_round_trip():
         m_new = chameleon.sample_message(inst, rng)
         r_new = chameleon.ch_invert(inst, td, m_new, sample, rng)
         assert np.array_equal(chameleon.ch_hash(inst, m_new, r_new), sample.element)
-        assert float(np.linalg.norm(r_new)) <= inst.params.norm_bound
+        assert inst.params.is_short(r_new)
 
 
 def test_hash_refuses_randomness_beyond_the_norm_bound():
@@ -236,7 +236,7 @@ def test_hash_refuses_randomness_beyond_the_norm_bound():
     sample = chameleon.sample_range(inst, rng)
     m, r = sample.trace_message, np.array(sample.trace_randomness)
     r[0] += 10 * inst.params.q if r[0] >= 0 else -10 * inst.params.q
-    assert float(np.linalg.norm(r)) > inst.params.norm_bound
+    assert not inst.params.is_short(r)
     with pytest.raises(DomainError):
         chameleon.ch_hash(inst, m, r)
 
@@ -258,7 +258,7 @@ def test_is_short_is_exact_at_the_bound():
     for total, short in [(p.norm_bound_sq, True), (p.norm_bound_sq + 1, False)]:
         r = _vector_of_squared_norm(total, p.m)
         assert p.is_short(r) is short
-        assert bool(np.linalg.norm(r) <= p.norm_bound) is short
+        assert bool(np.linalg.norm(r) <= p.s * math.sqrt(p.m)) is short
 
 
 def test_inversion_needs_rng():

@@ -1,5 +1,7 @@
 """Unforgeability games: adversaries, hybrids, classification, extraction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -159,7 +161,7 @@ def test_sis_desk_collisions_are_trivial_to_find():
         t = play(seed, lambda ch: ShiftMauler(ch.kp.ch_inst.params.q))
         inst = t.challenger.kp.ch_inst
         p = inst.params
-        assert p.norm_bound > p.q
+        assert p.s * math.sqrt(p.m) > p.q
         assert t.verdict is True
         pair_star, pair_i, verdict = case2_extract(t)
         assert verdict is CollisionVerdict.VALID
