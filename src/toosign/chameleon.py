@@ -19,15 +19,21 @@ made or decoded, and is never serialized.
 Exponentiations modulo a p of 256 bits or more go to libcrypto's BIGNUM
 through ctypes, loaded by soname on the first such call, so a process that
 makes none (`import toosign`, the SIS family, dl-demo) never imports
-ctypes.  Each exponentiation is one call.  A lone base takes
-BN_mod_exp_mont_consttime: the folded g^e of a signer and y = g^x in key
-generation and in decoding a secret key, all through _secret_pow, whose
-added q fills the same number of words whatever the exponent.  Two bases,
-a verifier's public g^m y^r, take BN_mod_exp2_mont, not constant-time.  Below
-256 bits, or where no libcrypto loads, each base takes builtin pow, which
-is not constant-time either.  So only the calls on x, and only inside
-libcrypto, run in constant time; CPython's integer arithmetic around them
-does not, and this code makes no side-channel claim beyond those calls.
+ctypes.  A lone base takes BN_mod_exp_mont_consttime: the folded g^e of a
+signer and y = g^x in key generation and in decoding a secret key, all
+through _secret_pow, whose added q fills the same number of words whatever
+the exponent.  Two bases, a verifier's public g^m y^r, take
+BN_mod_exp2_mont, not constant-time.  On two usable cores an exponentiation
+is two such calls at once, one on a worker thread joined before it
+returns: each exponent is cut at bit K = 1024 of the 2048-bit p, and
+b^e = b^(e mod 2^K) (b^(2^K))^(e >> K), the two-row case of Lim and Lee's
+fixed-base precomputation (CRYPTO 1994).  b^(2^K) is public: g's is
+committed and a y's is computed on y's second use and kept (_raised).  On
+one core, or on a base's first use, it is one call.  Below 256 bits, or
+where no libcrypto loads, each base takes builtin pow, which is not
+constant-time either.  So only the calls on x, and only inside libcrypto,
+run in constant time; CPython's integer arithmetic around them does not,
+and this code makes no side-channel claim beyond those calls.
 
 Named sets.  The only DL groups and lattice sets are the named sets in
 DL_PARAM_SETS, constants that the test suite proves (p and q prime,
@@ -48,6 +54,8 @@ from __future__ import annotations
 
 import math
 import operator
+import os
+import threading
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple, Union
 
@@ -106,6 +114,18 @@ _MODP_2048_P = int(
     "9ED529077096966D670C354E4ABC9804F1746C08CA18217C32905E462E36CE3B"
     "E39E772C180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
     "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFFFFFFFFFF",
+    16,
+)
+# g^(2^1024) mod p for g = 2, the base of every high half on dl-2048's g
+_MODP_2048_G_1024 = int(
+    "50BA4C106A5A40D02BD79F9E7438BE238E0D274D783286CFDB809B84AAAEFBB0"
+    "D31D020B31EB98C46675B283731CEFC92434382D8B1E3F79F122E5982CE4637D"
+    "DD4AF3689DB5AABFC190A3F109FCABED702945F84DE4D15362183BF80D6895A4"
+    "958B3C6040148C883E60D81D31B13810FC4E80D671BFEA61056EA5BAEB0CA5B5"
+    "BDCD2F649D1AEDCE8AE2FE511F2373BA5CB98612182C42E53AD15A7084ACACA0"
+    "ED045D5256D068FA1C45FC86482EB2D6398857DB58070FFA588CCE448B4F145A"
+    "83E67AA2EC93C3DEE8A24645523DB465721CCDE62CBAE9FEE508097D61281518"
+    "917106F921497B4FE14DC2FC469A792344D5C5202A0C192899AE803ADED195F3",
     16,
 )
 
@@ -244,24 +264,103 @@ def _bn_multi_pow(lib, terms, p: int) -> int:
 def _multi_pow(terms, p: int) -> int:
     """prod b^e mod p over one or two (b, e) in terms, p odd, each e in [0, p).
 
-    From _LIB_MIN_BITS bits of p up, libcrypto computes it (_bn_multi_pow),
-    loaded on the first such call.  Below that, or if no libcrypto loads,
-    every base takes builtin pow."""
-    global _libcrypto
-    if p.bit_length() >= _LIB_MIN_BITS:
-        if _libcrypto is None:
-            _libcrypto = _load_libcrypto() or False
-        if _libcrypto:
-            return _bn_multi_pow(_libcrypto, terms, p)
+    From _LIB_MIN_BITS bits of p up, one libcrypto call computes it
+    (_bn_multi_pow), loaded on the first such call.  Below that, or if no
+    libcrypto loads, every base takes builtin pow."""
+    lib = _libcrypto_for(p)
+    if lib:
+        return _bn_multi_pow(lib, terms, p)
     return math.prod(pow(b, e, p) for b, e in terms) % p
 
 
+def _libcrypto_for(p: int):
+    """The binding if libcrypto computes exponentiations mod p, else False."""
+    global _libcrypto
+    if p.bit_length() < _LIB_MIN_BITS:
+        return False
+    if _libcrypto is None:
+        _libcrypto = _load_libcrypto() or False
+    return _libcrypto
+
+
+# (b, p) -> b^(2^K) mod p, a high half's base, or None for a base used once.
+# Emptied when full but for dl-2048's g, committed as _MODP_2048_G_1024.
+_RAISED_MAX = 4
+_RAISED_COMMITTED = {(2, _MODP_2048_P): _MODP_2048_G_1024}
+_raised = dict(_RAISED_COMMITTED)
+
+
+def _split_bit(terms, p: int) -> int:
+    """K, the bit at which every exponent of terms is cut in two, or 0 for
+    one call: where builtin pow computes; with one usable core, on which the
+    two halves ran 15 % slower; and on a base's first use.  There, b^(2^K)
+    and the first thread start cost more than the split saves: a one-shot
+    verify makes one exponentiation on its y."""
+    if not _libcrypto_for(p):
+        return 0
+    if hasattr(os, "sched_getaffinity"):  # as merkle's _worker_count reads it
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    new = {(b, p): None for b, _ in terms if (b, p) not in _raised}
+    if cores > 1 and not new:
+        return p.bit_length() // 2
+    if len(_raised) + len(new) > _RAISED_MAX:
+        _raised.clear()
+        _raised.update(_RAISED_COMMITTED)
+    _raised.update(new)
+    return 0
+
+
+def _raise(b: int, k: int, p: int) -> int:
+    """b^(2^k) mod p, from _raised or computed into it.  b is public, so
+    the variable-time two-base call computes it, with a zero second
+    exponent: 1.1-1.4 ms on dl-2048, against 1.5-1.9 ms for the
+    constant-time call."""
+    v = _raised.get((b, p))
+    if v is None:
+        v = _raised[b, p] = _bn_multi_pow(_libcrypto, ((b, 1 << k), (b, 0)), p)
+    return v
+
+
+def _pow(terms, p: int, pad: int = 0) -> int:
+    """_multi_pow(terms, p); where _split_bit gives a bit K, as two calls at
+    once, with b^e = b^(e mod 2^K + pad 2^K) (b^(2^K))^((e >> K) - pad).
+    The high call runs on a worker thread and the low one here, as ctypes
+    releases the GIL during each.  The worker is joined before this
+    returns, and an exception it raised is raised here."""
+    k = _split_bit(terms, p)
+    if not k:
+        return _multi_pow(terms, p)
+    lib, out, mask = _libcrypto, {}, (1 << k) - 1
+
+    def work():
+        try:
+            high = [(_raise(b, k, p), (e >> k) - pad) for b, e in terms]
+            out["high"] = _bn_multi_pow(lib, high, p)
+        except BaseException as exc:  # raised again in the caller
+            out["error"] = exc
+
+    worker = threading.Thread(target=work)
+    worker.start()
+    try:
+        low = _bn_multi_pow(lib, [(b, (e & mask) + (pad << k)) for b, e in terms], p)
+    finally:
+        worker.join()
+    if "error" in out:
+        raise out["error"]
+    return low * out["high"] % p
+
+
 def _secret_pow(g: int, e: int, q: int, p: int) -> int:
-    """g^e mod p for g of order q, as g^(e mod q + q), equal since g^q = 1.
-    Every exponent on x comes through here.  The q fills the exponent's top
-    word, so the constant-time call takes as long for g^1 (0.13 ms without
-    it) as for a random e (2.5 ms)."""
-    return _multi_pow(((g, e % q + q),), p)
+    """g^e mod p for g of order q, as g^E with E = e mod q + q, equal since
+    g^q = 1.  Every exponent on x comes through here, and every call it
+    makes is constant-time with a word count that does not depend on e:
+    without the q, g^1 took 0.13 ms and a random e 2.5 ms.  Cut in two on
+    dl-2048, K = 1024 and E lies in [2^2046, 2^2048), so with pad 1 the low
+    exponent E mod 2^K + 2^K always has 1025 bits (17 words) and the high
+    one, (E >> K) - 1, lies in [2^1022 - 1, 2^1024): 16 words."""
+    return _pow(((g, e % q + q),), p, pad=1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +388,7 @@ class DLInstance(NamedTuple):
     def hash(self, m, r) -> int:
         mi = self._scalar(m, "message")
         ri = self._scalar(r, "randomness")
-        return _multi_pow(((self.g, mi), (self.y, ri)), self.p)
+        return _pow(((self.g, mi), (self.y, ri)), self.p)
 
     def trapdoor_hash(self, td: DLTrapdoor, m: int, r: int) -> int:
         """hash(m, r) with one exponentiation, as g^(m + x r): the same

@@ -165,12 +165,18 @@ P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
 BITS = Q2048.bit_length()  # 2047
 X2048 = 0x5EED << 1000
 Y2048 = pow(G2048, X2048, P2048)
+G2048_K = pow(G2048, 1 << 1024, P2048)  # the base of the high halves on g
 # the ends of [0, q) and of the padded [q, 2q) that _secret_pow passes, and
 # 2^2046 and 2^2047 - 1, the least and the greatest of 2047 bits
 SPECIAL = [0, 1, 2, Q2048 - 1, Q2048, 2 * Q2048 - 1, 1 << (BITS - 1), (1 << BITS) - 1]
 # 2^(8k) - 1 and 2^(8k) + 1: the exponent's byte length steps at each, and
 # every eighth k is a 64-bit word edge
 BYTE_EDGES = [(1 << (8 * k)) + d for k in range(1, 256) for d in (-1, 1)]
+
+
+def words_of(e):
+    """The 64-bit words of e as libcrypto's BIGNUM holds it."""
+    return (e.bit_length() + 63) // 64
 
 
 def pow_reference(pairs):
@@ -231,15 +237,32 @@ def test_multi_pow_uses_pow_first_then_a_table(monkeypatch):
     assert pows == [] and len(bn) == 1
 
 
-def test_dl_2048_keygen_cold_then_table_then_comb(monkeypatch):
-    """Every key generation computes y = g^(x + q) = g^x in the constant-time
-    one-base call, and so does every decoding of its secret key."""
+def cores(monkeypatch, n):
+    """Makes n cores usable, as chameleon and merkle read them."""
+    monkeypatch.setattr(chameleon.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def fresh_raised(monkeypatch):
+    """Forgets every kept b^(2^K) but the committed one of g."""
+    monkeypatch.setattr(chameleon, "_raised", dict(chameleon._RAISED_COMMITTED))
+
+
+def test_dl_2048_keygen_and_decoding_each_make_two_constant_time_calls(monkeypatch):
+    """On two cores every key generation computes y = g^(x + q) = g^x as two
+    constant-time one-base calls, the halves, and so does every decoding of
+    its secret key: g^(2^1024) is committed, so nothing is computed first."""
+    cores(monkeypatch, 2)
     one, two = spy_on_exp(monkeypatch)
     for use in range(3):
         inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(20 + use))
         assert inst.y == pow(inst.g, td.x, inst.p)
         assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
-        assert (len(one), len(two)) == (2 * use + 2, 0)
+        assert (len(one), len(two)) == (4 * use + 4, 0)
+
+
+def test_committed_g_raised_to_2_1024():
+    assert chameleon._RAISED_COMMITTED == {(G2048, P2048): G2048_K}
 
 
 def check_against(e, f, ge, yf, swapped=True):
@@ -311,42 +334,161 @@ def test_libcrypto_binding_loads_on_linux():
     assert chameleon._libcrypto
 
 
-def test_dl_hash_matches_pow_before_and_after_the_tables(monkeypatch):
-    """The hash and the folded hash match pow on every call: the public
-    g^m y^r in one two-base call, the folded g^(m + x r + q) in one
-    constant-time one-base call."""
+def test_dl_hash_makes_one_call_then_splits_from_the_second_use_of_y(monkeypatch):
+    """On two cores the public g^m y^r is one two-base call on y's first
+    use, a one-shot verify's only one.  The second computes y^(2^1024) in a
+    third two-base call and cuts both exponents at bit 1024 into two
+    two-base calls; later ones make the two alone.  The folded
+    g^(m + x r + q) is two constant-time calls every time.  y = g, one base
+    in both roles, splits from its first use, as g^(2^1024) is committed."""
+    cores(monkeypatch, 2)
+    fresh_raised(monkeypatch)
     x = X2048 % Q2048
     inst, td = DLInstance(P2048, Q2048, G2048, Y2048), DLTrapdoor(x, pow(x, -1, Q2048))
     one, two = spy_on_exp(monkeypatch)
+    counts = []
     for m, r in [(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (2, 3), (0, 0)]:
         expected = pow_reference(((G2048, m), (Y2048, r)))
         assert inst.hash(m, r) == expected
         assert inst.trapdoor_hash(td, m, r) == expected
-    assert (len(one), len(two)) == (4, 4)
+        counts.append((len(one), len(two)))
+    assert counts == [(2, 1), (4, 4), (6, 6), (8, 8)]
+    assert chameleon._raised[Y2048, P2048] == pow(Y2048, 1 << 1024, P2048)
+    one.clear(), two.clear()
+    same = DLInstance(P2048, Q2048, G2048, G2048)
+    for m, r in [(Q2048 - 1, 7), (3, Q2048 - 5), (1 << 1000, 1 << 2000)]:
+        assert same.hash(m, r) == pow(G2048, m + r, P2048)
+    assert (len(one), len(two)) == (0, 6)
 
 
 def test_exponents_on_the_trapdoor_have_q_added(monkeypatch):
-    """The folded g^e, y = g^x and the g^x = y check pass e + q in [q, 2q),
-    so the constant-time call sees as many words for e = 0 as for any e:
-    g^1 ran in 0.13 ms and a random e in 2.5 ms without it."""
-    calls = spy_on(monkeypatch, chameleon, "_multi_pow")
+    """The folded g^e, y = g^x and the g^x = y check pass E = e mod q + q
+    in [q, 2q), cut at bit 1024, so each constant-time call sees as many
+    words for e = 0 as for any e: g^(E mod 2^1024 + 2^1024), 17 words, and
+    (g^(2^1024))^((E >> 1024) - 1), 16.  Without the q, g^1 ran in 0.13 ms
+    and a random e in 2.5 ms."""
+    cores(monkeypatch, 2)
+    calls = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
     inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(9))
     inst.deserialize_trapdoor(inst.serialize_trapdoor(td))
     for m, r in [(0, 0), (1, 0), (Q2048 - 1, Q2048 - 1)]:
         inst.trapdoor_hash(td, m, r)
-    assert len(calls) == 5
-    for terms, p in calls:
-        (base, e), = terms
-        assert base == G2048 and Q2048 <= e < 2 * Q2048 and p == P2048
+    assert len(calls) == 10
+    assert {(base, words_of(e)) for _, ((base, e),), _ in calls} == {
+        (G2048, 17), (G2048_K, 16)
+    }
 
 
-def test_one_base_in_both_roles_gets_one_entry(monkeypatch):
-    """y = g: one two-base call with the same base twice."""
-    inst = DLInstance(P2048, Q2048, G2048, G2048)
+def test_secret_halves_fill_fixed_word_counts(monkeypatch):
+    """At the ends of [0, q), at the cut and at random e, the two
+    constant-time calls of _secret_pow see 17 and 16 words, and their
+    results multiply to g^e."""
+    cores(monkeypatch, 2)
+    libcrypto()
+    seen, original = [], chameleon._bn_multi_pow
+
+    def record(lib, terms, p):
+        seen.append((terms, original(lib, terms, p)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(chameleon, "_bn_multi_pow", record)
+    rng = rng_from_int(12)
+    for e in [0, 1, 2, Q2048 - 1, (1 << 1024) - 1, 1 << 1024] + [
+        rng.randbelow(Q2048) for _ in range(4)
+    ]:
+        seen.clear()
+        assert chameleon._secret_pow(G2048, e, Q2048, P2048) == pow(G2048, e, P2048)
+        (((b_low, low),), v_low), (((b_high, high),), v_high) = sorted(
+            seen, key=lambda call: call[0][0][0] == G2048_K
+        )
+        assert (b_low, words_of(low), b_high, words_of(high)) == (G2048, 17, G2048_K, 16)
+        assert low + (high << 1024) == e % Q2048 + Q2048
+        assert v_low * v_high % P2048 == pow(G2048, e, P2048)
+
+
+def test_one_core_makes_one_call_per_exponentiation(monkeypatch):
+    """With one usable core, where the two halves ran 15 % slower than one
+    call, every exponentiation makes one libcrypto call and starts no
+    thread, with the same values, from y's first use on; so does y = g, one
+    base in both roles."""
+    import threading
+
+    cores(monkeypatch, 1)
+    fresh_raised(monkeypatch)
     one, two = spy_on_exp(monkeypatch)
-    for m, r in [(Q2048 - 1, 7), (3, Q2048 - 5), (1 << 1000, 1 << 2000)]:
-        assert inst.hash(m, r) == pow(G2048, m + r, P2048)
-    assert (len(one), len(two)) == (0, 3)
+    starts = spy_on(monkeypatch, threading.Thread, "start")
+    inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(21))
+    assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
+    assert inst.y == pow(inst.g, td.x, inst.p)
+    for m, r in [(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (0, 0)]:
+        expected = pow_reference(((G2048, m), (inst.y, r)))
+        assert inst.hash(m, r) == expected
+        assert inst.trapdoor_hash(td, m, r) == expected
+    same = DLInstance(P2048, Q2048, G2048, G2048)
+    assert same.hash(Q2048 - 1, 7) == pow(G2048, Q2048 + 6, P2048)
+    assert (len(one), len(two), starts) == (5, 4, [])
+
+
+@pytest.mark.skipif(not hasattr(chameleon.os, "sched_getaffinity"), reason="no affinity")
+def test_calls_follow_the_real_affinity(monkeypatch):
+    """With the cores the process may really use (CI runs this file under
+    `taskset -c 0` too): a folded hash is one constant-time call on one
+    core and two on more."""
+    one, _ = spy_on_exp(monkeypatch)
+    x = X2048 % Q2048
+    inst = DLInstance(P2048, Q2048, G2048, Y2048)
+    assert inst.trapdoor_hash(DLTrapdoor(x, 0), 1, 2) == pow_reference(((G2048, 1 + 2 * x),))
+    assert len(one) == (1 if len(chameleon.os.sched_getaffinity(0)) == 1 else 2)
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_a_failed_half_raises_in_the_caller(side, monkeypatch):
+    """A libcrypto call that fails on either thread raises RuntimeError in
+    the caller, after the worker is joined, and no exception leaves it."""
+    import threading
+
+    cores(monkeypatch, 2)
+    lib = libcrypto()
+    original = lib.BN_mod_exp_mont_consttime
+
+    def call(*args):
+        in_worker = threading.current_thread() is not threading.main_thread()
+        return 0 if in_worker == (side == "worker") else original(*args)
+
+    monkeypatch.setattr(lib, "BN_mod_exp_mont_consttime", call)
+    escaped = []
+    monkeypatch.setattr(threading, "excepthook", escaped.append)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="libcrypto .* failed"):
+        chameleon._secret_pow(G2048, 5, Q2048, P2048)
+    assert threading.active_count() == threads and escaped == []
+
+
+def test_no_thread_outlives_a_call_and_merkle_keygen_still_forks(monkeypatch):
+    """After dl-2048 signs and verifies, each split over two threads, no
+    thread is left, so a Merkle h=8 keygen, which forks only in a process
+    of one thread, still forks."""
+    import os
+    import threading
+
+    cores(monkeypatch, 2)
+    fresh_raised(monkeypatch)
+    starts = spy_on(monkeypatch, threading.Thread, "start")
+    threads = threading.active_count()
+    kp = transform.g_prime(
+        merkle.merkle_descriptor(1), ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(7)
+    )
+    ro, pk = production_oracle(kp.ch_inst), transform.public_key_of(kp)
+    for i in range(2):  # the second verify is y's second use: it splits
+        sig, kp = transform.s_prime(kp, b"message %d" % i, ro, rng_from_int(40 + i))
+        assert transform.v_prime(pk, b"message %d" % i, sig, ro)
+        assert threading.active_count() == threads
+    assert len(starts) == 1 + 2 + 1  # keygen's y, two signs, one verify
+    forks = spy_on(monkeypatch, os, "fork")
+    merkle.merkle_descriptor(8)
+    transform.g_prime(merkle.merkle_descriptor(8), ChameleonKind.DL, {"name": "dl-demo"},
+                      rng_from_int(8))
+    assert forks
 
 
 def chameleon_bytes_alive(run):

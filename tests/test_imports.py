@@ -239,13 +239,16 @@ sig, _ = transform.s_prime(kp, b"message", oracle.production_oracle(kp.ch_inst),
 pk = transform.public_key_of(kp)
 assert transform.v_prime(pk, b"message", sig, oracle.production_oracle(pk.ch_inst))
 assert dict(vars(chameleon)) == before, "a sign or verify left state in chameleon"
+y = (pk.ch_inst.y, pk.ch_inst.p)
+assert chameleon._raised == {**chameleon._RAISED_COMMITTED, y: None}, "y was raised"
 """
 
 
 def test_one_shot_sign_and_verify_build_no_table():
     """A dl-2048 key loads ctypes with its first exponentiation, and a sign
-    and a verify then leave chameleon's namespace as it was: nothing is kept
-    per base."""
+    and a verify then leave chameleon's namespace as it was.  What is kept
+    per base is the committed g^(2^1024) and y noted as used once: a
+    one-shot verify does not compute y^(2^1024)."""
     r = run_child(ONE_SHOT)
     assert r.returncode == 0, r.stderr
 
