@@ -24,12 +24,12 @@ signer and y = g^x in key generation and in decoding a secret key, all
 through _secret_pow, whose added q fills the same number of words whatever
 the exponent.  Two bases, a verifier's public g^m y^r, take
 BN_mod_exp2_mont, not constant-time.  On two usable cores an exponentiation
-is two such calls at once, one on a worker thread joined before it
-returns: each exponent is cut at bit K = 1024 of the 2048-bit p, and
-b^e = b^(e mod 2^K) (b^(2^K))^(e >> K), the two-row case of Lim and Lee's
-fixed-base precomputation (CRYPTO 1994).  b^(2^K) is public: g's is
-committed and a y's is computed on y's second use and kept (_raised).  On
-one core, or on a base's first use, it is one call.  Below 256 bits, or
+is two such calls at once from a base's first use, one on a worker thread
+joined before it returns: each exponent is cut at bit K = 1024 of the
+2048-bit p, and b^e = b^(e mod 2^K) (b^(2^K))^(e >> K), the two-row case
+of Lim and Lee's fixed-base precomputation (CRYPTO 1994).  b^(2^K) is
+public: g's is committed, a y's is computed in the worker, and the last
+four are kept (_high_base).  On one core it is one call.  Below 256 bits, or
 where no libcrypto loads, each base takes builtin pow, which is not
 constant-time either.  So only the calls on x, and only inside libcrypto,
 run in constant time; CPython's integer arithmetic around them does not,
@@ -52,6 +52,7 @@ import (about 10 ms from source).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import os
@@ -224,9 +225,9 @@ def _load_libcrypto():
 
 
 def _bn_multi_pow(lib, terms, p: int) -> int:
-    """_multi_pow through libcrypto in one call: BN_mod_exp_mont_consttime
-    for one base, BN_mod_exp2_mont for two.  Every BIGNUM is zeroed when
-    freed, as an exponent may be secret."""
+    """prod b^e mod p over terms in one libcrypto call:
+    BN_mod_exp_mont_consttime for one base, BN_mod_exp2_mont for two.  Every
+    BIGNUM is zeroed when freed, as an exponent may be secret."""
     import ctypes
 
     n = (p.bit_length() + 7) // 8
@@ -261,82 +262,50 @@ def _bn_multi_pow(lib, terms, p: int) -> int:
         lib.BN_CTX_free(ctx)
 
 
-def _multi_pow(terms, p: int) -> int:
+@functools.lru_cache(maxsize=4)
+def _high_base(b: int, p: int) -> int:
+    """b^(2^K) mod p, K = half of p's bits: the base of b's high half.
+
+    dl-2048's g takes the committed _MODP_2048_G_1024.  Any other b is
+    public, so the variable-time two-base call computes it, with a zero
+    second exponent: 1.1-1.4 ms on dl-2048, against 1.5-1.9 ms for the
+    constant-time call.  The last four values are kept; lru_cache is safe
+    for concurrent callers, two of which may both compute a missing one."""
+    if (b, p) == (2, _MODP_2048_P):
+        return _MODP_2048_G_1024
+    return _bn_multi_pow(_libcrypto, ((b, 1 << p.bit_length() // 2), (b, 0)), p)
+
+
+def _pow(terms, p: int, pad: int = 0) -> int:
     """prod b^e mod p over one or two (b, e) in terms, p odd, each e in [0, p).
 
-    From _LIB_MIN_BITS bits of p up, one libcrypto call computes it
-    (_bn_multi_pow), loaded on the first such call.  Below that, or if no
-    libcrypto loads, every base takes builtin pow."""
-    lib = _libcrypto_for(p)
-    if lib:
-        return _bn_multi_pow(lib, terms, p)
-    return math.prod(pow(b, e, p) for b, e in terms) % p
-
-
-def _libcrypto_for(p: int):
-    """The binding if libcrypto computes exponentiations mod p, else False."""
+    Below _LIB_MIN_BITS bits of p, or if no libcrypto loads (it is loaded
+    on the first call at that size), every base takes builtin pow.  With one
+    usable core, on which the two halves ran 15 % slower, one libcrypto call
+    computes it.  Otherwise each exponent is cut at bit K = half of p's bits,
+    with b^e = b^(e mod 2^K + pad 2^K) (b^(2^K))^((e >> K) - pad), and the
+    two calls run at once: the high one on a worker thread and the low one
+    here, as ctypes releases the GIL during each.  The worker is joined
+    before this returns, and an exception it raised is raised here."""
     global _libcrypto
-    if p.bit_length() < _LIB_MIN_BITS:
-        return False
-    if _libcrypto is None:
+    large = p.bit_length() >= _LIB_MIN_BITS
+    if large and _libcrypto is None:
         _libcrypto = _load_libcrypto() or False
-    return _libcrypto
-
-
-# (b, p) -> b^(2^K) mod p, a high half's base, or None for a base used once.
-# Emptied when full but for dl-2048's g, committed as _MODP_2048_G_1024.
-_RAISED_MAX = 4
-_RAISED_COMMITTED = {(2, _MODP_2048_P): _MODP_2048_G_1024}
-_raised = dict(_RAISED_COMMITTED)
-
-
-def _split_bit(terms, p: int) -> int:
-    """K, the bit at which every exponent of terms is cut in two, or 0 for
-    one call: where builtin pow computes; with one usable core, on which the
-    two halves ran 15 % slower; and on a base's first use.  There, b^(2^K)
-    and the first thread start cost more than the split saves: a one-shot
-    verify makes one exponentiation on its y."""
-    if not _libcrypto_for(p):
-        return 0
+    lib = large and _libcrypto
+    if not lib:
+        return math.prod(pow(b, e, p) for b, e in terms) % p
     if hasattr(os, "sched_getaffinity"):  # as merkle's _worker_count reads it
         cores = len(os.sched_getaffinity(0))
     else:
         cores = os.cpu_count() or 1
-    new = {(b, p): None for b, _ in terms if (b, p) not in _raised}
-    if cores > 1 and not new:
-        return p.bit_length() // 2
-    if len(_raised) + len(new) > _RAISED_MAX:
-        _raised.clear()
-        _raised.update(_RAISED_COMMITTED)
-    _raised.update(new)
-    return 0
-
-
-def _raise(b: int, k: int, p: int) -> int:
-    """b^(2^k) mod p, from _raised or computed into it.  b is public, so
-    the variable-time two-base call computes it, with a zero second
-    exponent: 1.1-1.4 ms on dl-2048, against 1.5-1.9 ms for the
-    constant-time call."""
-    v = _raised.get((b, p))
-    if v is None:
-        v = _raised[b, p] = _bn_multi_pow(_libcrypto, ((b, 1 << k), (b, 0)), p)
-    return v
-
-
-def _pow(terms, p: int, pad: int = 0) -> int:
-    """_multi_pow(terms, p); where _split_bit gives a bit K, as two calls at
-    once, with b^e = b^(e mod 2^K + pad 2^K) (b^(2^K))^((e >> K) - pad).
-    The high call runs on a worker thread and the low one here, as ctypes
-    releases the GIL during each.  The worker is joined before this
-    returns, and an exception it raised is raised here."""
-    k = _split_bit(terms, p)
-    if not k:
-        return _multi_pow(terms, p)
-    lib, out, mask = _libcrypto, {}, (1 << k) - 1
+    if cores == 1:
+        return _bn_multi_pow(lib, terms, p)
+    k = p.bit_length() // 2
+    out, mask = {}, (1 << k) - 1
 
     def work():
         try:
-            high = [(_raise(b, k, p), (e >> k) - pad) for b, e in terms]
+            high = [(_high_base(b, p), (e >> k) - pad) for b, e in terms]
             out["high"] = _bn_multi_pow(lib, high, p)
         except BaseException as exc:  # raised again in the caller
             out["error"] = exc

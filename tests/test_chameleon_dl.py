@@ -7,6 +7,7 @@ subgroup {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}.
 import builtins
 import hashlib
 import sys
+import threading
 import time
 import tracemalloc
 from decimal import Decimal
@@ -172,6 +173,8 @@ SPECIAL = [0, 1, 2, Q2048 - 1, Q2048, 2 * Q2048 - 1, 1 << (BITS - 1), (1 << BITS
 # 2^(8k) - 1 and 2^(8k) + 1: the exponent's byte length steps at each, and
 # every eighth k is a 64-bit word edge
 BYTE_EDGES = [(1 << (8 * k)) + d for k in range(1, 256) for d in (-1, 1)]
+# the cut of a split exponentiation, K = 1024, and its two neighbours
+CUT = [(1 << 1024) - 1, 1 << 1024, (1 << 1024) + 1]
 
 
 def words_of(e):
@@ -186,13 +189,13 @@ def pow_reference(pairs):
     return out
 
 
-def multi_pow(pairs):
-    return chameleon._multi_pow(pairs, P2048)
+def dl_pow(pairs):
+    return chameleon._pow(pairs, P2048)
 
 
 def libcrypto():
     """The loaded binding; the test is skipped where none loads."""
-    multi_pow(((G2048, 1),))
+    dl_pow(((G2048, 1),))
     if not chameleon._libcrypto:
         pytest.skip("no libcrypto")
     return chameleon._libcrypto
@@ -222,9 +225,11 @@ def spy_on_exp(monkeypatch):
             spy_on(monkeypatch, lib, "BN_mod_exp2_mont"))
 
 
-def test_multi_pow_uses_pow_first_then_a_table(monkeypatch):
-    """Below 256 bits of p every base takes builtin pow; from there up one
-    libcrypto call computes the product and builtin pow is not called."""
+def test_builtin_pow_below_256_bits_and_libcrypto_above(monkeypatch):
+    """Below 256 bits of p every base takes builtin pow; from there up, on
+    one core, one libcrypto call computes the product and builtin pow is not
+    called."""
+    cores(monkeypatch, 1)
     libcrypto()
     bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
     pows = count_builtin_pow(monkeypatch)
@@ -233,7 +238,7 @@ def test_multi_pow_uses_pow_first_then_a_table(monkeypatch):
     assert len(pows) == 2 and bn == []
     pows.clear()
     pairs = ((G2048, Q2048 - 1), (Y2048, 1 << 41))
-    assert multi_pow(pairs) == pow_reference(pairs)
+    assert dl_pow(pairs) == pow_reference(pairs)
     assert pows == [] and len(bn) == 1
 
 
@@ -243,9 +248,23 @@ def cores(monkeypatch, n):
                         raising=False)
 
 
-def fresh_raised(monkeypatch):
-    """Forgets every kept b^(2^K) but the committed one of g."""
-    monkeypatch.setattr(chameleon, "_raised", dict(chameleon._RAISED_COMMITTED))
+def forget_high_bases():
+    """Empties the cache of b^(2^K) values."""
+    chameleon._high_base.cache_clear()
+
+
+def spy_on_raising(monkeypatch):
+    """The bases that _bn_multi_pow raises to 2^1024, each with the thread
+    that called it."""
+    raised, original = [], chameleon._bn_multi_pow
+
+    def record(lib, terms, p):
+        if len(terms) == 2 and terms[0][1] == 1 << 1024 and terms[1] == (terms[0][0], 0):
+            raised.append((terms[0][0], threading.current_thread()))
+        return original(lib, terms, p)
+
+    monkeypatch.setattr(chameleon, "_bn_multi_pow", record)
+    return raised
 
 
 def test_dl_2048_keygen_and_decoding_each_make_two_constant_time_calls(monkeypatch):
@@ -261,16 +280,20 @@ def test_dl_2048_keygen_and_decoding_each_make_two_constant_time_calls(monkeypat
         assert (len(one), len(two)) == (4 * use + 4, 0)
 
 
-def test_committed_g_raised_to_2_1024():
-    assert chameleon._RAISED_COMMITTED == {(G2048, P2048): G2048_K}
+def test_committed_g_raised_to_2_1024(monkeypatch):
+    """dl-2048's g^(2^1024) is the committed constant and is never computed."""
+    forget_high_bases()
+    bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
+    assert chameleon._high_base(G2048, P2048) == G2048_K
+    assert bn == []
 
 
 def check_against(e, f, ge, yf, swapped=True):
     """One base and two, also swapped, given ge = g^e and yf = y^f."""
-    assert multi_pow(((G2048, e),)) == ge
-    assert multi_pow(((G2048, e), (Y2048, f))) == ge * yf % P2048
+    assert dl_pow(((G2048, e),)) == ge
+    assert dl_pow(((G2048, e), (Y2048, f))) == ge * yf % P2048
     if swapped:
-        assert multi_pow(((Y2048, f), (G2048, e))) == ge * yf % P2048
+        assert dl_pow(((Y2048, f), (G2048, e))) == ge * yf % P2048
 
 
 def check_against_pow(e, f, swapped=True):
@@ -291,7 +314,7 @@ def powers_at_byte_edges(base):
 def check_vectors(edges, swapped=True):
     """The special values against builtin pow, each exponent of g met by
     another of y; then each edge e, y raised to the edge f of the other
-    sign, against powers computed without _multi_pow."""
+    sign, against powers computed without _pow."""
     for e, f in zip(SPECIAL, reversed(SPECIAL)):
         check_against_pow(e, f, swapped)
     g, y = powers_at_byte_edges(G2048), powers_at_byte_edges(Y2048)
@@ -300,10 +323,22 @@ def check_vectors(edges, swapped=True):
         check_against(e, f, g[e], y[f], swapped)
 
 
-def test_multi_pow_at_every_byte_length_edge():
-    """The special values and every byte-length edge, on libcrypto."""
+def test_multi_pow_at_every_byte_length_edge(monkeypatch):
+    """The special values and every byte-length edge, on one core: one
+    libcrypto call per exponentiation."""
+    cores(monkeypatch, 1)
     libcrypto()
     check_vectors(BYTE_EDGES)
+
+
+def test_split_pow_at_every_byte_length_edge(monkeypatch):
+    """The same vectors on two cores, each exponentiation split at bit 1024,
+    and the cut itself: up to 2^1024 - 1 the high exponent is 0."""
+    cores(monkeypatch, 2)
+    libcrypto()
+    check_vectors(BYTE_EDGES)
+    for e, f in zip(CUT, reversed(CUT)):
+        check_against_pow(e, f)
 
 
 def test_builtin_pow_fallback_without_libcrypto(monkeypatch):
@@ -330,30 +365,34 @@ def test_golden_dl_2048_digests_without_libcrypto(monkeypatch):
 @pytest.mark.skipif(sys.platform != "linux", reason="libcrypto by its Linux soname")
 def test_libcrypto_binding_loads_on_linux():
     assert chameleon._load_libcrypto() is not None
-    multi_pow(((G2048, 3),))
+    dl_pow(((G2048, 3),))
     assert chameleon._libcrypto
 
 
-def test_dl_hash_makes_one_call_then_splits_from_the_second_use_of_y(monkeypatch):
-    """On two cores the public g^m y^r is one two-base call on y's first
-    use, a one-shot verify's only one.  The second computes y^(2^1024) in a
-    third two-base call and cuts both exponents at bit 1024 into two
-    two-base calls; later ones make the two alone.  The folded
-    g^(m + x r + q) is two constant-time calls every time.  y = g, one base
-    in both roles, splits from its first use, as g^(2^1024) is committed."""
+def test_dl_hash_splits_from_the_first_use_of_y(monkeypatch):
+    """On two cores the public g^m y^r cuts both exponents at bit 1024 into
+    two two-base calls from y's first use on, a one-shot verify's only one.
+    The first also computes y^(2^1024), once, in the worker, by a third
+    two-base call, the variable-time one; later ones take it from the cache.
+    The folded g^(m + x r + q) is two constant-time calls every time.  y = g,
+    one base in both roles, computes nothing, as g^(2^1024) is committed."""
     cores(monkeypatch, 2)
-    fresh_raised(monkeypatch)
+    forget_high_bases()
     x = X2048 % Q2048
     inst, td = DLInstance(P2048, Q2048, G2048, Y2048), DLTrapdoor(x, pow(x, -1, Q2048))
     one, two = spy_on_exp(monkeypatch)
+    raised = spy_on_raising(monkeypatch)
     counts = []
     for m, r in [(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (2, 3), (0, 0)]:
         expected = pow_reference(((G2048, m), (Y2048, r)))
         assert inst.hash(m, r) == expected
         assert inst.trapdoor_hash(td, m, r) == expected
         counts.append((len(one), len(two)))
-    assert counts == [(2, 1), (4, 4), (6, 6), (8, 8)]
-    assert chameleon._raised[Y2048, P2048] == pow(Y2048, 1 << 1024, P2048)
+    assert counts == [(2, 3), (4, 5), (6, 7), (8, 9)]
+    [(base, thread)] = raised
+    assert base == Y2048 and thread is not threading.main_thread()
+    assert chameleon._high_base(Y2048, P2048) == pow(Y2048, 1 << 1024, P2048)
+    assert len(raised) == 1
     one.clear(), two.clear()
     same = DLInstance(P2048, Q2048, G2048, G2048)
     for m, r in [(Q2048 - 1, 7), (3, Q2048 - 5), (1 << 1000, 1 << 2000)]:
@@ -411,10 +450,8 @@ def test_one_core_makes_one_call_per_exponentiation(monkeypatch):
     call, every exponentiation makes one libcrypto call and starts no
     thread, with the same values, from y's first use on; so does y = g, one
     base in both roles."""
-    import threading
-
     cores(monkeypatch, 1)
-    fresh_raised(monkeypatch)
+    forget_high_bases()
     one, two = spy_on_exp(monkeypatch)
     starts = spy_on(monkeypatch, threading.Thread, "start")
     inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(21))
@@ -445,8 +482,6 @@ def test_calls_follow_the_real_affinity(monkeypatch):
 def test_a_failed_half_raises_in_the_caller(side, monkeypatch):
     """A libcrypto call that fails on either thread raises RuntimeError in
     the caller, after the worker is joined, and no exception leaves it."""
-    import threading
-
     cores(monkeypatch, 2)
     lib = libcrypto()
     original = lib.BN_mod_exp_mont_consttime
@@ -469,21 +504,20 @@ def test_no_thread_outlives_a_call_and_merkle_keygen_still_forks(monkeypatch):
     thread is left, so a Merkle h=8 keygen, which forks only in a process
     of one thread, still forks."""
     import os
-    import threading
 
     cores(monkeypatch, 2)
-    fresh_raised(monkeypatch)
+    forget_high_bases()
     starts = spy_on(monkeypatch, threading.Thread, "start")
     threads = threading.active_count()
     kp = transform.g_prime(
         merkle.merkle_descriptor(1), ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(7)
     )
     ro, pk = production_oracle(kp.ch_inst), transform.public_key_of(kp)
-    for i in range(2):  # the second verify is y's second use: it splits
+    for i in range(2):
         sig, kp = transform.s_prime(kp, b"message %d" % i, ro, rng_from_int(40 + i))
         assert transform.v_prime(pk, b"message %d" % i, sig, ro)
         assert threading.active_count() == threads
-    assert len(starts) == 1 + 2 + 1  # keygen's y, two signs, one verify
+    assert len(starts) == 1 + 2 + 2  # keygen's y, two signs, two verifies
     forks = spy_on(monkeypatch, os, "fork")
     merkle.merkle_descriptor(8)
     transform.g_prime(merkle.merkle_descriptor(8), ChameleonKind.DL, {"name": "dl-demo"},
@@ -504,11 +538,14 @@ def chameleon_bytes_alive(run):
     return sum(stat.size for stat in snapshot.filter_traces(only).statistics("filename"))
 
 
-def test_comb_footprint_after_two_signs_and_verifies():
-    """Nothing is kept per base: after key generation and two signs and
-    verifies, what chameleon.py allocated and still holds is the key's and
-    the signatures' integers, a few kB (two tables once held 3.2 MB)."""
+def test_comb_footprint_after_two_signs_and_verifies(monkeypatch):
+    """On two cores, after key generation and two signs and verifies, what
+    chameleon.py allocated and still holds is the key's and the signatures'
+    integers and the kept y^(2^1024), a few kB (two tables once held
+    3.2 MB)."""
+    cores(monkeypatch, 2)
     libcrypto()
+    forget_high_bases()
     kept = []
 
     def run():
@@ -527,14 +564,15 @@ def test_comb_footprint_after_two_signs_and_verifies():
 
 @pytest.mark.parametrize("count", [1, 2])
 def test_joint_first_use_pass(count, monkeypatch):
-    """One base takes one BN_mod_exp_mont_consttime call and two bases one
-    BN_mod_exp2_mont call; builtin pow is never called."""
+    """On one core, one base takes one BN_mod_exp_mont_consttime call and
+    two bases one BN_mod_exp2_mont call; builtin pow is never called."""
+    cores(monkeypatch, 1)
     one, two = spy_on_exp(monkeypatch)
     pows = count_builtin_pow(monkeypatch)
     bases = fresh_bases(count)
     for e in SPECIAL:
         pairs = [(b, e) for b in bases]
-        assert multi_pow(pairs) == pow_reference(pairs)
+        assert dl_pow(pairs) == pow_reference(pairs)
     assert pows == []
     assert (len(one), len(two)) == ((count == 1) * len(SPECIAL), (count == 2) * len(SPECIAL))
 
@@ -547,7 +585,7 @@ def fresh_bases(count):
 @given(st.integers(0, (1 << BITS) - 1), st.integers(0, (1 << BITS) - 1))
 def test_joint_pass_matches_pow_property(e, f):
     pairs = list(zip(fresh_bases(2), (e, f)))
-    assert multi_pow(pairs) == pow_reference(pairs)
+    assert dl_pow(pairs) == pow_reference(pairs)
 
 
 @settings(max_examples=25, deadline=None)
@@ -556,17 +594,52 @@ def test_multi_pow_matches_pow_property(e, f):
     check_against_pow(e, f)
 
 
-def test_comb_cache_stays_bounded():
-    """Exponentiations keep nothing per base: after twenty bases, what
-    chameleon.py allocated and still holds is the results alone."""
+def test_high_base_cache_keeps_four_values(monkeypatch):
+    """On two cores, after twenty new bases, each b^(2^1024) computed once,
+    four are kept, and what chameleon.py allocated and still holds is those
+    and the results."""
+    cores(monkeypatch, 2)
     libcrypto()
+    forget_high_bases()
     results = []
 
     def run():
         for i in range(20):
-            results.append(multi_pow(((pow(G2048, 1000 + i, P2048), Q2048 - 2),)))
+            results.append(dl_pow(((pow(G2048, 1000 + i, P2048), Q2048 - 2),)))
 
-    assert chameleon_bytes_alive(run) < 20 * 512  # a 2048-bit int takes 300 bytes
+    # a 2048-bit int takes 300 bytes
+    assert chameleon_bytes_alive(run) < (20 + 4) * 512
+    info = chameleon._high_base.cache_info()
+    assert (info.misses, info.currsize) == (20, 4)
+
+
+def test_two_callers_split_at_once(monkeypatch):
+    """Two threads hash at once, each on three new y's and each split over
+    its own worker: the values match builtin pow, no thread is left, and at
+    most four b^(2^1024) are kept, the one state that the workers share."""
+    cores(monkeypatch, 2)
+    libcrypto()
+    forget_high_bases()
+    rng = rng_from_int(13)
+    ys = fresh_bases(6)
+    work = [[(y, rng.randbelow(Q2048), rng.randbelow(Q2048)) for y in ys[3 * i:3 * i + 3]]
+            for i in range(2)]
+    expected = [[pow_reference(((G2048, m), (y, r))) for y, m, r in w] for w in work]
+    got, start = [None, None], threading.Barrier(2)
+
+    def caller(i):
+        start.wait()
+        got[i] = [DLInstance(P2048, Q2048, G2048, y).hash(m, r) for y, m, r in work[i]]
+
+    threads = threading.active_count()
+    callers = [threading.Thread(target=caller, args=(i,)) for i in range(2)]
+    for t in callers:
+        t.start()
+    for t in callers:
+        t.join()
+    assert got == expected
+    assert threading.active_count() == threads
+    assert chameleon._high_base.cache_info().currsize <= 4
 
 
 def test_dl_demo_never_enters_the_cache(monkeypatch):

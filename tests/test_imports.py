@@ -230,6 +230,7 @@ ONE_SHOT = """
 import sys
 from toosign import chameleon, merkle, oracle, rng, transform
 
+chameleon.os.sched_getaffinity = lambda pid: {0, 1}  # two cores on any host
 kp = transform.g_prime(merkle.merkle_descriptor(2), chameleon.ChameleonKind.DL,
                        {"name": "dl-2048"}, rng.rng_from_int(1))
 assert "ctypes" in sys.modules, "no exponentiation tried to load libcrypto"
@@ -239,16 +240,19 @@ sig, _ = transform.s_prime(kp, b"message", oracle.production_oracle(kp.ch_inst),
 pk = transform.public_key_of(kp)
 assert transform.v_prime(pk, b"message", sig, oracle.production_oracle(pk.ch_inst))
 assert dict(vars(chameleon)) == before, "a sign or verify left state in chameleon"
-y = (pk.ch_inst.y, pk.ch_inst.p)
-assert chameleon._raised == {**chameleon._RAISED_COMMITTED, y: None}, "y was raised"
+kept = chameleon._high_base.cache_info()
+assert (kept.misses, kept.currsize) == (2, 2), f"not g and y alone: {kept}"
+y, p = pk.ch_inst.y, pk.ch_inst.p
+assert chameleon._high_base(y, p) == pow(y, 1 << 1024, p)
+assert chameleon._high_base.cache_info().misses == 2, "y was raised twice"
 """
 
 
 def test_one_shot_sign_and_verify_build_no_table():
     """A dl-2048 key loads ctypes with its first exponentiation, and a sign
-    and a verify then leave chameleon's namespace as it was.  What is kept
-    per base is the committed g^(2^1024) and y noted as used once: a
-    one-shot verify does not compute y^(2^1024)."""
+    and a verify then leave chameleon's namespace as it was.  On two cores
+    what is kept is b^(2^1024) of g, committed, and of y, computed once by
+    the verify's first exponentiation: two values of at most four."""
     r = run_child(ONE_SHOT)
     assert r.returncode == 0, r.stderr
 
