@@ -5,7 +5,9 @@ subgroup {1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18}.
 """
 
 import builtins
+import functools
 import hashlib
+import math
 import sys
 import threading
 import time
@@ -160,7 +162,10 @@ def test_instance_serialization_round_trip():
 
 
 # ---------------------------------------------------------------------------
-# exponentiation on dl-2048: libcrypto's BIGNUM, or builtin pow without it
+# exponentiation on dl-2048: _pow's three paths, builtin pow where no
+# libcrypto loads, one libcrypto call on one core and two halves on two
+# threads on more; test_dl_pow_on_every_path runs the vectors below on each
+# path and the property random exponents
 
 P2048, Q2048, G2048 = chameleon.DL_PARAM_SETS["dl-2048"]
 BITS = Q2048.bit_length()  # 2047
@@ -205,17 +210,12 @@ def spy_on(monkeypatch, owner, name):
     """Wraps owner.name with a recorder; returns the list of its calls' args."""
     calls, original = [], getattr(owner, name, None) or getattr(builtins, name)
 
-    def record(*args):
+    def record(*args, **kwargs):
         calls.append(args)
-        return original(*args)
+        return original(*args, **kwargs)
 
     monkeypatch.setattr(owner, name, record, raising=False)
     return calls
-
-
-def count_builtin_pow(monkeypatch):
-    """Shadows builtin pow in chameleon with a wrapper; returns its call list."""
-    return spy_on(monkeypatch, chameleon, "pow")
 
 
 def spy_on_exp(monkeypatch):
@@ -223,23 +223,6 @@ def spy_on_exp(monkeypatch):
     lib = libcrypto()
     return (spy_on(monkeypatch, lib, "BN_mod_exp_mont_consttime"),
             spy_on(monkeypatch, lib, "BN_mod_exp2_mont"))
-
-
-def test_builtin_pow_below_256_bits_and_libcrypto_above(monkeypatch):
-    """Below 256 bits of p every base takes builtin pow; from there up, on
-    one core, one libcrypto call computes the product and builtin pow is not
-    called."""
-    cores(monkeypatch, 1)
-    libcrypto()
-    bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
-    pows = count_builtin_pow(monkeypatch)
-    inst, _ = fixed_instance()
-    assert chameleon.ch_hash(inst, 2, 5) == 2
-    assert len(pows) == 2 and bn == []
-    pows.clear()
-    pairs = ((G2048, Q2048 - 1), (Y2048, 1 << 41))
-    assert dl_pow(pairs) == pow_reference(pairs)
-    assert pows == [] and len(bn) == 1
 
 
 def cores(monkeypatch, n):
@@ -288,68 +271,123 @@ def test_committed_g_raised_to_2_1024(monkeypatch):
     assert bn == []
 
 
-def check_against(e, f, ge, yf, swapped=True):
-    """One base and two, also swapped, given ge = g^e and yf = y^f."""
-    assert dl_pow(((G2048, e),)) == ge
-    assert dl_pow(((G2048, e), (Y2048, f))) == ge * yf % P2048
-    if swapped:
-        assert dl_pow(((Y2048, f), (G2048, e))) == ge * yf % P2048
+SHAPES = ("g", "g, y", "y, g")
+# the paths of _pow, each with the shapes it is run in: builtin pow raises
+# each base alone, so it takes the bases in one order
+SHAPES_ON = {"builtin": SHAPES[:2], "one call": SHAPES, "split": SHAPES}
 
 
-def check_against_pow(e, f, swapped=True):
-    check_against(e, f, pow(G2048, e, P2048), pow(Y2048, f, P2048), swapped)
+def on_path(monkeypatch, path):
+    """Sends each exponentiation mod a large p down one path of _pow:
+    builtin pow with no libcrypto, one libcrypto call on one core, or the
+    split on two."""
+    if path == "builtin":
+        monkeypatch.setattr(chameleon, "_libcrypto", False)
+    else:
+        libcrypto()
+        cores(monkeypatch, 1 if path == "one call" else 2)
 
 
+def shaped(shape, g, y):
+    """The (base, exponent) terms of a shape: g alone, or g and y in the
+    order it names."""
+    return {"g": (g,), "g, y": (g, y), "y, g": (y, g)}[shape]
+
+
+def check_against(e, f, ge, yf, shapes):
+    """g^e, and g^e y^f in the orders that shapes names, given ge = g^e and
+    yf = y^f."""
+    for shape in shapes:
+        want = ge if shape == "g" else ge * yf % P2048
+        assert dl_pow(shaped(shape, (G2048, e), (Y2048, f))) == want
+
+
+@functools.cache
 def powers_at_byte_edges(base):
-    """{e: base^e mod p} over BYTE_EDGES, from one chain of squarings."""
+    """{e: base^e mod p} over BYTE_EDGES, from one chain of squarings, and
+    over SPECIAL and CUT, by builtin pow."""
     inverse, square, out = pow(base, -1, P2048), base, {}
     for k in range(1, 256):
         for _ in range(8):
             square = square * square % P2048
         out[(1 << (8 * k)) - 1] = square * inverse % P2048
         out[(1 << (8 * k)) + 1] = square * base % P2048
-    return out
+    return out | {e: pow(base, e, P2048) for e in SPECIAL + CUT}
 
 
-def check_vectors(edges, swapped=True):
-    """The special values against builtin pow, each exponent of g met by
-    another of y; then each edge e, y raised to the edge f of the other
-    sign, against powers computed without _pow."""
-    for e, f in zip(SPECIAL, reversed(SPECIAL)):
-        check_against_pow(e, f, swapped)
+def check_vectors(edges, shapes):
+    """The special values, each exponent of g met by another of y; each edge
+    e, y raised to the edge f of the other sign; and the cut: all against
+    powers computed without _pow."""
     g, y = powers_at_byte_edges(G2048), powers_at_byte_edges(Y2048)
-    for e in edges:
-        f = e + 2 if e & 2 else e - 2  # 2^(8k) - 1 <-> 2^(8k) + 1
-        check_against(e, f, g[e], y[f], swapped)
+    swapped_edges = [(e, e + 2 if e & 2 else e - 2) for e in edges]  # 2^(8k) -+ 1
+    for e, f in [*zip(SPECIAL, reversed(SPECIAL)), *swapped_edges, *zip(CUT, reversed(CUT))]:
+        check_against(e, f, g[e], y[f], shapes)
 
 
-def test_multi_pow_at_every_byte_length_edge(monkeypatch):
-    """The special values and every byte-length edge, on one core: one
-    libcrypto call per exponentiation."""
-    cores(monkeypatch, 1)
-    libcrypto()
-    check_vectors(BYTE_EDGES)
+@pytest.mark.parametrize("path, shape", [
+    (path, shape) for path, shapes in SHAPES_ON.items() for shape in shapes
+])
+def test_dl_pow_on_every_path(path, shape, monkeypatch):
+    """Below 256 bits of p every path takes builtin pow, once per base, and
+    dl-demo never reaches libcrypto.  On dl-2048 the special values, every
+    byte-length edge and the cut match on each path: builtin pow once per
+    base with no libcrypto, at 64-bit word edges only (each takes about
+    25 ms); one libcrypto call per exponentiation on one core, with no
+    thread; and on two cores two calls on two threads, plus y^(2^1024) once
+    (g^(2^1024) is committed).  Each libcrypto call is the constant-time
+    one for one base and the two-base one for two, and g^e through
+    _secret_pow, with q added, matches too."""
+    on_path(monkeypatch, path)
+    forget_high_bases()
+    one, two = ([], []) if path == "builtin" else spy_on_exp(monkeypatch)
+    bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
+    pows = spy_on(monkeypatch, chameleon, "pow")  # shadows builtin pow there
+    small = shaped(shape, (G, 2), (18, 5))  # dl-demo, y = 18 as in fixed_instance
+    assert chameleon._pow(small, P) == math.prod(pow(b, e, P) for b, e in small) % P
+    assert len(pows) == len(small)
+    inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-demo"}, rng_from_int(3))
+    rng = rng_from_int(4)
+    for _ in range(5):
+        sample = chameleon.sample_range(inst, rng, td)
+        r = chameleon.ch_invert(inst, td, 5, sample)
+        assert chameleon.ch_hash(inst, 5, r) == sample.element
+    assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
+    assert bn == []
+    pows.clear()
+    calls = spy_on(monkeypatch, chameleon, "_pow")
+    starts = spy_on(monkeypatch, threading.Thread, "start")
+    edges = BYTE_EDGES
+    if path == "builtin":
+        edges = [e for e in BYTE_EDGES if e.bit_length() % 64 in (0, 1)]  # word edges
+    check_vectors(edges, [shape])
+    if shape == "g" and path != "builtin":
+        g = powers_at_byte_edges(G2048)
+        for e in SPECIAL:
+            assert chameleon._secret_pow(G2048, e, Q2048, P2048) == g[e]
+    n, bases = len(calls), len(small)
+    if path == "builtin":
+        assert (bn, len(pows), starts) == ([], bases * n, [])
+        return
+    assert (len(one), len(two)) == ((len(bn), 0) if bases == 1 else (0, len(bn)))
+    assert pows == []
+    if path == "one call":
+        assert (len(bn), starts) == (n, [])
+    else:
+        assert (len(bn), len(starts)) == (2 * n + (bases == 2), n)
 
 
-def test_split_pow_at_every_byte_length_edge(monkeypatch):
-    """The same vectors on two cores, each exponentiation split at bit 1024,
-    and the cut itself: up to 2^1024 - 1 the high exponent is 0."""
-    cores(monkeypatch, 2)
-    libcrypto()
-    check_vectors(BYTE_EDGES)
-    for e, f in zip(CUT, reversed(CUT)):
-        check_against_pow(e, f)
-
-
-def test_builtin_pow_fallback_without_libcrypto(monkeypatch):
-    """With no library, every base takes builtin pow: the special values and
-    the edge vectors (at 64-bit word edges only, as each builtin pow takes
-    about 25 ms, and with the bases in one order, as each is raised alone)
-    match."""
-    monkeypatch.setattr(chameleon, "_libcrypto", False)
-    pows = count_builtin_pow(monkeypatch)
-    check_vectors([e for e in BYTE_EDGES if e.bit_length() % 64 in (0, 1)], swapped=False)
-    assert pows
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, (1 << BITS) - 1), st.integers(0, (1 << BITS) - 1))
+def test_dl_pow_matches_pow_property(e, f):
+    """Random exponents of g and y give builtin pow's values on every path;
+    on the builtin one, where g alone is the reference itself, with two
+    bases only."""
+    ge, yf = pow(G2048, e, P2048), pow(Y2048, f, P2048)
+    for path, shapes in SHAPES_ON.items():
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            on_path(monkeypatch, path)
+            check_against(e, f, ge, yf, shapes[1:] if path == "builtin" else shapes)
 
 
 def test_golden_dl_2048_digests_without_libcrypto(monkeypatch):
@@ -445,27 +483,6 @@ def test_secret_halves_fill_fixed_word_counts(monkeypatch):
         assert v_low * v_high % P2048 == pow(G2048, e, P2048)
 
 
-def test_one_core_makes_one_call_per_exponentiation(monkeypatch):
-    """With one usable core, where the two halves ran 15 % slower than one
-    call, every exponentiation makes one libcrypto call and starts no
-    thread, with the same values, from y's first use on; so does y = g, one
-    base in both roles."""
-    cores(monkeypatch, 1)
-    forget_high_bases()
-    one, two = spy_on_exp(monkeypatch)
-    starts = spy_on(monkeypatch, threading.Thread, "start")
-    inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-2048"}, rng_from_int(21))
-    assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
-    assert inst.y == pow(inst.g, td.x, inst.p)
-    for m, r in [(Q2048 - 1, 1 << (BITS - 1)), (5, Q2048 - 2), (0, 0)]:
-        expected = pow_reference(((G2048, m), (inst.y, r)))
-        assert inst.hash(m, r) == expected
-        assert inst.trapdoor_hash(td, m, r) == expected
-    same = DLInstance(P2048, Q2048, G2048, G2048)
-    assert same.hash(Q2048 - 1, 7) == pow(G2048, Q2048 + 6, P2048)
-    assert (len(one), len(two), starts) == (5, 4, [])
-
-
 @pytest.mark.skipif(not hasattr(chameleon.os, "sched_getaffinity"), reason="no affinity")
 def test_calls_follow_the_real_affinity(monkeypatch):
     """With the cores the process may really use (CI runs this file under
@@ -538,7 +555,7 @@ def chameleon_bytes_alive(run):
     return sum(stat.size for stat in snapshot.filter_traces(only).statistics("filename"))
 
 
-def test_comb_footprint_after_two_signs_and_verifies(monkeypatch):
+def test_two_signs_and_verifies_leave_under_16_kb(monkeypatch):
     """On two cores, after key generation and two signs and verifies, what
     chameleon.py allocated and still holds is the key's and the signatures'
     integers and the kept y^(2^1024), a few kB (two tables once held
@@ -562,36 +579,8 @@ def test_comb_footprint_after_two_signs_and_verifies(monkeypatch):
     assert chameleon_bytes_alive(run) < 16384
 
 
-@pytest.mark.parametrize("count", [1, 2])
-def test_joint_first_use_pass(count, monkeypatch):
-    """On one core, one base takes one BN_mod_exp_mont_consttime call and
-    two bases one BN_mod_exp2_mont call; builtin pow is never called."""
-    cores(monkeypatch, 1)
-    one, two = spy_on_exp(monkeypatch)
-    pows = count_builtin_pow(monkeypatch)
-    bases = fresh_bases(count)
-    for e in SPECIAL:
-        pairs = [(b, e) for b in bases]
-        assert dl_pow(pairs) == pow_reference(pairs)
-    assert pows == []
-    assert (len(one), len(two)) == ((count == 1) * len(SPECIAL), (count == 2) * len(SPECIAL))
-
-
 def fresh_bases(count):
     return [pow(G2048, 7 + i, P2048) for i in range(count)]
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.integers(0, (1 << BITS) - 1), st.integers(0, (1 << BITS) - 1))
-def test_joint_pass_matches_pow_property(e, f):
-    pairs = list(zip(fresh_bases(2), (e, f)))
-    assert dl_pow(pairs) == pow_reference(pairs)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(0, (1 << BITS) - 1), st.integers(0, Q2048 - 1))
-def test_multi_pow_matches_pow_property(e, f):
-    check_against_pow(e, f)
 
 
 def test_high_base_cache_keeps_four_values(monkeypatch):
@@ -640,19 +629,6 @@ def test_two_callers_split_at_once(monkeypatch):
     assert got == expected
     assert threading.active_count() == threads
     assert chameleon._high_base.cache_info().currsize <= 4
-
-
-def test_dl_demo_never_enters_the_cache(monkeypatch):
-    """dl-demo's 5-bit p never reaches libcrypto."""
-    bn = spy_on(monkeypatch, chameleon, "_bn_multi_pow")
-    inst, td = chameleon.hg(ChameleonKind.DL, {"name": "dl-demo"}, rng_from_int(3))
-    rng = rng_from_int(4)
-    for _ in range(5):
-        sample = chameleon.sample_range(inst, rng, td)
-        r = chameleon.ch_invert(inst, td, 5, sample)
-        assert chameleon.ch_hash(inst, 5, r) == sample.element
-    assert inst.deserialize_trapdoor(inst.serialize_trapdoor(td)) == td
-    assert bn == []
 
 
 def test_dl_trapdoor_that_does_not_match_y_is_refused():

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from toosign import chameleon, encoding, sis
-from toosign.chameleon import ChameleonKind, CollisionVerdict, RangeSample
+from toosign.chameleon import ChameleonKind, CollisionVerdict
 from toosign.errors import DomainError, FormatError
 from toosign.gaussian import DiscreteGaussian
 from toosign.rng import rng_from_int

@@ -13,9 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toosign import encoding, merkle
-from toosign.errors import CapacityError
 from toosign.merkle import DIGEST_BITS, merkle_descriptor, merkle_keygen
-from toosign.registry import Signature, scheme_keygen, scheme_sign, scheme_verify
+from toosign.registry import Signature, scheme_keygen, scheme_sign
 from toosign.rng import rng_from_int
 
 
@@ -27,27 +26,6 @@ def test_signing_is_deterministic_per_leaf():
     s2, _ = scheme_sign(kp, digest, rng_from_int(99))
     assert s1.bytes == s2.bytes
 
-
-
-def test_capacity_exhaustion_raises():
-    kp = scheme_keygen(merkle_descriptor(1), rng_from_int(4))
-    digest = hashlib.sha256(b"m").digest()
-    for i in range(2):
-        _, state = scheme_sign(kp, digest, rng_from_int(i))
-        kp = kp.with_state(state)
-    with pytest.raises(CapacityError):
-        scheme_sign(kp, digest, rng_from_int(9))
-
-
-def test_tampered_signature_rejected():
-    kp = scheme_keygen(merkle_descriptor(2), rng_from_int(5))
-    digest = hashlib.sha256(b"m").digest()
-    sig, _ = scheme_sign(kp, digest, rng_from_int(0))
-    bad = bytearray(sig.bytes)
-    bad[-1] ^= 1
-    assert not scheme_verify(
-        kp.public_key, digest, Signature(bytes=bytes(bad), descriptor=sig.descriptor)
-    )
 
 # SHA-256 prefixes of the signature on each leaf 0-7 of the h=3 key of seed 30
 LAMPORT_PINS = {
