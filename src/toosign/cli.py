@@ -192,6 +192,12 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
             message = _read(infile, False)
         except OSError as e:
             _fail(f"cannot read: {e}")
+        # an --out whose directory cannot be listed fails here, with no leaf
+        # spent; a signature copy a killed signer left there goes too
+        try:
+            _remove_stale_copies(out)
+        except OSError as e:
+            _fail(f"cannot write: {e}")
         oracle = production_oracle(kp.ch_inst, domain_tag=ro_tag.encode())
         # a seed replayed on another leaf must not commit to the same range
         # value: two openings of one DL range value reveal the trapdoor
