@@ -100,6 +100,13 @@ def _remove_stale_copies(path: str) -> None:
                 os.unlink(entry.path)
 
 
+def _entry(path: str) -> tuple[str, str]:
+    """(directory, name) of the entry path names, the directory with its
+    symlinks resolved: two paths name one entry when these are equal."""
+    directory, name = os.path.split(os.path.abspath(path))
+    return os.path.realpath(directory), name
+
+
 def _read(path: str, armored: bool) -> bytes:
     with open(path, "rb") as f:
         blob = f.read()
@@ -192,8 +199,18 @@ def sign(key, pub, infile, out, seed, armor, ro_tag):
             message = _read(infile, False)
         except OSError as e:
             _fail(f"cannot read: {e}")
-        # an --out whose directory cannot be listed fails here, with no leaf
-        # spent; a signature copy a killed signer left there goes too
+        # an --out that cannot take the signature fails here, before a leaf
+        # is spent: a directory, a file this sign relies on, or a path in a
+        # directory that cannot be listed; a signature copy that a killed
+        # signer left in that directory is removed
+        if os.path.isdir(out):
+            _fail(f"cannot write: --out {out} is a directory")
+        relied = {"secret key": key, "public key": pub, "message": infile,
+                  "key's lock file": key + ".lock"}
+        for what, path in relied.items():
+            # a rename onto out replaces out's own entry, never a symlink's target
+            if _entry(out) in (_entry(path), _entry(os.path.realpath(path))):
+                _fail(f"cannot write: --out {out} is the {what}")
         try:
             _remove_stale_copies(out)
         except OSError as e:

@@ -3,10 +3,10 @@
 This is the reference existentially-unforgeable base scheme fed to the
 transform.  Messages are 256-bit digests; each leaf is a full-reveal Lamport
 key (two 32-byte preimages per message bit) and the tree root is the public
-key.  The secret key caches every tree node so signing only re-derives one
-leaf's preimages plus an authentication path.  Keygen, signing and
-verifying split a leaf or a signature field into its 32-byte chunks with one
-precompiled struct unpack each.
+key.  The secret key caches every tree node, so signing derives one leaf's
+preimages, hashes the 256 it hides and reads an authentication path.  Keygen,
+signing and verifying split a leaf or a signature field into its 32-byte
+chunks with one precompiled struct unpack each.
 
 Signing and verifying run no Python per digest bit, only the hash calls.
 Two tables indexed by a digest byte, built at import in about 0.12 ms,
@@ -30,6 +30,17 @@ many leaves never forks.  Each child writes its keys into its slice of one
 anonymous shared map and exits.  The children only hash: the seed is drawn
 before they start, and a range whose fork or child fails is computed by the
 caller.  The keys are byte-identical to a serial keygen.
+
+Keygen of a tree of at most _KEPT_LEAVES (64) leaves, which never forks,
+also keeps each leaf's 512 chunk hashes in memory under the leaf's public
+key.  A sign of such a leaf reads its 256 hidden hashes from there instead
+of hashing the preimages again.  The map is least-recently-used, a sign
+marks each kept leaf of its tree as used, and it holds at most 64 leaves
+of 16 kB (1 MB).  It holds nothing secret: the hashes are
+one-way images of the preimages, a signature of the leaf discloses all 512
+of them, and the revealed preimages are still derived from the seed.  A
+leaf that is not kept, such as one of a key read from a file or of a taller
+tree, is hashed as before, to the same bytes.
 """
 
 from __future__ import annotations
@@ -39,6 +50,8 @@ import mmap
 import os
 import struct
 import threading
+from collections import OrderedDict
+from contextlib import suppress
 from itertools import chain, compress, product
 from operator import itemgetter
 
@@ -96,17 +109,55 @@ def _leaf_preimages(seed: bytes, leaf: int) -> bytes:
     return xof.digest(2 * DIGEST_BITS * 32)
 
 
+def _leaf_hashes(preimages: bytes) -> bytes:
+    """The 512 per-preimage hashes, packed in order."""
+    return b"".join([CHUNK_HASH(c).digest() for c in _LEAF_CHUNKS(preimages)])
+
+
 def _leaf_public(preimages: bytes) -> bytes:
     """Leaf public key: the hash of the concatenated per-preimage hashes."""
-    hashes = [CHUNK_HASH(c).digest() for c in _LEAF_CHUNKS(preimages)]
-    return HASH(b"".join(hashes)).digest()
+    return HASH(_leaf_hashes(preimages)).digest()
 
 
-def _leaf_range(seed: bytes, start: int, stop: int) -> bytes:
-    """The public keys of leaves start .. stop-1, packed in order."""
-    return b"".join(
-        [_leaf_public(_leaf_preimages(seed, leaf)) for leaf in range(start, stop)]
-    )
+# leaf public key -> the leaf's packed chunk hashes, least recently used
+# first; see the module docstring.  Each OrderedDict call is atomic, and the
+# lock keeps one writer's insert and eviction together
+_KEPT: OrderedDict[bytes, bytes] = OrderedDict()
+_KEPT_LEAVES = 64
+_KEPT_LOCK = threading.Lock()
+
+
+def _kept_leaf_public(preimages: bytes) -> bytes:
+    """_leaf_public, keeping the chunk hashes under the key it returns."""
+    hashes = _leaf_hashes(preimages)
+    key = HASH(hashes).digest()
+    with _KEPT_LOCK:
+        _KEPT[key] = hashes
+        _KEPT.move_to_end(key)
+        if len(_KEPT) > _KEPT_LEAVES:
+            _KEPT.popitem(last=False)
+    return key
+
+
+def _kept_hashes(nodes: bytes, leaves: int, leaf: int) -> bytes | None:
+    """The kept chunk hashes of leaf of the tree whose packed nodes start
+    with its leaves' public keys, or None if they are not kept.  A hit marks
+    each kept leaf of the tree as the most recently used, since a key signs
+    its leaves in turn.  A miss takes no lock, so a tree too tall to keep
+    signs at the cost of one dict lookup."""
+    hashes = _KEPT.get(nodes[32 * leaf : 32 * leaf + 32])
+    if hashes is not None:
+        for i in range(0, 32 * leaves, 32):
+            with suppress(KeyError):  # not kept, or evicted by another thread
+                _KEPT.move_to_end(nodes[i : i + 32])
+    return hashes
+
+
+def _leaf_range(seed: bytes, start: int, stop: int, keep: bool) -> bytes:
+    """The public keys of leaves start .. stop-1, packed in order; with keep,
+    each leaf's chunk hashes are kept as well."""
+    public = _kept_leaf_public if keep else _leaf_public
+    return b"".join([public(_leaf_preimages(seed, leaf)) for leaf in range(start, stop)])
 
 
 # a fork costs about 1.2 ms and a leaf 0.24-0.29 ms.  Two workers of 64
@@ -130,8 +181,10 @@ def _worker_count(leaves: int) -> int:
 def _leaf_keys(seed: bytes, leaves: int) -> bytes:
     """The public keys of all leaves, packed in order; see the module
     docstring for how the work is split.  Every child is reaped before this
-    returns or raises, and killed first only if the caller's own work raised."""
+    returns or raises, and killed first only if the caller's own work raised.
+    A tree small enough to keep whole never forks, so the caller keeps it."""
     workers = _worker_count(leaves)
+    keep = leaves <= _KEPT_LEAVES
     bounds = [leaves * i // workers for i in range(workers + 1)]
     ranges = list(zip(bounds[:-1], bounds[1:]))
     own = ranges[:1]  # the caller's ranges: the first and each one not forked
@@ -139,7 +192,7 @@ def _leaf_keys(seed: bytes, leaves: int) -> bytes:
     with mmap.mmap(-1, 32 * leaves) as keys:  # anonymous, so shared across fork
 
         def fill(start: int, stop: int) -> None:
-            keys[32 * start : 32 * stop] = _leaf_range(seed, start, stop)
+            keys[32 * start : 32 * stop] = _leaf_range(seed, start, stop, keep)
 
         try:
             for start, stop in ranges[1:]:
@@ -250,8 +303,14 @@ def merkle_sign(kp: KeyPair, digest: bytes, rng: Rng) -> tuple[Signature, bytes]
     chunks = _LEAF_CHUNKS(_leaf_preimages(seed, next_leaf))
     selectors = b"".join(map(_REVEAL.__getitem__, digest))
     revealed = b"".join(compress(chunks, selectors))
-    hidden = compress(chunks, selectors.translate(_SWAP))
-    complement = b"".join([CHUNK_HASH(c).digest() for c in hidden])
+    hidden = selectors.translate(_SWAP)
+    # read by the leaf's node: a key whose nodes do not come from its seed
+    # gives a signature that fails to verify, from kept hashes or not
+    hashes = _kept_hashes(nodes, 1 << height, next_leaf)
+    if hashes is None:
+        complement = b"".join([CHUNK_HASH(c).digest() for c in compress(chunks, hidden)])
+    else:
+        complement = b"".join(compress(_LEAF_CHUNKS(hashes), hidden))
     # nodes packs the levels bottom-up; level L starts at node 2^(h+1) - 2^(h+1-L)
     path = bytearray()
     idx = next_leaf

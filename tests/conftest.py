@@ -2,6 +2,15 @@
 
 import pytest
 
+from toosign import merkle
+
+
+@pytest.fixture(autouse=True)
+def no_kept_leaf_hashes():
+    """Each test starts with no Merkle leaf hashes kept by keygens of an
+    earlier test, so no outcome depends on which tests ran before it."""
+    merkle._KEPT.clear()
+
 
 def _spy_on(oracle) -> list[tuple[str, bytes]]:
     """Records ("eval" | "program", data) for each call on this oracle object.

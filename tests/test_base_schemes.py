@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toosign import games, registry, transform
+from toosign import games, merkle, registry, transform
 from toosign.chameleon import ChameleonKind
 from toosign.errors import CapacityError
 from toosign.merkle import merkle_descriptor
@@ -81,6 +81,29 @@ def test_same_seed_gives_the_same_bytes(row):
     assert tkp.public_bytes() == again[2].public_bytes()
     assert tkp.secret_bytes() == again[2].secret_bytes()
     assert tsig.serialize(tkp.ch_inst) == again[3].serialize(tkp.ch_inst)
+
+
+@each_row
+@settings(max_examples=10, deadline=None)
+@given(digest=st.binary(min_size=32, max_size=32))
+def test_a_key_signs_as_its_decoded_bytes_do(row, digest):
+    """Every leaf of a key made in this process signs to the same bytes as
+    the key decoded from its bytes in a process that kept nothing of its
+    keygen: the Merkle leaves sign first from the hashes keygen kept."""
+    merkle._KEPT.clear()
+    tkp = g_prime(row.descriptor(), *DL_DEMO, rng_from_int(8))
+
+    def signatures(kp):
+        return [scheme_sign(kp.with_state(leaf.to_bytes(8, "big")), digest,
+                            rng_from_int(9))[0].bytes for leaf in range(row.capacity)]
+
+    nodes = merkle._secret_key_fields(tkp.base.secret_key)[2]
+    assert all(nodes[32 * leaf : 32 * leaf + 32] in merkle._KEPT
+               for leaf in range(row.capacity))
+    kept = signatures(tkp.base)
+    merkle._KEPT.clear()
+    decoded = transform.keypair_from_secret(tkp.secret_bytes(), tkp.public_bytes())
+    assert signatures(decoded.base) == kept
 
 
 @each_row

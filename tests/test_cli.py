@@ -366,22 +366,49 @@ UNUSABLE_PATHS = {
     "signature under a regular file": (
         lambda sign: replaced(sign, "--out", "msg.txt/msg.toosig"), 1, "Error: cannot write"),
     "binary key read as armor": (lambda sign: [*sign, "--armor"], 2, "malformed key: "),
+    # an --out that would destroy a file the sign relies on, or that is a directory
+    "signature over the secret key": (lambda sign: replaced(sign, "--out", "key.tookey"),
+                                      1, "Error: cannot write"),
+    "signature over the public key": (lambda sign: replaced(sign, "--out", "key.toopub"),
+                                      1, "Error: cannot write"),
+    "signature over the message": (lambda sign: replaced(sign, "--out", "./msg.txt"),
+                                   1, "Error: cannot write"),
+    "signature over the key's lock": (lambda sign: replaced(sign, "--out", "key.tookey.lock"),
+                                      1, "Error: cannot write"),
+    "signature onto a directory": (lambda sign: replaced(sign, "--out", os.curdir),
+                                   1, "Error: cannot write"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
 def test_unusable_path_exits_cleanly(workspace, case):
     """A file that cannot be read, locked or written ends the command with
-    its message and no traceback, spends no leaf and leaves no file behind."""
+    its message and no traceback, spends no leaf, leaves the keys and the
+    message as they were and leaves no file behind."""
     edit, expected_code, expected_err = UNUSABLE_PATHS[case]
-    key_before = (workspace / "key.tookey").read_bytes()
+    kept = ("key.tookey", "key.toopub", "msg.txt")
+    before = [(workspace / name).read_bytes() for name in kept]
     files_before = set(os.listdir(workspace))
     r = too_sign(*edit(SIGN), cwd=workspace)
     assert r.returncode == expected_code, r.stderr
     assert r.stderr.startswith(expected_err) and "Traceback" not in r.stderr, r.stderr
-    assert (workspace / "key.tookey").read_bytes() == key_before
+    assert [(workspace / name).read_bytes() for name in kept] == before
     # a sign that got as far as the lock leaves the lock file, as every sign does
     assert set(os.listdir(workspace)) - files_before <= {"key.tookey.lock"}
+
+
+def test_out_is_refused_on_the_target_of_a_symlinked_input(workspace):
+    """A message read through a symlink is refused as --out by its target's
+    name; an --out that is a symlink is replaced, and its target kept."""
+    (workspace / "link.txt").symlink_to("msg.txt")
+    r = too_sign(*replaced(replaced(SIGN, "--in", "link.txt"), "--out", "msg.txt"),
+                 cwd=workspace)
+    assert r.returncode == 1 and r.stderr.startswith("Error: cannot write"), r.stderr
+    assert (workspace / "msg.txt").read_bytes() == MESSAGE
+    r = too_sign(*replaced(SIGN, "--out", "link.txt"), cwd=workspace)
+    assert r.returncode == 0, r.stderr
+    assert not (workspace / "link.txt").is_symlink()
+    assert (workspace / "msg.txt").read_bytes() == MESSAGE
 
 
 def test_signing_advances_persisted_state(workspace):

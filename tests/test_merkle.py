@@ -139,6 +139,82 @@ def test_random_digests_sign_verify_and_a_flipped_bit_rejects(digest, bit):
         assert merkle.merkle_verify(kp.public_key, flipped, sig) is False, leaf
 
 
+def _leaves(kp) -> list[bytes]:
+    """The leaf public keys of kp, the level-0 nodes of its secret key."""
+    nodes = merkle._secret_key_fields(kp.secret_key)[2]
+    return [nodes[32 * leaf : 32 * leaf + 32] for leaf in range(1 << kp.descriptor.param_blob[0])]
+
+
+def test_kept_leaf_hashes_hash_to_their_keys_and_stay_within_64_leaves():
+    """Keygen keeps the leaves of a tree of at most 64 leaves, each under the
+    hash of what it keeps.  Past 64 the least recently used leaf goes first,
+    and a sign makes each leaf of its tree the most recently used; a taller
+    tree keeps nothing."""
+    keys = []
+    for seed in range(17):  # 68 leaves
+        keys.append(merkle_keygen(merkle_descriptor(2), rng_from_int(seed)))
+        assert len(merkle._KEPT) == min(4 * len(keys), 64)
+        if len(keys) == 16:  # full: the first key's leaves would go next
+            _sign_leaf(keys[0], 2, bytes(32))
+    first, _, *middle, last = map(_leaves, keys)
+    assert list(merkle._KEPT) == [*sum(middle, []), *first, *last]
+    assert all(len(hashes) == 32 * 2 * DIGEST_BITS and hashlib.sha256(hashes).digest() == key
+               for key, hashes in merkle._KEPT.items())
+    kept = list(merkle._KEPT.items())
+    merkle_keygen(merkle_descriptor(7), rng_from_int(0))
+    assert list(merkle._KEPT.items()) == kept
+    leaves = _leaves(merkle_keygen(merkle_descriptor(6), rng_from_int(1)))
+    assert list(merkle._KEPT) == leaves
+
+
+def test_signing_while_other_threads_evict_gives_the_same_bytes():
+    """Two threads sign every leaf of one key over and over while two more
+    make keys that evict those leaves, with a switch interval short enough
+    to interleave them mid-call.  No sign raises, every signature keeps its
+    bytes whether its leaf was kept or hashed again, and the map stays
+    within its bound, each value under its own hash."""
+    kp, digest = _h3_key(), b"\x55" * 32
+    pins = LAMPORT_PINS[digest].split()
+    stop, wrong, errors = threading.Event(), [], []
+
+    def sign():
+        for _ in range(10):
+            for leaf in range(8):
+                sig = _sign_leaf(kp, leaf, digest)
+                if hashlib.sha256(sig.bytes).hexdigest()[:8] != pins[leaf]:
+                    wrong.append(leaf)
+
+    def evict(seed):
+        while not stop.is_set():
+            merkle_keygen(merkle_descriptor(2), rng_from_int(seed))
+            seed += 2
+
+    def run(work, *args):
+        try:
+            work(*args)
+        except Exception as e:  # fails the test, also where a thread error only warns
+            errors.append(e)
+
+    threads = [threading.Thread(target=run, args=a) for a in
+               [(sign,), (sign,), (evict, 100), (evict, 101)]]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads[:2]:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors and not wrong
+    assert len(merkle._KEPT) <= 64
+    assert all(hashlib.sha256(hashes).digest() == key for key, hashes in merkle._KEPT.items())
+
+
 # (height, seed, SHA-256 prefixes of the public and the secret key), from
 # the serial keygen that computed every leaf in one loop
 TALL_TREES = [
